@@ -4,7 +4,8 @@ Subcommands mirror the library operations; reports go to stdout in a
 deterministic key/value layout (re-runs are byte-identical), diagnostics
 and timing go to stderr.  Exit codes: 0 no holes / membership holds,
 10 holes exist / infeasible, 2 parse error, 3 non-pointed cone,
-4 resource limit hit.
+4 resource limit hit (a configured ceiling, the interpreter's recursion
+limit, or memory exhaustion), 1 any other computation error.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from .errors import (
 from .holes import SemigroupProblem, holes_representation
 from .intlinalg import IntMatrix
 from .limits import DEFAULT_LIMITS, Limits, limits_from_env
+from .polyhedra import lp_exact
 from .saturation import certify_infinite, hole_bound, saturation_points
 from .transport import (
     MarginTriple,
     TransportDims,
+    _feasibility_system,
     margins_to_vector,
     table_feasible,
     transportation_matrix,
@@ -285,10 +288,11 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     if margins is None:
         lines.append("limit-status: ok")
         return lines, EXIT_OK
-    lines.append(f"margin-vector: {_fmt_vec(margins_to_vector(dims, margins))}")
+    f = margins_to_vector(dims, margins)
+    lines.append(f"margin-vector: {_fmt_vec(f)}")
     table = table_feasible(dims, margins, limits)
     if table is None:
-        feas = _real_feasible(dims, margins)
+        feas = lp_exact(_feasibility_system(a, f), (0,) * a.cols, "min").status == "optimal"
         lines.append("integer-feasible: no")
         lines.append(f"real-feasible: {'yes' if feas else 'no'}")
         lines.append("limit-status: ok")
@@ -302,16 +306,6 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
             lines.append("  -")
     lines.append("limit-status: ok")
     return lines, EXIT_OK
-
-
-def _real_feasible(dims: TransportDims, margins: MarginTriple) -> bool:
-    from .polyhedra import EQ, GE, InequalitySystem, lp_exact
-    from .intlinalg import unit_vector
-    a = transportation_matrix(dims)
-    f = margins_to_vector(dims, margins)
-    rows = [(a.entries[i], EQ, f[i]) for i in range(a.rows)]
-    rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
-    return lp_exact(InequalitySystem.from_rows(rows), (0,) * a.cols, "min").status == "optimal"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,6 +371,12 @@ def main(argv=None) -> int:
         return EXIT_NOT_POINTED
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except RecursionError:
+        print("error: resource limit exceeded: recursion depth", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError:
+        print("error: resource limit exceeded: memory", file=sys.stderr)
         return EXIT_LIMIT
     except MonoidHolesError as exc:
         print(f"error: {exc}", file=sys.stderr)

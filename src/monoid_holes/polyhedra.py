@@ -3,14 +3,21 @@
 Facet descriptions of finitely generated cones (double description on the
 dual), pointedness, a two-phase exact simplex with Bland's anti-cycling
 rule, and membership in the half-open zonotope spanned by matrix columns.
+
+The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
+over one common denominator), so its pivot loop does no rational
+arithmetic.  Each LP verdict comes with a certificate that is checked
+before the verdict is returned: a feasible point, or Farkas multipliers
+proving infeasibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import NotPointedError, ResourceLimitError
+from .errors import InternalInconsistencyError, NotPointedError, ResourceLimitError
 from .intlinalg import (
     IntMatrix,
     IntVector,
@@ -73,13 +80,46 @@ class InequalitySystem:
         return len(self.matrix)
 
     def satisfied_by(self, x) -> bool:
+        # clear the denominators of x once, so integer rows check in integers
+        scale = lcm(*(c.denominator for c in x))
+        x = [c.numerator * (scale // c.denominator) for c in x]
         for row, sense, b in zip(self.matrix, self.senses, self.rhs):
             v = vec_dot(row, x)
+            b *= scale
             if sense == EQ and v != b:
                 return False
             if sense == GE and v < b:
                 return False
         return True
+
+    def refuted_by(self, multipliers) -> bool:
+        """Whether the row multipliers prove that no x satisfies the system.
+
+        That holds (Farkas) when the multipliers are nonnegative on GE rows,
+        their combination of the rows is <= 0 on every variable that a row
+        x_j >= 0 constrains and 0 on every other variable, and their
+        combination of the right-hand sides is positive.
+        """
+        if len(multipliers) != self.num_rows:
+            return False
+        signed = {_sign_row(*row) for row in zip(self.matrix, self.senses, self.rhs)}
+        if any(y < 0 for y, sense in zip(multipliers, self.senses) if sense == GE):
+            return False
+        for j in range(self.num_vars):
+            v = sum(y * row[j] for y, row in zip(multipliers, self.matrix) if y)
+            if v > 0 or (v < 0 and j not in signed):
+                return False
+        return vec_dot(multipliers, self.rhs) > 0
+
+
+def _sign_row(coeffs, sense, b) -> int | None:
+    """j when the row reads c * x_j >= 0 with c > 0, else None."""
+    if sense != GE or b != 0:
+        return None
+    support = [j for j, c in enumerate(coeffs) if c]
+    if len(support) == 1 and coeffs[support[0]] > 0:
+        return support[0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -87,6 +127,7 @@ class LPResult:
     status: str                 # "optimal" | "infeasible" | "unbounded"
     optimum: Fraction | None
     witness: RatVector | None
+    farkas: tuple | None = None  # row multipliers refuting an infeasible system
 
 
 @dataclass(frozen=True)
@@ -103,88 +144,111 @@ class ConeFacets:
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase simplex
+# exact two-phase simplex on an integer-preserving tableau
+#
+# Every tableau row, the objective row included, holds integers: the true
+# rational row times D, the determinant of the current basis (Bareiss 1968,
+# Edmonds 1967).  Pivoting on entry p of row y makes p the new D and sets
+# every other row x to (p*x - f*y) // D, where f is x's entry in the pivot
+# column; Sylvester's identity makes each division exact.  D stays positive,
+# so every sign test and every ratio comparison has the outcome it has on
+# the rational tableau of the same rows, and so has every pivot choice.
+# Pivots replace rows and never change one in place.
 
 class _Standardized:
-    """Standard-form image of an InequalitySystem: A x = b, x >= 0, b >= 0."""
+    """Standard-form image of an InequalitySystem: A x = b, x >= 0, b >= 0,
+    each row scaled to integers by the lcm of its denominators."""
 
     def __init__(self, system: InequalitySystem):
         n = system.num_vars
         nonneg = [False] * n
         main = []
-        for coeffs, sense, b in zip(system.matrix, system.senses, system.rhs):
-            if sense == GE and b == 0:
-                support = [(j, c) for j, c in enumerate(coeffs) if c != 0]
-                if len(support) == 1 and support[0][1] > 0:
-                    nonneg[support[0][0]] = True
-                    continue
-            main.append((coeffs, sense, b))
+        for k, (coeffs, sense, b) in enumerate(zip(system.matrix, system.senses, system.rhs)):
+            j = _sign_row(coeffs, sense, b)
+            if j is not None:
+                nonneg[j] = True
+            else:
+                main.append((k, coeffs, sense, b))
 
         # column j of the standard form carries (original var, sign)
         self.col_map: list[tuple[int, int]] = []
-        var_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.var_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for v in range(n):
-            var_cols[v].append((len(self.col_map), 1))
+            self.var_cols[v].append((len(self.col_map), 1))
             self.col_map.append((v, 1))
             if not nonneg[v]:
-                var_cols[v].append((len(self.col_map), -1))
+                self.var_cols[v].append((len(self.col_map), -1))
                 self.col_map.append((v, -1))
         surplus_start = len(self.col_map)
-        num_surplus = sum(1 for _, sense, _ in main if sense == GE)
+        num_surplus = sum(1 for _, _, sense, _ in main if sense == GE)
 
         self.ncols = surplus_start + num_surplus
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
+        # standard row i is origin[i][1] times original row origin[i][0]
+        self.origin: list[tuple[int, int]] = []
         s_idx = surplus_start
-        for coeffs, sense, b in main:
-            row = [Fraction(0)] * self.ncols
+        for k, coeffs, sense, b in main:
+            scale = lcm(*(c.denominator for c in coeffs), b.denominator)
+            if b < 0:
+                scale = -scale
+            row = [0] * self.ncols
             for v, c in enumerate(coeffs):
                 if c:
-                    for col, sign in var_cols[v]:
-                        row[col] = Fraction(sign * c)
+                    c = c.numerator * (scale // c.denominator)
+                    for col, sign in self.var_cols[v]:
+                        row[col] = sign * c
             if sense == GE:
-                row[s_idx] = Fraction(-1)
+                row[s_idx] = -scale
                 s_idx += 1
-            b = Fraction(b)
-            if b < 0:
-                row = [-x for x in row]
-                b = -b
             self.rows.append(row)
-            self.rhs.append(b)
+            self.rhs.append(b.numerator * (scale // b.denominator))
+            self.origin.append((k, scale))
         self.num_main = len(self.rows)
         self.num_vars = n
+        self.num_rows = system.num_rows
 
-    def original_point(self, x: list[Fraction]) -> RatVector:
-        out = [Fraction(0)] * self.num_vars
-        for col, (v, sign) in enumerate(self.col_map):
-            if x[col]:
-                out[v] += sign * x[col]
+    def original_multipliers(self, y) -> tuple[int, ...]:
+        """Multipliers on the original rows for multipliers y on the standard
+        rows; rows absorbed as sign constraints get 0."""
+        out = [0] * self.num_rows
+        for (k, scale), yi in zip(self.origin, y):
+            out[k] = scale * yi
         return tuple(out)
 
 
-def _pivot(tab, zrow, basis, leave, enter):
-    pivot_row = tab[leave]
-    pv = pivot_row[enter]
-    if pv != 1:
-        tab[leave] = pivot_row = [x / pv for x in pivot_row]
+def _eliminate(row, prow, p, d, enter):
+    f = row[enter]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
+
+
+def _pivot(tab, zrow, basis, d, leave, enter) -> int:
+    """Pivot on tab[leave][enter] in place; returns the new denominator."""
+    prow = tab[leave]
+    p = prow[enter]
+    if p < 0:
+        # only driving artificials out pivots on a negative entry
+        tab[leave] = prow = [-x for x in prow]
+        p = -p
     for i, row in enumerate(tab):
-        if i != leave and row[enter]:
-            f = row[enter]
-            tab[i] = [x - f * y for x, y in zip(row, pivot_row)]
-    if zrow[enter]:
-        f = zrow[enter]
-        zrow[:] = [x - f * y for x, y in zip(zrow, pivot_row)]
+        if i != leave:
+            tab[i] = _eliminate(row, prow, p, d, enter)
+    if zrow is not None:
+        zrow[:] = _eliminate(zrow, prow, p, d, enter)
     basis[leave] = enter
+    return p
 
 
-def _run_simplex(tab, basis, cost, allowed_cols):
-    """Minimize cost over the tableau in place. Bland's rule throughout."""
-    zrow = list(cost) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if cost[bi]:
-            cb = cost[bi]
-            zrow = [x - cb * y for x, y in zip(zrow, tab[i])]
-    m = len(tab)
+def _run_simplex(tab, basis, zrow, d, allowed_cols) -> tuple[str, int]:
+    """Minimize over the tableau in place. Bland's rule throughout.
+
+    zrow is the priced-out objective row; returns the status and the final
+    denominator.
+    """
     while True:
         enter = None
         for j in allowed_cols:
@@ -192,44 +256,58 @@ def _run_simplex(tab, basis, cost, allowed_cols):
                 enter = j
                 break
         if enter is None:
-            return "optimal", zrow
+            return "optimal", d
         leave = None
-        best_ratio = None
-        best_var = None
-        for i in range(m):
-            tij = tab[i][enter]
-            if tij > 0:
-                ratio = tab[i][-1] / tij
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < best_var
-                ):
-                    best_ratio, best_var, leave = ratio, basis[i], i
+        for i, row in enumerate(tab):
+            t = row[enter]
+            if t > 0:
+                # compare row[-1] / t with best_b / best_t; both t are positive
+                if leave is None:
+                    leave, best_b, best_t = i, row[-1], t
+                    continue
+                lhs, rhs = row[-1] * best_t, best_b * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_b, best_t = i, row[-1], t
         if leave is None:
-            return "unbounded", zrow
-        _pivot(tab, zrow, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(tab, zrow, basis, d, leave, enter)
 
 
 class _Phase1:
-    """Feasible tableau (phase 1 already solved) for one constraint system."""
+    """Feasible tableau (phase 1 already solved) for one constraint system.
+
+    An infeasible system keeps Farkas multipliers in `farkas`, checked
+    against the system before they are stored.
+    """
 
     def __init__(self, system: InequalitySystem):
+        self.system = system
         std = _Standardized(system)
         ncols = std.ncols
         m = std.num_main
-        art = list(range(ncols, ncols + m))
         tab = []
         for i in range(m):
-            row = std.rows[i] + [Fraction(0)] * m + [std.rhs[i]]
-            row[ncols + i] = Fraction(1)
-            tab.append(row)
-        basis = art[:]
-        cost = [Fraction(0)] * ncols + [Fraction(1)] * m
-        status, zrow = _run_simplex(tab, basis, cost, range(ncols + m))
+            art = [0] * m
+            art[i] = 1
+            tab.append(std.rows[i] + art + [std.rhs[i]])
+        basis = list(range(ncols, ncols + m))
+        # cost 1 on every artificial, priced out against the artificial basis
+        zrow = ([-sum(row[j] for row in std.rows) for j in range(ncols)]
+                + [0] * m + [-sum(std.rhs)])
+        status, d = _run_simplex(tab, basis, zrow, 1, range(ncols + m))
         assert status == "optimal"  # phase 1 objective is bounded below by 0
-        if -zrow[-1] != 0:
+        if zrow[-1] != 0:
+            # the dual of phase 1 has y_i = 1 - z_i on artificial i, and
+            # y.A <= 0 < y.b at the optimum
+            y = [d - z for z in zrow[ncols:ncols + m]]
+            self.farkas = std.original_multipliers(y)
+            if not system.refuted_by(self.farkas):
+                raise InternalInconsistencyError(
+                    "LP infeasibility certificate failed its integer check")
             self.feasible = False
             return
         self.feasible = True
+        self.farkas = None
         # drive artificials out of the basis, dropping redundant rows
         keep = []
         for i in range(len(tab)):
@@ -237,44 +315,55 @@ class _Phase1:
                 enter = next((j for j in range(ncols) if tab[i][j] != 0), None)
                 if enter is None:
                     continue  # redundant row
-                dummy = [Fraction(0)] * (len(tab[i]))
-                _pivot(tab, dummy, basis, i, enter)
+                d = _pivot(tab, None, basis, d, i, enter)
             keep.append(i)
-        tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
         self.std = std
-        self.tab = tab
-        self.basis = basis
+        self.tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+        self.basis = [basis[i] for i in keep]
+        self.d = d
         self.ncols = ncols
 
     def solve(self, objective, sense: str) -> LPResult:
         """Phase 2 for one objective; leaves the stored tableau untouched."""
         std = self.std
+        # minimize sign * scale * objective, an integer cost with the same pivots
         sign = 1 if sense == "min" else -1
-        cost = [Fraction(0)] * self.ncols
+        scale = lcm(*(c.denominator for c in objective))
+        cost = [0] * self.ncols
         for v, c in enumerate(objective):
             if c:
-                for col, (ov, s) in enumerate(std.col_map):
-                    if ov == v:
-                        cost[col] += sign * s * Fraction(c)
-        tab = [row[:] for row in self.tab]
+                c = sign * c.numerator * (scale // c.denominator)
+                for col, s in std.var_cols[v]:
+                    cost[col] += s * c
+        tab = self.tab[:]
         basis = self.basis[:]
-        status, zrow = _run_simplex(tab, basis, cost, range(self.ncols))
-        x = [Fraction(0)] * self.ncols
-        for i, bi in enumerate(basis):
-            x[bi] = tab[i][-1]
-        witness = std.original_point(x)
+        d = self.d
+        zrow = [d * c for c in cost] + [0]
+        for row, bi in zip(tab, basis):
+            if cost[bi]:
+                cb = cost[bi]
+                zrow = [z - cb * x for z, x in zip(zrow, row)]
+        status, d = _run_simplex(tab, basis, zrow, d, range(self.ncols))
+        point = [0] * std.num_vars
+        for row, bi in zip(tab, basis):
+            if bi < len(std.col_map):  # not a surplus column
+                v, s = std.col_map[bi]
+                point[v] += s * row[-1]
+        witness = tuple(Fraction(x, d) for x in point)
+        if not self.system.satisfied_by(witness):
+            raise InternalInconsistencyError("LP witness violates its own system")
         if status == "unbounded":
             return LPResult("unbounded", None, witness)
-        value = -zrow[-1]
-        return LPResult("optimal", sign * value, witness)
+        return LPResult("optimal", Fraction(-sign * zrow[-1], d * scale), witness)
 
 
 def lp_exact(system: InequalitySystem, objective, sense: str = "min") -> LPResult:
     """Exact rational LP over the system's free variables.
 
     Rows of the shape x_i >= 0 are recognized as sign constraints; all other
-    variables are handled as differences of nonnegatives.
+    variables are handled as differences of nonnegatives.  Every verdict is
+    checked before it is returned: the witness against the system, and for
+    an infeasible system the Farkas multipliers in `farkas`.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
@@ -282,7 +371,7 @@ def lp_exact(system: InequalitySystem, objective, sense: str = "min") -> LPResul
         raise ValueError("objective length does not match variable count")
     phase1 = _Phase1(system)
     if not phase1.feasible:
-        return LPResult("infeasible", None, None)
+        return LPResult("infeasible", None, None, phase1.farkas)
     return phase1.solve(objective, sense)
 
 
@@ -290,7 +379,7 @@ def maximize_each(system: InequalitySystem, objectives) -> list[LPResult]:
     """Maximize several objectives over one feasible region, sharing phase 1."""
     phase1 = _Phase1(system)
     if not phase1.feasible:
-        return [LPResult("infeasible", None, None) for _ in objectives]
+        return [LPResult("infeasible", None, None, phase1.farkas) for _ in objectives]
     return [phase1.solve(obj, "max") for obj in objectives]
 
 

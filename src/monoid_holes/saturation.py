@@ -4,7 +4,6 @@ inside the semigroup)."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
 
@@ -88,10 +87,11 @@ def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
                       jobs: int = 1) -> SaturationResult:
     """Q-minimal saturation points via the intersection of all hole ideals.
 
-    The minimal generators of the intersection map onto the Q-minimal
-    saturation points (possibly many-to-one).  A defensive Q-minimality
-    filter double-checks that correspondence and is expected to remove
-    nothing.
+    The minimal generators of the intersection map onto saturation points
+    (possibly many-to-one), but their images need not be Q-minimal: on
+    [[2,2,2,1],[-2,3,1,0]] the image (4,1) is (3,1) + (1,0).  A
+    Q-minimality filter drops such points and records them in
+    removed_by_filter.
     """
     a = problem.matrix
     fund = fundamental_holes(problem, limits)
@@ -112,10 +112,6 @@ def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
             removed.append(s)
         else:
             kept.append(s)
-    if removed:
-        warnings.warn(
-            "saturation points required Q-minimality filtering; "
-            "the generator correspondence was not minimal", stacklevel=2)
     return SaturationResult(ideal, tuple(kept), generator_map, tuple(removed))
 
 

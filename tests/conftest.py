@@ -92,6 +92,69 @@ def brute_kernel_hilbert(rows, box):
     return minimalize_vectors(sols)
 
 
+def _solve_square(rows, rhs):
+    """The unique solution of a square system, or None when it is singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return None
+        m[c], m[pr] = m[pr], m[c]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _dot(u, v):
+    return sum(Fraction(a) * b for a, b in zip(u, v))
+
+
+def brute_satisfies(rows, x):
+    """Whether x satisfies every (coeffs, "eq" | "ge", rhs) row exactly."""
+    for coeffs, sense, b in rows:
+        v = _dot(coeffs, x)
+        if v < b or (sense == "eq" and v != b):
+            return False
+    return True
+
+
+def brute_is_pointed(rows, n):
+    """Whether the rows have rank n, so the region has no lines."""
+    return any(gauss_determinant([r[0] for r in sub]) != 0 for sub in combinations(rows, n))
+
+
+def brute_lp(rows, objective, sense):
+    """(status, optimum) of optimizing over a pointed system of rows.
+
+    Vertices come from every square subsystem; the region is empty exactly
+    when none is feasible.  The LP is unbounded exactly when an extreme ray
+    of the recession cone improves the objective; those rays solve n - 1
+    homogenized rows, and the signed maximal minors give their direction.
+    """
+    n = len(objective)
+    sign = 1 if sense == "min" else -1
+    cost = [sign * c for c in objective]
+    vertices = []
+    for sub in combinations(rows, n):
+        x = _solve_square([r[0] for r in sub], [r[2] for r in sub])
+        if x is not None and brute_satisfies(rows, x):
+            vertices.append(x)
+    if not vertices:
+        return "infeasible", None
+    for sub in combinations(rows, n - 1):
+        minors = [[[r[0][k] for k in range(n) if k != j] for r in sub] for j in range(n)]
+        ray = tuple((-1) ** j * gauss_determinant(m) for j, m in enumerate(minors))
+        for r in (ray, tuple(-x for x in ray)):
+            if not any(r) or _dot(cost, r) >= 0:
+                continue
+            if all(_dot(c, r) == 0 if s == "eq" else _dot(c, r) >= 0 for c, s, _ in rows):
+                return "unbounded", None
+    return "optimal", sign * min(_dot(cost, x) for x in vertices)
+
+
 @pytest.fixture
 def example_matrix():
     """The 2x4 running example with one fundamental hole."""

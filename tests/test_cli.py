@@ -1,5 +1,13 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import monoid_holes
+from monoid_holes import cli
 from monoid_holes.cli import main
 
 
@@ -188,6 +196,40 @@ class TestErrorPaths:
 
     def test_bad_vector(self, capsys, example_file):
         assert main(["member", example_file, "1,2,3"]) == 2
+
+    def test_deep_recursion_is_a_resource_limit(self, tmp_path):
+        # the table search recurses once per branching cell; without LP
+        # pruning a long 2x2xt table outgrows a lowered recursion limit
+        rng = random.Random(7)
+        r, s, t = 2, 2, 400
+        table = [[[rng.randint(0, 2) for _ in range(t)] for _ in range(s)] for _ in range(r)]
+        u = [[sum(table[i][j][k] for i in range(r)) for k in range(t)] for j in range(s)]
+        v = [[sum(table[i][j][k] for j in range(s)) for k in range(t)] for i in range(r)]
+        w = [[sum(table[i][j][k] for k in range(t)) for j in range(s)] for i in range(r)]
+        fmt = lambda block: "\n".join(" ".join(str(x) for x in row) for row in block)
+        margins = tmp_path / "long.txt"
+        margins.write_text(f"{fmt(u)}\n\n{fmt(v)}\n\n{fmt(w)}\n")
+        code = ("import sys; from monoid_holes.cli import main; "
+                "sys.setrecursionlimit(60); sys.exit(main(sys.argv[1:]))")
+        src = str(Path(monoid_holes.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--lp-stride", "100000000",
+             "transport", "--margins", str(margins)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+    def test_memory_exhaustion_is_a_resource_limit(self, capsys, example_file, monkeypatch):
+        def exhausted(args, limits):
+            raise MemoryError
+        monkeypatch.setitem(cli._COMMANDS, "member", exhausted)
+        assert main(["member", example_file, "1 1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestLimitsConfiguration:

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     InequalitySystem,
+    InternalInconsistencyError,
     IntMatrix,
     cone_facets,
     in_half_open_zonotope,
@@ -13,6 +15,31 @@ from monoid_holes import (
 from monoid_holes.polyhedra import EQ, GE, maximize_each, positive_functional
 from monoid_holes.intlinalg import unit_vector, vec_dot
 from monoid_holes.transport import TransportDims, transportation_matrix
+
+from conftest import brute_is_pointed, brute_lp, brute_satisfies
+
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def pointed_systems(draw):
+    """Rows over at most 3 variables whose region contains no line."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.tuples(st.lists(coefficients, min_size=n, max_size=n).map(tuple),
+                  st.sampled_from([EQ, GE]), coefficients),
+        min_size=n, max_size=5))
+    assume(brute_is_pointed(rows, n))
+    return rows
+
+
+def assert_matches_oracle(rows, result, objective, sense):
+    assert (result.status, result.optimum) == brute_lp(rows, objective, sense)
+    if result.witness is not None:
+        assert brute_satisfies(rows, result.witness)
+    assert (result.farkas is None) == (result.status != "infeasible")
 
 
 class TestConeFacets:
@@ -139,6 +166,85 @@ class TestLpExact:
         for b, s in zip(batched, singles):
             assert (b.status, b.optimum) == (s.status, s.optimum)
             assert b.optimum == 4
+
+
+class TestLpOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(pointed_systems(), st.data())
+    def test_lp_exact_matches_oracle(self, rows, data):
+        n = len(rows[0][0])
+        objective = tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+        sense = data.draw(st.sampled_from(["min", "max"]))
+        result = lp_exact(InequalitySystem.from_rows(rows), objective, sense)
+        assert_matches_oracle(rows, result, objective, sense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pointed_systems(), st.data())
+    def test_maximize_each_matches_oracle(self, rows, data):
+        n = len(rows[0][0])
+        objectives = data.draw(st.lists(
+            st.lists(coefficients, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3))
+        results = maximize_each(InequalitySystem.from_rows(rows), objectives)
+        for objective, result in zip(objectives, results):
+            assert_matches_oracle(rows, result, objective, "max")
+
+    def test_large_coefficients(self):
+        # entries near 10^6 make the pivots' common denominators large
+        rows = [((999_983, 1_000_000, 3), GE, 999_999),
+                ((-2, 999_979, 1_000_000), GE, 123_457),
+                ((1_000_000, -7, 999_961), EQ, 654_321)]
+        rows += [(unit_vector(3, j), GE, 0) for j in range(3)]
+        objective = (1_000_000, 999_907, -3)
+        results = {}
+        for sense in ("min", "max"):
+            results[sense] = lp_exact(InequalitySystem.from_rows(rows), objective, sense)
+            assert_matches_oracle(rows, results[sense], objective, sense)
+        assert results["max"].status == "unbounded"
+        assert results["min"].optimum.denominator > 10**6
+
+
+class TestCertificates:
+    # x + y >= 3 with x <= 1 and y <= 1: the three rows sum to 0 >= 1
+    BOX = InequalitySystem.from_rows([((1, 1), GE, 3), ((-1, 0), GE, -1), ((0, -1), GE, -1)])
+
+    def test_infeasible_box_is_refuted(self):
+        result = lp_exact(self.BOX, (0, 0), "min")
+        assert result.status == "infeasible"
+        assert self.BOX.refuted_by(result.farkas)
+        assert self.BOX.refuted_by((1, 1, 1))
+
+    @pytest.mark.parametrize("multipliers", [
+        (1, 1, 0), (1, 1, 2), (-1, -1, -1), (0, 0, 0), (1, 1), (2, 1, 1)])
+    def test_corrupted_multipliers_rejected(self, multipliers):
+        assert not self.BOX.refuted_by(multipliers)
+
+    def test_negative_rhs_and_sign_rows(self):
+        # x + y = -1 over x, y >= 0; the sign rows are absorbed and get 0
+        system = InequalitySystem.from_rows([((1, 1), EQ, -1), ((1, 0), GE, 0), ((0, 1), GE, 0)])
+        result = lp_exact(system, (0, 0), "min")
+        assert result.status == "infeasible"
+        assert result.farkas[1:] == (0, 0)
+        assert result.farkas[0] < 0
+        assert system.refuted_by(result.farkas)
+        # the same row over free variables is feasible, so it cannot be refuted
+        free = InequalitySystem.from_rows([((1, 1), EQ, -1)])
+        assert not free.refuted_by((-1,))
+
+    def test_maximize_each_shares_certificate(self):
+        results = maximize_each(self.BOX, [(1, 0), (0, 1)])
+        assert [r.status for r in results] == ["infeasible", "infeasible"]
+        assert all(self.BOX.refuted_by(r.farkas) for r in results)
+
+    def test_failed_certificate_check_raises(self, monkeypatch):
+        monkeypatch.setattr(InequalitySystem, "refuted_by", lambda self, y: False)
+        with pytest.raises(InternalInconsistencyError):
+            lp_exact(self.BOX, (0, 0), "min")
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        system = InequalitySystem.from_rows([((1,), GE, 3)])
+        monkeypatch.setattr(InequalitySystem, "satisfied_by", lambda self, x: False)
+        with pytest.raises(InternalInconsistencyError):
+            lp_exact(system, (1,), "min")
 
 
 class TestHalfOpenZonotope:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from monoid_holes import (
@@ -77,6 +79,16 @@ class TestSaturationPoints:
         result = saturation_points(example_problem)
         assert result.points == ((1, 2), (1, 3), (1, 4))
         assert result.removed_by_filter == ()
+
+    def test_filter_removes_non_minimal_image(self):
+        # the generator image (4,1) = (3,1) + (1,0) is not Q-minimal; the
+        # filter is a regular step and warns about nothing
+        problem = SemigroupProblem.build(IntMatrix.from_rows([[2, 2, 2, 1], [-2, 3, 1, 0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = saturation_points(problem)
+        assert result.points == ((3, 0), (3, 1), (4, -1), (4, 2), (4, 3))
+        assert result.removed_by_filter == ((4, 1),)
 
     def test_identity_normal(self):
         problem = SemigroupProblem.build(IntMatrix.from_rows([[1, 0], [0, 1]]))
