@@ -3,10 +3,11 @@
 
 For each numerical semigroup <a, b> the library's hole representation,
 fundamental holes, and saturation points are compared against a direct
-sieve over the integers.  Mismatches would print loudly; the expected
-output is a table of per-pair statistics.
+sieve over the integers.  The output is a table of per-pair statistics;
+a mismatching pair is marked NO and makes the script exit with status 1.
 """
 
+import sys
 import time
 from math import gcd
 
@@ -43,7 +44,8 @@ def main():
               f"{'yes' if ok else 'NO'}")
     elapsed = time.perf_counter() - started
     print(f"\n{len(pairs)} pairs, {mismatches} mismatches, {elapsed:.2f}s")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -21,7 +21,7 @@ from .errors import (
     NotPointedError,
     ResourceLimitError,
 )
-from .holes import SemigroupProblem, holes_representation
+from .holes import SemigroupProblem, fundamental_holes, holes_representation
 from .intlinalg import IntMatrix
 from .limits import DEFAULT_LIMITS, Limits, limits_from_env
 from .polyhedra import lp_exact
@@ -130,8 +130,7 @@ def _echo_matrix(lines: list[str], a: IntMatrix):
 def cmd_fundamental(args, limits: Limits) -> tuple[list[str], int]:
     a = read_matrix_file(args.matrix)
     problem = SemigroupProblem.build(a, limits)
-    rep = holes_representation(problem, limits, jobs=args.jobs)
-    fund = rep.fundamental_set
+    fund = fundamental_holes(problem, limits)
     lines = ["command: fundamental"]
     _echo_matrix(lines, a)
     lines.append(f"lattice-rank: {problem.lattice.rank}")

@@ -14,6 +14,7 @@ homogenization with an auxiliary variable capped at one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, ge
 
 from .errors import NotPointedError, ResourceLimitError
 from .intlinalg import (
@@ -21,7 +22,6 @@ from .intlinalg import (
     IntVector,
     lattice_basis,
     unit_vector,
-    vec_add,
     vec_dot,
     vec_is_zero,
 )
@@ -62,7 +62,7 @@ class MinimalSolutionSet:
 
 def _dominates(x, y) -> bool:
     # x >= y componentwise
-    return all(a >= b for a, b in zip(x, y))
+    return all(map(ge, x, y))
 
 
 def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
@@ -71,48 +71,66 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
 
     stop, when given, is a predicate on solutions; the search returns as
     soon as a solution satisfying it is found.  Returns (solutions, stopped).
+
+    A state x carries the scalar products (A x).cols[j] for every j and
+    |A x|^2; extending it by e_i adds row i of the Gram matrix
+    gram[i][j] = cols[i].cols[j], so no state recomputes A x.  Dominance
+    is indexed: a state dominated none of the solutions known when it was
+    created, so its extension y = x + e_i can only dominate one of those
+    with s[i] == y[i], which the bucket (i, y[i]) lists.  Solutions found
+    after x was created are checked in full.
     """
     n = len(cols)
     if n == 0:
         return [], False
-    dim = len(cols[0])
-    zero_value = (0,) * dim
+    gram = [tuple(vec_dot(c, d) for d in cols) for c in cols]
+    caps = [None] * n if upper is None else upper
+    max_nodes = limits.max_nodes
     sols: list[IntVector] = []
-    frontier: list[tuple[IntVector, tuple]] = []
+    buckets: dict[tuple[int, int], list[IntVector]] = {}
+    # (state, its scalar products, |A x|^2, len(sols) when it was created)
+    frontier: list[tuple[IntVector, tuple, int, int]] = []
     seen: set[IntVector] = set()
     for i in range(n):
-        if upper is not None and upper[i] is not None and upper[i] < 1:
+        if caps[i] is not None and caps[i] < 1:
             continue
         x = unit_vector(n, i)
-        frontier.append((x, cols[i]))
+        frontier.append((x, gram[i], gram[i][i], 0))
         seen.add(x)
     nodes = 0
     while frontier:
-        next_frontier: list[tuple[IntVector, tuple]] = []
-        for x, value in frontier:
+        next_frontier: list[tuple[IntVector, tuple, int, int]] = []
+        for x, dots, norm, known in frontier:
             nodes += 1
-            if nodes > limits.max_nodes:
-                raise ResourceLimitError("completion search states", limits.max_nodes)
-            if value == zero_value:
-                if not any(_dominates(x, s) and x != s for s in sols):
+            if nodes > max_nodes:
+                raise ResourceLimitError("completion search states", max_nodes)
+            if norm == 0:
+                if not any(_dominates(x, s) for s in sols[known:]):
                     sols.append(x)
                     if len(sols) > limits.max_basis:
                         raise ResourceLimitError("minimal solution count", limits.max_basis)
+                    for i, v in enumerate(x):
+                        if v:
+                            buckets.setdefault((i, v), []).append(x)
                     if stop is not None and stop(x):
                         return sols, True
                 continue
-            for i in range(n):
-                if upper is not None and upper[i] is not None and x[i] >= upper[i]:
+            # no solution is added while x is extended
+            later, count = sols[known:], len(sols)
+            for i, d in enumerate(dots):
+                if d >= 0 or (caps[i] is not None and x[i] >= caps[i]):
                     continue
-                if vec_dot(value, cols[i]) >= 0:
-                    continue
-                y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                v = x[i] + 1
+                y = x[:i] + (v,) + x[i + 1:]
                 if y in seen:
                     continue
                 seen.add(y)
-                if any(_dominates(y, s) for s in sols):
+                # _dominates inlined: this test runs once per new state
+                if (any(all(map(ge, y, s)) for s in buckets.get((i, v), ()))
+                        or any(all(map(ge, y, s)) for s in later)):
                     continue
-                next_frontier.append((y, vec_add(value, cols[i])))
+                row = gram[i]
+                next_frontier.append((y, tuple(map(add, dots, row)), norm + 2 * d + row[i], count))
         frontier = next_frontier
     # defensive minimalization; solutions of equal degree are incomparable,
     # so this is normally a no-op

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import monoid_holes
-from monoid_holes import cli
+from monoid_holes import cli, holes
 from monoid_holes.cli import main
 
 
@@ -56,6 +56,15 @@ class TestFundamental:
         code, out = run(capsys, "fundamental", ns35_file)
         assert code == 10
         assert "fundamental-holes:\n  1\n  2\n" in out
+
+    def test_builds_no_hole_ideal(self, capsys, example_file, monkeypatch):
+        expected = run(capsys, "fundamental", example_file)
+
+        def no_hole_ideals(*args, **kwargs):
+            raise AssertionError("fundamental must not compute hole ideals")
+        monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions", no_hole_ideals)
+        monkeypatch.setattr(holes, "hole_ideal", no_hole_ideals)
+        assert run(capsys, "fundamental", example_file) == expected
 
 
 class TestHoles:
@@ -133,6 +142,17 @@ class TestMember:
         assert code == 0
         assert "witness: 0 0 0 0" in out
 
+    @pytest.mark.parametrize("vector, witness", [("5 5", "0 1 2 1"), ("6 4", "1 2 1 1")])
+    def test_mixed_sign_witness(self, capsys, tmp_path, vector, witness):
+        # each vector has two representations, of different degree; the
+        # layered completion search stops at the first one it reaches, so
+        # the witness pins its degree-by-degree traversal
+        path = tmp_path / "mixed.txt"
+        path.write_text("2 4\n1 1 1 2\n3 -2 2 3\n")
+        code, out = run(capsys, "member", str(path), vector)
+        assert code == 0
+        assert f"witness: {witness}\n" in out
+
     def test_outside_lattice(self, capsys, tmp_path):
         path = tmp_path / "even.txt"
         path.write_text("1 1\n2\n")
@@ -193,6 +213,18 @@ class TestErrorPaths:
 
     def test_resource_limit(self, capsys, example_file):
         assert main(["--max-nodes", "1", "holes", example_file]) == 4
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--max-nodes", "4122", "holes"), 4),
+        (("--max-nodes", "4123", "holes"), 10),
+        (("--max-nodes", "41", "fundamental"), 4),
+        (("--max-nodes", "42", "fundamental"), 10),
+    ])
+    def test_node_ceiling_is_exact(self, capsys, example_file, argv, code):
+        # the hole ideal of (1,1) visits 4123 completion states and the
+        # fundamental holes need 42: one state fewer is a resource limit,
+        # never a wrong verdict
+        assert main([*argv, example_file]) == code
 
     def test_bad_vector(self, capsys, example_file):
         assert main(["member", example_file, "1,2,3"]) == 2

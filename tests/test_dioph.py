@@ -43,6 +43,14 @@ class TestHilbertBasisKernel:
                 if other != e:
                     assert not all(x >= y for x, y in zip(e, other))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                    min_size=2, max_size=2))
+    def test_two_rows_match_box_enumeration(self, rows):
+        basis = hilbert_basis_kernel(IntMatrix.from_rows(rows))
+        box = 5
+        assert {e for e in basis.elements if max(e) <= box} == set(brute_kernel_hilbert(rows, box))
+
 
 class TestHilbertBasisConeLattice:
     def test_example_matrix(self, example_matrix):
@@ -131,6 +139,24 @@ class TestMinimalInhomogeneousSolutions:
         for lam, mu in sols.solutions:
             lhs = tuple(x + y for x, y in zip((f,), a.mul_vector(lam)))
             assert lhs == a.mul_vector(mu)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                    min_size=2, max_size=2),
+           st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    def test_mixed_sign_two_rows_match_box_enumeration(self, rows, f):
+        a = IntMatrix.from_rows(rows)
+        sols = minimal_inhomogeneous_solutions(a, f)
+        box = 4
+        ours = {s for s in sols.solutions if max(s[0] + s[1]) <= box}
+        assert ours == set(brute_minimal_inhomogeneous(rows, f, box))
+        for lam, mu in sols.solutions:
+            lhs = tuple(x + y for x, y in zip(f, a.mul_vector(lam)))
+            assert lhs == a.mul_vector(mu)
+        for s in sols.solutions:
+            for other in sols.solutions:
+                if other != s:
+                    assert not all(x >= y for x, y in zip(s[0] + s[1], other[0] + other[1]))
 
 
 class TestHomogenizationCrossCheck:
