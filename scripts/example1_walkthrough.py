@@ -11,11 +11,10 @@ from monoid_holes import (
     SemigroupProblem,
     certify_infinite,
     fundamental_holes,
-    hilbert_basis_cone_lattice,
-    hole_bound,
     hole_ideal,
     holes_representation,
     minimal_inhomogeneous_solutions,
+    problem_bound,
     saturation_points,
 )
 
@@ -25,13 +24,14 @@ def main():
     print("matrix:")
     print(a)
 
-    basis = hilbert_basis_cone_lattice(a)
-    print("\nHilbert basis of the saturation:")
-    for b in basis:
-        print(" ", b)
-
+    # each stage is computed once and stored on the problem, so the later
+    # stages reuse the fundamental holes and the hole ideal printed here
     problem = SemigroupProblem.build(a)
     fund = fundamental_holes(problem)
+    print("\nHilbert basis of the saturation:")
+    for b in fund.hilbert_basis:
+        print(" ", b)
+
     print("\nbasis holes:", list(fund.basis_holes))
     print("fundamental holes:", list(fund.holes))
 
@@ -51,10 +51,10 @@ def main():
         print(" ", cell.shift, "+ monoid", list(cell.generators))
     print("hole set finite:", rep.is_finite)
 
-    report = hole_bound(a)
+    report = problem_bound(problem)
     print(f"\nfinite-case bound: (d+1) * M^2 * D = {report.d_plus_1} * "
           f"{report.m_f}^2 * {report.d_a} = {report.bound}")
-    certificate = certify_infinite(problem, representation=rep)
+    certificate = certify_infinite(problem)
     print("certificate hole beyond the bound:", certificate)
 
     sat = saturation_points(problem)

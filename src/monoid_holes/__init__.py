@@ -42,7 +42,6 @@ from .intlinalg import (
     RatVector,
     hermite_normal_form,
     lattice_basis,
-    lattice_contains,
     max_abs_subdeterminant,
     row_sum_bound,
     solve_rational_affine,
@@ -54,8 +53,6 @@ from .monomials import (
     StandardPair,
     contains,
     intersect,
-    minimal_generators,
-    minimize,
     standard_pairs,
 )
 from .polyhedra import (
@@ -63,7 +60,6 @@ from .polyhedra import (
     InequalitySystem,
     LPResult,
     cone_facets,
-    in_half_open_zonotope,
     is_pointed,
     lp_exact,
 )
@@ -72,6 +68,7 @@ from .saturation import (
     SaturationResult,
     certify_infinite,
     hole_bound,
+    problem_bound,
     saturation_points,
     verify_saturation,
 )

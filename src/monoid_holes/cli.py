@@ -24,12 +24,11 @@ from .errors import (
 from .holes import SemigroupProblem, fundamental_holes, holes_representation
 from .intlinalg import IntMatrix
 from .limits import DEFAULT_LIMITS, Limits, limits_from_env
-from .polyhedra import lp_exact
-from .saturation import certify_infinite, hole_bound, saturation_points
+from .polyhedra import feasibility_system, lp_exact
+from .saturation import certify_infinite, problem_bound, saturation_points
 from .transport import (
     MarginTriple,
     TransportDims,
-    _feasibility_system,
     margins_to_vector,
     table_feasible,
     transportation_matrix,
@@ -195,7 +194,7 @@ def cmd_saturation(args, limits: Limits) -> tuple[list[str], int]:
 def cmd_bound(args, limits: Limits) -> tuple[list[str], int]:
     a = read_matrix_file(args.matrix)
     problem = SemigroupProblem.build(a, limits)
-    report = hole_bound(a, limits)
+    report = problem_bound(problem, limits)
     rep = holes_representation(problem, limits, jobs=args.jobs)
     lines = ["command: bound"]
     _echo_matrix(lines, a)
@@ -215,7 +214,7 @@ def cmd_bound(args, limits: Limits) -> tuple[list[str], int]:
             lines.append("verdict: holes-finite-empty")
         code = EXIT_HOLES if holes else EXIT_OK
     else:
-        certificate = certify_infinite(problem, limits, representation=rep)
+        certificate = certify_infinite(problem, limits)
         lines.append(f"certificate-hole: {_fmt_vec(certificate)}")
         lines.append("verdict: holes-infinite")
         code = EXIT_HOLES
@@ -291,7 +290,7 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     lines.append(f"margin-vector: {_fmt_vec(f)}")
     table = table_feasible(dims, margins, limits)
     if table is None:
-        feas = lp_exact(_feasibility_system(a, f), (0,) * a.cols, "min").status == "optimal"
+        feas = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min").status == "optimal"
         lines.append("integer-feasible: no")
         lines.append(f"real-feasible: {'yes' if feas else 'no'}")
         lines.append("limit-status: ok")

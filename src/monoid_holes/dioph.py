@@ -26,7 +26,7 @@ from .intlinalg import (
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .polyhedra import EQ, GE, InequalitySystem, cone_facets, is_pointed, lp_exact
+from .polyhedra import GE, cone_facets, feasibility_system, is_pointed, lp_exact
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,7 @@ def semigroup_contains(a: IntMatrix, b, limits: Limits = DEFAULT_LIMITS) -> IntV
         return (0,) * a.cols
     if a.is_nonnegative():
         return _contains_nonneg(a, b, limits)
-    rows = [(row, EQ, b[i]) for i, row in enumerate(a.entries)]
-    rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
-    relax = lp_exact(InequalitySystem.from_rows(rows), (0,) * a.cols, "min")
+    relax = lp_exact(feasibility_system(a, b), (0,) * a.cols, "min")
     if relax.status != "optimal":
         return None
     cols = [tuple(-x for x in b)] + a.columns()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dioph import (
@@ -33,19 +33,26 @@ from .intlinalg import (
     vec_is_zero,
     vec_sub,
 )
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, pool_map
 from .monomials import MonomialIdeal, StandardPair, standard_pairs
 from .polyhedra import InequalitySystem, cone_facets, positive_functional
 
 
 @dataclass(frozen=True)
 class SemigroupProblem:
-    """A matrix together with its precomputed lattice and cone data."""
+    """A matrix together with its precomputed lattice and cone data.
+
+    The stages derived from it later (the fundamental hole set, each hole
+    ideal, the hole representation, the entry bound) are stored on it the
+    first time they succeed.  Limits only decide whether a stage aborts,
+    never what it answers, so a stored stage is valid under any limits.
+    """
 
     matrix: IntMatrix
     lattice: LatticeBasis
     facets: InequalitySystem
     grading: RatVector  # strictly positive on every nonzero column
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> "SemigroupProblem":
@@ -60,6 +67,13 @@ class SemigroupProblem:
 
     def in_saturation(self, z) -> bool:
         return self.in_cone(z) and self.lattice.contains(z) is not None
+
+    def _derive(self, key, compute):
+        """The stage stored under key, computed now if it is missing; a
+        stage that raises stores nothing."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
 
 @dataclass(frozen=True)
@@ -93,24 +107,6 @@ class HoleRepresentation:
     @property
     def is_finite(self) -> bool:
         return all(not cell.generators for cell in self.cells)
-
-    def enumerate_up_to(self, grading, cap) -> set[IntVector]:
-        """All hole points with grading value below cap (for finite checks)."""
-        points: set[IntVector] = set()
-        for cell in self.cells:
-            stack = [cell.shift]
-            seen = {cell.shift}
-            while stack:
-                z = stack.pop()
-                if vec_dot(grading, z) >= cap:
-                    continue
-                points.add(z)
-                for g in cell.generators:
-                    nxt = vec_add(z, g)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return points
 
 
 def is_hole(problem: SemigroupProblem, z, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -150,6 +146,10 @@ def fundamental_holes(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
     half-open zonotope, then keeps the sums passing the exact
     fundamentality test.
     """
+    return problem._derive("fundamental", lambda: _search_fundamental(problem, limits))
+
+
+def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> FundamentalHoleSet:
     a = problem.matrix
     basis = hilbert_basis_cone_lattice(a, limits)
     basis_holes = tuple(sorted(
@@ -184,18 +184,36 @@ def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) ->
     """The monomial ideal of exponents lam with f + A lam back in the
     semigroup; its standard monomials enumerate the holes above f."""
     f = tuple(int(x) for x in f)
-    solutions = minimal_inhomogeneous_solutions(problem.matrix, f, limits)
-    return MonomialIdeal.from_generators(problem.matrix.cols, solutions.lam_parts())
+    return problem._derive(("ideal", f), lambda: _ideal_of(problem.matrix, f, limits))
+
+
+def _ideal_of(a: IntMatrix, f: IntVector, limits: Limits) -> MonomialIdeal:
+    solutions = minimal_inhomogeneous_solutions(a, f, limits)
+    return MonomialIdeal.from_generators(a.cols, solutions.lam_parts())
+
+
+def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
+                 jobs: int) -> list[MonomialIdeal]:
+    """The hole ideal of each hole; with jobs > 1 the ones not yet stored
+    are computed in worker processes."""
+    if jobs > 1:
+        missing = [f for f in holes if ("ideal", f) not in problem._derived]
+        ideals = pool_map(_ideal_of, [(problem.matrix, f, limits) for f in missing], jobs)
+        problem._derived.update(zip([("ideal", f) for f in missing], ideals))
+    return [hole_ideal(problem, f, limits) for f in holes]
 
 
 def holes_representation(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS,
                          jobs: int = 1) -> HoleRepresentation:
     """Finite list of cells shift + monoid(gens) whose union is the hole set."""
+    return problem._derive("representation", lambda: _cells(problem, limits, jobs))
+
+
+def _cells(problem: SemigroupProblem, limits: Limits, jobs: int) -> HoleRepresentation:
     fund = fundamental_holes(problem, limits)
     a = problem.matrix
-    ideals = _map_per_hole(problem, fund.holes, limits, jobs)
     cells = []
-    for f, ideal in zip(fund.holes, ideals):
+    for f, ideal in zip(fund.holes, _hole_ideals(problem, fund.holes, limits, jobs)):
         for pair in standard_pairs(ideal, limits):
             shift = vec_add(f, a.mul_vector(pair.root))
             gens = tuple(sorted({a.col(j) for j in pair.free_vars
@@ -203,19 +221,3 @@ def holes_representation(problem: SemigroupProblem, limits: Limits = DEFAULT_LIM
             cells.append(HoleCell(shift, gens, f, pair))
     cells.sort(key=lambda c: (c.shift, c.generators, c.fundamental_hole, c.pair.root))
     return HoleRepresentation(tuple(cells), fund)
-
-
-def _hole_ideal_worker(args):
-    entries, f, limits = args
-    a = IntMatrix(entries)
-    solutions = minimal_inhomogeneous_solutions(a, f, limits)
-    return MonomialIdeal.from_generators(a.cols, solutions.lam_parts())
-
-
-def _map_per_hole(problem: SemigroupProblem, holes, limits: Limits, jobs: int):
-    if jobs <= 1 or len(holes) <= 1:
-        return [hole_ideal(problem, f, limits) for f in holes]
-    from concurrent.futures import ProcessPoolExecutor
-    args = [(problem.matrix.entries, f, limits) for f in holes]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_hole_ideal_worker, args))

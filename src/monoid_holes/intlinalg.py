@@ -230,9 +230,6 @@ class LatticeBasis:
             return None
         return tuple(coeffs)
 
-    def to_coordinates(self, z) -> IntVector | None:
-        return self.contains(z)
-
     def from_coordinates(self, c) -> IntVector:
         if len(c) != self.rank:
             raise ValueError("coordinate length does not match rank")
@@ -256,11 +253,6 @@ def lattice_basis(a: IntMatrix) -> LatticeBasis:
         columns.append(column)
         pivots.append(next(i for i, x in enumerate(column) if x))
     return LatticeBasis(a.rows, len(columns), tuple(columns), tuple(pivots))
-
-
-def lattice_contains(basis: LatticeBasis, z) -> IntVector | None:
-    """Membership of z in the lattice; returns the coefficient witness."""
-    return basis.contains(z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Resource ceilings for the potentially explosive computations.
+"""Resource ceilings for the potentially explosive computations, and the
+process pool that spreads independent tasks over workers.
 
 Every ceiling aborts with ResourceLimitError instead of returning a wrong
 answer.  Defaults can be overridden by the MONOID_HOLES_LIMITS environment
@@ -50,3 +51,18 @@ def limits_from_env(base: Limits | None = None) -> Limits:
 
 
 DEFAULT_LIMITS = Limits()
+
+
+def pool_map(fn, tasks, jobs: int) -> list:
+    """[fn(*task) for task in tasks], spread over up to jobs processes.
+
+    A pool starts all of its workers at once, so it gets no more workers
+    than there are tasks.  fn must be a module-level function, so that it
+    pickles.
+    """
+    tasks = list(tasks)
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, *zip(*tasks)))

@@ -60,10 +60,6 @@ class MonomialIdeal:
         return cls(num_vars, ((0,) * num_vars,))
 
     @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    @property
     def is_unit(self) -> bool:
         return any(all(e == 0 for e in g) for g in self.generators)
 
@@ -91,16 +87,6 @@ class StandardPair:
         return True
 
 
-def minimize(gens, num_vars: int | None = None) -> MonomialIdeal:
-    """Divisibility-minimal generating antichain of the given monomials."""
-    gens = [tuple(g) for g in gens]
-    if num_vars is None:
-        if not gens:
-            raise ValueError("num_vars required for an empty generator list")
-        num_vars = len(gens[0])
-    return MonomialIdeal.from_generators(num_vars, gens)
-
-
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Whether m lies in the ideal, i.e. some generator divides it."""
     if len(m) != ideal.num_vars:
@@ -114,10 +100,6 @@ def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("ideals live in different variable counts")
     gens = [lcm_monomial(g, h) for g in i.generators for h in j.generators]
     return MonomialIdeal.from_generators(i.num_vars, gens)
-
-
-def minimal_generators(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
-    return ideal.generators
 
 
 def standard_pairs(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> tuple[StandardPair, ...]:

@@ -1,8 +1,8 @@
 """Exact rational polyhedral computations.
 
 Facet descriptions of finitely generated cones (double description on the
-dual), pointedness, a two-phase exact simplex with Bland's anti-cycling
-rule, and membership in the half-open zonotope spanned by matrix columns.
+dual), pointedness, and a two-phase exact simplex with Bland's anti-cycling
+rule.
 
 The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
@@ -110,6 +110,13 @@ class InequalitySystem:
             if v > 0 or (v < 0 and j not in signed):
                 return False
         return vec_dot(multipliers, self.rhs) > 0
+
+
+def feasibility_system(a: IntMatrix, b) -> InequalitySystem:
+    """The rows a x = b, then x_j >= 0 for every column j."""
+    rows = [(a.entries[i], EQ, b[i]) for i in range(a.rows)]
+    rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
+    return InequalitySystem.from_rows(rows)
 
 
 def _sign_row(coeffs, sense, b) -> int | None:
@@ -558,29 +565,3 @@ def positive_functional(a: IntMatrix) -> RatVector:
     if result.status != "optimal":
         raise NotPointedError("cone contains a line; no strictly positive functional")
     return result.witness
-
-
-def in_half_open_zonotope(a: IntMatrix, z, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Whether z = a @ lam for some 0 <= lam with every lam_i < 1.
-
-    Decided by the exact LP minimizing the largest coefficient: the strict
-    inequalities hold iff the min-max optimum over the closed box is < 1.
-    """
-    if len(z) != a.rows:
-        raise ValueError("vector dimension does not match matrix rows")
-    for x in z:
-        if not isinstance(x, int):
-            raise TypeError("half-open zonotope membership is defined for integer points")
-    n = a.cols
-    rows = []
-    for i in range(a.rows):
-        rows.append((tuple(a.entries[i]) + (0,), EQ, z[i]))
-    for j in range(n):
-        rows.append((unit_vector(n + 1, j), GE, 0))
-    for j in range(n):
-        coeffs = tuple(-1 if k == j else (1 if k == n else 0) for k in range(n + 1))
-        rows.append((coeffs, GE, 0))
-    rows.append((tuple(0 if k < n else -1 for k in range(n + 1)), GE, -1))
-    objective = tuple(0 if k < n else 1 for k in range(n + 1))
-    result = lp_exact(InequalitySystem.from_rows(rows), objective, "min")
-    return result.status == "optimal" and result.optimum < 1

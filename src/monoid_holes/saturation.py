@@ -10,9 +10,8 @@ from itertools import product
 from .dioph import semigroup_contains
 from .errors import InternalInconsistencyError
 from .holes import (
-    HoleRepresentation,
     SemigroupProblem,
-    _map_per_hole,
+    _hole_ideals,
     fundamental_holes,
     holes_representation,
     is_hole,
@@ -27,7 +26,7 @@ from .intlinalg import (
     vec_sub,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .monomials import Monomial, MonomialIdeal, intersect, minimal_generators
+from .monomials import Monomial, MonomialIdeal, intersect
 
 
 @dataclass(frozen=True)
@@ -58,17 +57,21 @@ def hole_bound(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> BoundReport:
     return BoundReport(d_plus_1, m_f, d_a, d_plus_1 * m_f * m_f * d_a)
 
 
-def certify_infinite(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS,
-                     representation: HoleRepresentation | None = None) -> IntVector | None:
+def problem_bound(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS) -> BoundReport:
+    """hole_bound of the problem's matrix, computed once per problem."""
+    return problem._derive("bound", lambda: hole_bound(problem.matrix, limits))
+
+
+def certify_infinite(problem: SemigroupProblem,
+                     limits: Limits = DEFAULT_LIMITS) -> IntVector | None:
     """A verified hole violating the finite-case bound, or None.
 
     Walks the first cell of the hole representation that has a monoid
     direction far enough that some coordinate exceeds the bound; such a
     point proves the hole set is infinite.
     """
-    report = hole_bound(problem.matrix, limits)
-    rep = representation or holes_representation(problem, limits)
-    for cell in rep.cells:
+    report = problem_bound(problem, limits)
+    for cell in holes_representation(problem, limits).cells:
         if not cell.generators:
             continue
         g = cell.generators[0]
@@ -96,10 +99,9 @@ def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
     a = problem.matrix
     fund = fundamental_holes(problem, limits)
     ideal = MonomialIdeal.unit(a.cols)
-    for per_hole in _map_per_hole(problem, fund.holes, limits, jobs):
+    for per_hole in _hole_ideals(problem, fund.holes, limits, jobs):
         ideal = intersect(ideal, per_hole)
-    gens = minimal_generators(ideal)
-    generator_map = tuple(sorted((g, a.mul_vector(g)) for g in gens))
+    generator_map = tuple(sorted((g, a.mul_vector(g)) for g in ideal.generators))
     points = sorted({point for _, point in generator_map})
     removed = []
     kept = []

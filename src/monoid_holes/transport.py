@@ -23,8 +23,8 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
-from .limits import DEFAULT_LIMITS, Limits
-from .polyhedra import EQ, GE, InequalitySystem, lp_exact, maximize_each
+from .limits import DEFAULT_LIMITS, Limits, pool_map
+from .polyhedra import EQ, GE, InequalitySystem, feasibility_system, lp_exact, maximize_each
 
 
 @dataclass(frozen=True)
@@ -364,26 +364,6 @@ class VlachReport:
     diagnostics: tuple[str, ...]
 
 
-def _feasibility_system(a: IntMatrix, b) -> InequalitySystem:
-    rows = [(a.entries[i], EQ, b[i]) for i in range(a.rows)]
-    rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
-    return InequalitySystem.from_rows(rows)
-
-
-def _witness_worker(args):
-    dims, margins, limits = args
-    return table_feasible(dims, margins, limits)
-
-
-def _map_witness_searches(dims: TransportDims, margin_list, limits: Limits, jobs: int):
-    tasks = [(dims, m, limits) for m in margin_list]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_witness_worker(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_witness_worker, tasks))
-
-
 def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     """Re-derive every claim about the 3 x 4 x 6 hole mechanically.
 
@@ -398,7 +378,7 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     a, f = vlach_instance()
     diagnostics: list[str] = []
 
-    system = _feasibility_system(a, f)
+    system = feasibility_system(a, f)
     feas = lp_exact(system, (0,) * a.cols, "min")
     if feas.status != "optimal":
         return VlachReport(f, None, (), None, (),
@@ -464,7 +444,7 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
         reduced = vec_sub(f, a.col(c))
         if any(x < 0 for x in reduced):
             continue
-        sub_feas = lp_exact(_feasibility_system(a, reduced), (0,) * a.cols, "min")
+        sub_feas = lp_exact(feasibility_system(a, reduced), (0,) * a.cols, "min")
         if sub_feas.status != "optimal":
             continue
         witness = table_feasible(dims, vector_to_margins(dims, reduced), limits)
@@ -480,8 +460,9 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     witnesses = []
     witnesses_ok = True
     incremented_vectors = [vec_add(f, a.col(c)) for c in off_support]
-    tables = _map_witness_searches(
-        dims, [vector_to_margins(dims, v) for v in incremented_vectors], limits, jobs)
+    tables = pool_map(
+        table_feasible,
+        [(dims, vector_to_margins(dims, v), limits) for v in incremented_vectors], jobs)
     for c, incremented, table in zip(off_support, incremented_vectors, tables):
         if table is None:
             witnesses_ok = False

@@ -1,11 +1,14 @@
-"""Shared brute-force oracles, kept independent of the library internals."""
+"""Shared brute-force oracles, kept independent of the library internals,
+and in_half_open_zonotope, a test helper built on the library's exact LP."""
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from monoid_holes import IntMatrix
+from monoid_holes import IntMatrix, lp_exact
+from monoid_holes.intlinalg import unit_vector
+from monoid_holes.polyhedra import EQ, GE, InequalitySystem
 
 
 def gauss_determinant(rows):
@@ -153,6 +156,32 @@ def brute_lp(rows, objective, sense):
             if all(_dot(c, r) == 0 if s == "eq" else _dot(c, r) >= 0 for c, s, _ in rows):
                 return "unbounded", None
     return "optimal", sign * min(_dot(cost, x) for x in vertices)
+
+
+def in_half_open_zonotope(a, z):
+    """Whether z = a @ lam for some 0 <= lam with every lam_i < 1.
+
+    Decided by the exact LP minimizing the largest coefficient: the strict
+    inequalities hold iff the min-max optimum over the closed box is < 1.
+    """
+    if len(z) != a.rows:
+        raise ValueError("vector dimension does not match matrix rows")
+    for x in z:
+        if not isinstance(x, int):
+            raise TypeError("half-open zonotope membership is defined for integer points")
+    n = a.cols
+    rows = []
+    for i in range(a.rows):
+        rows.append((tuple(a.entries[i]) + (0,), EQ, z[i]))
+    for j in range(n):
+        rows.append((unit_vector(n + 1, j), GE, 0))
+    for j in range(n):
+        coeffs = tuple(-1 if k == j else (1 if k == n else 0) for k in range(n + 1))
+        rows.append((coeffs, GE, 0))
+    rows.append((tuple(0 if k < n else -1 for k in range(n + 1)), GE, -1))
+    objective = tuple(0 if k < n else 1 for k in range(n + 1))
+    result = lp_exact(InequalitySystem.from_rows(rows), objective, "min")
+    return result.status == "optimal" and result.optimum < 1
 
 
 @pytest.fixture

@@ -94,7 +94,7 @@ def test_criterion_3_end_to_end():
         assert sat.points == ((1, 2), (1, 3), (1, 4))
         report = hole_bound(EXAMPLE)
         assert (report.d_plus_1, report.m_f, report.d_a, report.bound) == (3, 9, 4, 972)
-        certificate = certify_infinite(problem, representation=rep)
+        certificate = certify_infinite(problem)
         assert certificate is not None
         assert certificate[0] > 972
         assert is_hole(problem, certificate)

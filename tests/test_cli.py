@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import monoid_holes
-from monoid_holes import cli, holes
+from monoid_holes import cli, holes, saturation
 from monoid_holes.cli import main
 
 
@@ -115,6 +116,20 @@ class TestBound:
         code, out = run(capsys, "bound", identity_file)
         assert code == 0
         assert "verdict: holes-finite-empty" in out
+
+    def test_subdeterminants_enumerated_once(self, capsys, example_file, monkeypatch):
+        # the bound report is shared by the printed bound and the certificate
+        calls = []
+        inner = saturation.max_abs_subdeterminant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(saturation, "max_abs_subdeterminant", counted)
+        code, out = run(capsys, "bound", example_file)
+        assert code == 10
+        assert "verdict: holes-infinite" in out
+        assert len(calls) == 1
 
     def test_two_three(self, capsys, tmp_path):
         path = tmp_path / "ns23.txt"
@@ -285,10 +300,43 @@ class TestLimitsConfiguration:
 
 
 class TestJobs:
-    def test_parallel_matches_sequential(self, capsys, ns35_file):
-        code1, out1 = run(capsys, "holes", ns35_file)
-        code2, out2 = run(capsys, "--jobs", "2", "holes", ns35_file)
+    # 3 5 has two fundamental holes, so --jobs 2 computes their hole
+    # ideals in two worker processes
+    @pytest.mark.parametrize("command", ["holes", "saturation", "bound"])
+    def test_parallel_matches_sequential(self, capsys, ns35_file, command):
+        code1, out1 = run(capsys, command, ns35_file)
+        code2, out2 = run(capsys, "--jobs", "2", command, ns35_file)
         assert (code1, out1) == (code2, out2)
+
+    def test_resource_limit_in_a_worker(self, capsys, ns35_file):
+        # the fundamental holes fit in 5 states, the hole ideals do not
+        code = main(["--jobs", "2", "--max-nodes", "5", "holes", ns35_file])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit exceeded: completion search")
+
+    def test_workers_capped_at_task_count(self, capsys, ns35_file, monkeypatch):
+        # a pool started by fork starts all of its workers at once
+        pools = []
+
+        class SequentialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
+        expected = run(capsys, "holes", ns35_file)
+        assert run(capsys, "--jobs", "64", "holes", ns35_file) == expected
+        assert pools == [2]
 
 
 class TestDeterminism:
@@ -300,3 +348,105 @@ class TestDeterminism:
         code2, out2 = run(capsys, *argv, example_file)
         assert code1 == code2
         assert out1 == out2
+
+
+EXAMPLE_HEADER = """input-matrix: 2 4
+  1 1 1 1
+  0 2 3 4
+"""
+
+MIXED_HEADER = """input-matrix: 2 4
+  2 2 2 1
+  -2 3 1 0
+"""
+
+GOLDEN = {
+    ("example", "fundamental"): (10, "command: fundamental\n" + EXAMPLE_HEADER + """\
+lattice-rank: 2
+hilbert-basis-size: 5
+hilbert-basis:
+  1 0
+  1 1
+  1 2
+  1 3
+  1 4
+basis-holes-size: 1
+basis-holes:
+  1 1
+fundamental-holes-size: 1
+fundamental-holes:
+  1 1
+verdict: holes-exist
+limit-status: ok
+"""),
+    ("example", "holes"): (10, "command: holes\n" + EXAMPLE_HEADER + """\
+fundamental-holes-size: 1
+fundamental-holes:
+  1 1
+cells-size: 1
+cells:
+  1 1 | 1 0
+hole-set: infinite
+limit-status: ok
+"""),
+    ("example", "saturation"): (10, "command: saturation\n" + EXAMPLE_HEADER + """\
+ideal-generators-size: 3
+ideal-generators:
+  0 0 0 1
+  0 0 1 0
+  0 1 0 0
+saturation-points-size: 3
+saturation-points:
+  1 2
+  1 3
+  1 4
+verdict: holes-exist
+limit-status: ok
+"""),
+    ("example", "bound"): (10, "command: bound\n" + EXAMPLE_HEADER + """\
+bound-components: 3 9 4
+bound: 972
+certificate-hole: 975 1
+verdict: holes-infinite
+limit-status: ok
+"""),
+    ("mixed", "saturation"): (10, "command: saturation\n" + MIXED_HEADER + """\
+ideal-generators-size: 6
+ideal-generators:
+  0 0 0 3
+  0 0 1 1
+  0 0 2 0
+  0 1 0 2
+  1 0 1 0
+  1 1 0 0
+saturation-points-size: 5
+saturation-points:
+  3 0
+  3 1
+  4 -1
+  4 2
+  4 3
+verdict: holes-exist
+limit-status: ok
+"""),
+    ("mixed", "member", "5 5"): (10, "command: member\n" + MIXED_HEADER + """\
+vector: 5 5
+status: hole
+limit-status: ok
+"""),
+}
+
+
+class TestGoldenOutput:
+    """Exact stdout and exit code, so a refactor cannot change a report
+    unnoticed."""
+
+    MATRICES = {"example": "2 4\n1 1 1 1\n0 2 3 4\n",
+                "mixed": "2 4\n2 2 2 1\n-2 3 1 0\n"}
+
+    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(k))
+    def test_report_bytes(self, capsys, tmp_path, key):
+        name, command, *vector = key
+        path = tmp_path / f"{name}.txt"
+        path.write_text(self.MATRICES[name])
+        assert run(capsys, command, str(path), *vector) == GOLDEN[key]

@@ -7,12 +7,12 @@ from monoid_holes import (
     fundamental_holes,
     hole_ideal,
     holes_representation,
-    in_half_open_zonotope,
     is_hole,
     row_sum_bound,
 )
+from monoid_holes.intlinalg import vec_add, vec_dot
 
-from conftest import numerical_gaps, numerical_member
+from conftest import in_half_open_zonotope, numerical_gaps, numerical_member
 
 
 def numerical_problem(a, b):
@@ -135,10 +135,23 @@ class TestHolesRepresentation:
         rep = holes_representation(example_problem)
         radius = 3 * row_sum_bound(example_problem.matrix)
         grading = example_problem.grading
-        from monoid_holes.intlinalg import vec_dot
         cap = 1 + max(vec_dot(grading, corner)
                       for corner in [(0, 0), (radius, 0), (0, radius), (radius, radius)])
-        points = rep.enumerate_up_to(grading, cap)
+        # every point of every cell with grading value below cap
+        points = set()
+        for cell in rep.cells:
+            stack = [cell.shift]
+            seen = {cell.shift}
+            while stack:
+                z = stack.pop()
+                if vec_dot(grading, z) >= cap:
+                    continue
+                points.add(z)
+                for g in cell.generators:
+                    nxt = vec_add(z, g)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
         for x in range(0, radius + 1):
             for y in range(0, radius + 1):
                 z = (x, y)

@@ -9,7 +9,6 @@ from monoid_holes import (
     ResourceLimitError,
     hermite_normal_form,
     lattice_basis,
-    lattice_contains,
     max_abs_subdeterminant,
     row_sum_bound,
     solve_rational_affine,
@@ -91,16 +90,16 @@ class TestLatticeBasis:
 
     def test_contains_full_lattice(self):
         basis = lattice_basis(IntMatrix.from_rows([[1, 0], [0, 1]]))
-        assert lattice_contains(basis, (1, 1)) == (1, 1)
+        assert basis.contains((1, 1)) == (1, 1)
 
     def test_contains_parity_obstruction(self):
         basis = lattice_basis(IntMatrix.from_rows([[2, 0], [0, 2]]))
-        assert lattice_contains(basis, (1, 0)) is None
+        assert basis.contains((1, 0)) is None
 
     def test_contains_gcd(self):
         basis = lattice_basis(IntMatrix.from_rows([[2, 4]]))
         assert basis.columns == ((2,),)
-        assert lattice_contains(basis, (3,)) is None
+        assert basis.contains((3,)) is None
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices, st.data())

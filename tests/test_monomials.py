@@ -8,8 +8,6 @@ from monoid_holes import (
     ResourceLimitError,
     contains,
     intersect,
-    minimal_generators,
-    minimize,
     standard_pairs,
 )
 from monoid_holes.limits import Limits
@@ -30,17 +28,17 @@ ideals = st.integers(1, 4).flatmap(
 
 class TestMinimize:
     def test_redundant_generators(self):
-        ideal = minimize([(0, 0, 0, 2), (0, 1, 0, 0), (0, 0, 1, 0),
-                          (0, 0, 1, 0), (0, 0, 0, 1)])
+        ideal = MonomialIdeal.from_generators(4, [(0, 0, 0, 2), (0, 1, 0, 0), (0, 0, 1, 0),
+                                                  (0, 0, 1, 0), (0, 0, 0, 1)])
         assert ideal.generators == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))
 
     def test_unit(self):
-        ideal = minimize([(0, 0)])
+        ideal = MonomialIdeal.from_generators(2, [(0, 0)])
         assert ideal.is_unit
         assert ideal.generators == ((0, 0),)
 
     def test_divisibility_chain(self):
-        ideal = minimize([(2, 0), (3, 0), (2, 1)])
+        ideal = MonomialIdeal.from_generators(2, [(2, 0), (3, 0), (2, 1)])
         assert ideal.generators == ((2, 0),)
 
     @settings(max_examples=50, deadline=None)
@@ -56,30 +54,30 @@ class TestMinimize:
 
 class TestContains:
     def test_pure_power_outside(self):
-        ideal = minimize([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        ideal = MonomialIdeal.from_generators(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
         assert not contains(ideal, (5, 0, 0, 0))
 
     def test_generator_inside(self):
-        ideal = minimize([(2, 1)])
+        ideal = MonomialIdeal.from_generators(2, [(2, 1)])
         assert contains(ideal, (2, 1))
 
     def test_multiple_inside(self):
-        assert contains(minimize([(2, 1)]), (3, 2))
+        assert contains(MonomialIdeal.from_generators(2, [(2, 1)]), (3, 2))
 
 
 class TestIntersect:
     def test_singletons(self):
-        left = minimize([(2, 0)])
-        right = minimize([(1, 1)])
+        left = MonomialIdeal.from_generators(2, [(2, 0)])
+        right = MonomialIdeal.from_generators(2, [(1, 1)])
         assert intersect(left, right).generators == ((2, 1),)
 
     def test_unit_is_neutral(self):
-        ideal = minimize([(1, 0), (0, 3)])
+        ideal = MonomialIdeal.from_generators(2, [(1, 0), (0, 3)])
         assert intersect(ideal, MonomialIdeal.unit(2)) == ideal
 
     def test_two_variables(self):
-        left = minimize([(1, 0), (0, 3)])
-        right = minimize([(2, 0), (0, 1)])
+        left = MonomialIdeal.from_generators(2, [(1, 0), (0, 3)])
+        right = MonomialIdeal.from_generators(2, [(2, 0), (0, 1)])
         expected = {(2, 0), (1, 1), (0, 3)}
         assert set(intersect(left, right).generators) == expected
         # membership check over a box
@@ -100,7 +98,7 @@ class TestIntersect:
 
 class TestStandardPairs:
     def test_coordinate_ideal(self):
-        ideal = minimize([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        ideal = MonomialIdeal.from_generators(4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
         pairs = standard_pairs(ideal)
         assert len(pairs) == 1
         assert pairs[0].root == (0, 0, 0, 0)
@@ -116,21 +114,21 @@ class TestStandardPairs:
         assert standard_pairs(MonomialIdeal.unit(2)) == ()
 
     def test_finite_staircase(self):
-        ideal = minimize([(3, 0), (0, 1)])
+        ideal = MonomialIdeal.from_generators(2, [(3, 0), (0, 1)])
         pairs = standard_pairs(ideal)
         assert [(p.root, p.free_vars) for p in pairs] == [
             ((0, 0), ()), ((1, 0), ()), ((2, 0), ())]
 
     def test_cross_ideal_disjoint(self):
         # x*y: the disjoint cover forces one cell to start above the axis
-        ideal = minimize([(1, 1)])
+        ideal = MonomialIdeal.from_generators(2, [(1, 1)])
         pairs = standard_pairs(ideal)
         points = staircase_points(ideal, 6)
         for m in points:
             assert sum(1 for p in pairs if p.member(m)) == 1
 
     def test_pair_ceiling(self):
-        ideal = minimize([(1, 1, 1)])
+        ideal = MonomialIdeal.from_generators(3, [(1, 1, 1)])
         with pytest.raises(ResourceLimitError):
             standard_pairs(ideal, Limits(max_pairs=1))
 
@@ -146,12 +144,12 @@ class TestStandardPairs:
 
 class TestMinimalGenerators:
     def test_coordinate_ideal(self):
-        ideal = minimize([(0, 1, 0), (0, 0, 1)])
-        assert minimal_generators(ideal) == ((0, 0, 1), (0, 1, 0))
+        ideal = MonomialIdeal.from_generators(3, [(0, 1, 0), (0, 0, 1)])
+        assert ideal.generators == ((0, 0, 1), (0, 1, 0))
 
     def test_unit(self):
-        assert minimal_generators(MonomialIdeal.unit(2)) == ((0, 0),)
+        assert MonomialIdeal.unit(2).generators == ((0, 0),)
 
     def test_redundancy_removed(self):
-        ideal = minimize([(2, 0), (1, 1), (0, 3), (2, 1)])
-        assert set(minimal_generators(ideal)) == {(2, 0), (1, 1), (0, 3)}
+        ideal = MonomialIdeal.from_generators(2, [(2, 0), (1, 1), (0, 3), (2, 1)])
+        assert set(ideal.generators) == {(2, 0), (1, 1), (0, 3)}

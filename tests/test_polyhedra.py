@@ -8,7 +8,6 @@ from monoid_holes import (
     InternalInconsistencyError,
     IntMatrix,
     cone_facets,
-    in_half_open_zonotope,
     is_pointed,
     lp_exact,
 )
@@ -16,7 +15,7 @@ from monoid_holes.polyhedra import EQ, GE, maximize_each, positive_functional
 from monoid_holes.intlinalg import unit_vector, vec_dot
 from monoid_holes.transport import TransportDims, transportation_matrix
 
-from conftest import brute_is_pointed, brute_lp, brute_satisfies
+from conftest import brute_is_pointed, brute_lp, brute_satisfies, in_half_open_zonotope
 
 coefficients = st.one_of(
     st.integers(-4, 4),

@@ -5,13 +5,18 @@ import pytest
 from monoid_holes import (
     IntMatrix,
     RankDeficientError,
+    ResourceLimitError,
     SemigroupProblem,
     certify_infinite,
+    fundamental_holes,
     hole_bound,
+    holes_representation,
     is_hole,
     saturation_points,
     verify_saturation,
 )
+from monoid_holes import holes
+from monoid_holes.limits import Limits
 
 from conftest import numerical_gaps, numerical_member
 
@@ -137,3 +142,42 @@ class TestVerifySaturation:
         result = saturation_points(example_problem)
         for p in result.points:
             assert verify_saturation(example_problem, p, box_radius=3)
+
+
+class TestComputedOnce:
+    def test_stages_shared_by_every_reader(self, monkeypatch):
+        calls = {"hilbert": 0, "ideal": 0}
+
+        def counted(key, inner):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(holes, "hilbert_basis_cone_lattice",
+                            counted("hilbert", holes.hilbert_basis_cone_lattice))
+        monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions",
+                            counted("ideal", holes.minimal_inhomogeneous_solutions))
+        problem = numerical_problem(3, 5)
+        holes_representation(problem)
+        points = saturation_points(problem).points
+        assert certify_infinite(problem) is None
+        for s in (points[0], points[-1], (10,)):
+            assert verify_saturation(problem, s)
+        # 3 5 has two fundamental holes, so two hole ideals
+        assert calls == {"hilbert": 1, "ideal": 2}
+
+    def test_resource_limit_stores_nothing(self):
+        # a resource ceiling never becomes a wrong answer, not even later
+        a = IntMatrix.from_rows([[3, 5]])
+        problem = SemigroupProblem.build(a)
+        with pytest.raises(ResourceLimitError):
+            holes_representation(problem, Limits(max_nodes=1))
+        assert holes_representation(problem) == holes_representation(SemigroupProblem.build(a))
+
+    def test_later_stage_limit_keeps_earlier_stage(self):
+        a = IntMatrix.from_rows([[3, 5]])
+        problem = SemigroupProblem.build(a)
+        fundamental_holes(problem)
+        with pytest.raises(ResourceLimitError):
+            saturation_points(problem, Limits(max_nodes=1))
+        assert saturation_points(problem) == saturation_points(SemigroupProblem.build(a))

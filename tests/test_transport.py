@@ -11,6 +11,7 @@ from monoid_holes import (
     table_feasible,
     table_margins,
     transportation_matrix,
+    verify_vlach,
     vlach_instance,
     vlach_margins,
 )
@@ -192,3 +193,9 @@ class TestTableFeasible:
                                           [[2, 2], [2, 2]])
         with pytest.raises(ResourceLimitError):
             table_feasible(dims, margins, Limits(max_nodes=1))
+
+
+class TestVerifyVlach:
+    def test_parallel_matches_sequential(self):
+        # the 48 witness searches are the pool's tasks
+        assert verify_vlach(jobs=2) == verify_vlach()
