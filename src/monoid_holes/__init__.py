@@ -56,11 +56,9 @@ from .monomials import (
     standard_pairs,
 )
 from .polyhedra import (
-    ConeFacets,
     InequalitySystem,
     LPResult,
     cone_facets,
-    is_pointed,
     lp_exact,
 )
 from .saturation import (

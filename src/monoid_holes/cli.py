@@ -5,7 +5,8 @@ deterministic key/value layout (re-runs are byte-identical), diagnostics
 and timing go to stderr.  Exit codes: 0 no holes / membership holds,
 10 holes exist / infeasible, 2 parse error, 3 non-pointed cone,
 4 resource limit hit (a configured ceiling, the interpreter's recursion
-limit, or memory exhaustion), 1 any other computation error.
+limit, memory exhaustion) or interrupted by Ctrl-C, 1 any other
+computation error.
 """
 
 from __future__ import annotations
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except MemoryError:
         print("error: resource limit exceeded: memory", file=sys.stderr)
+        return EXIT_LIMIT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_LIMIT
     except MonoidHolesError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,19 +14,23 @@ homogenization with an auxiliary variable capped at one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, ge
+from operator import add, ge, le
+from typing import TYPE_CHECKING
 
-from .errors import NotPointedError, ResourceLimitError
+from .errors import ResourceLimitError
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    lattice_basis,
+    primitive_vector,
     unit_vector,
     vec_dot,
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .polyhedra import GE, cone_facets, feasibility_system, is_pointed, lp_exact
+from .polyhedra import GE, feasibility_system, lp_exact
+
+if TYPE_CHECKING:
+    from .holes import SemigroupProblem
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class HilbertBasis:
     """Minimal generating set of a monoid of solutions."""
 
     elements: tuple[IntVector, ...]
-    system: str
 
     def __len__(self):
         return len(self.elements)
@@ -141,7 +144,7 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
 def hilbert_basis_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> HilbertBasis:
     """Minimal Hilbert basis of {x in Z^n_+ : a @ x = 0}."""
     sols, _ = _minimal_kernel_solutions(a.columns(), limits=limits)
-    return HilbertBasis(tuple(sols), f"kernel of {a.rows}x{a.cols} matrix")
+    return HilbertBasis(tuple(sols))
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f,
@@ -269,69 +272,39 @@ def semigroup_contains(a: IntMatrix, b, limits: Limits = DEFAULT_LIMITS) -> IntV
 # ---------------------------------------------------------------------------
 # Hilbert basis of cone intersected with lattice
 
-def _minimalize_generators(gens: list[IntVector], limits: Limits) -> list[IntVector]:
-    """Drop generators expressible over the others (pointed monoid)."""
-    keep = sorted(gens)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(keep):
-            others = [h for h in keep if h != g]
-            if not others:
-                continue
-            matrix = IntMatrix.from_rows([list(row) for row in zip(*others)])
-            if semigroup_contains(matrix, g, limits) is not None:
-                keep.remove(g)
-                changed = True
-    return keep
-
-
-def hilbert_basis_cone_lattice(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> HilbertBasis:
+def hilbert_basis_cone_lattice(problem: SemigroupProblem,
+                               limits: Limits = DEFAULT_LIMITS) -> HilbertBasis:
     """Minimal Hilbert basis of cone(a) intersected with lattice(a).
 
-    Works in lattice coordinates, where the monoid becomes the integer
-    points of a full-dimensional pointed cone {t : B t >= 0}.  Writing
-    t = p - q and s = B t turns it into the kernel problem
-    B p - B q - s = 0 over nonnegative variables; projecting the kernel
-    basis through (p, q, s) -> p - q yields a generating set, which is then
-    minimalized.  Results are mapped back to ambient coordinates.
+    Works in the coordinates of the problem's lattice basis B, where the
+    monoid becomes the integer points t of a full-dimensional pointed cone
+    {t : F t >= 0}; row w of the problem's facets gives the row B^T w of F.
+    Writing t = p - q and s = F t turns it into the kernel problem
+    F p - F q - s = 0 over nonnegative variables, whose basis projects
+    through (p, q, s) -> p - q onto a generating set.  The monoid is
+    saturated, so a candidate t is reducible exactly when t - u lies in the
+    cone for another candidate u, that is when F u <= F t componentwise
+    (Bruns & Koch 2001).  Results are mapped back to ambient coordinates.
     """
-    name = f"cone-and-lattice of {a.rows}x{a.cols} matrix"
-    basis = lattice_basis(a)
+    basis = problem.lattice
     r = basis.rank
     if r == 0:
-        return HilbertBasis((), name)
-    coords = []
-    seen = set()
-    for column in a.columns():
-        if vec_is_zero(column):
-            continue
-        c = basis.contains(column)
-        assert c is not None
-        if c not in seen:
-            seen.add(c)
-            coords.append(c)
-    coord_matrix = IntMatrix.from_rows([list(row) for row in zip(*coords)])
-    if not is_pointed(coord_matrix):
-        raise NotPointedError("cone is not pointed; Hilbert basis is not finite")
-    facets = cone_facets(coord_matrix, limits)
-    ineq_rows = [row for row, sense in zip(facets.system.matrix, facets.system.senses)
-                 if sense == GE]
-    assert ineq_rows  # full-dimensional pointed cone has facets
-    m = len(ineq_rows)
-    kernel_cols: list[IntVector] = []
-    for j in range(r):
-        kernel_cols.append(tuple(row[j] for row in ineq_rows))
-    for j in range(r):
-        kernel_cols.append(tuple(-row[j] for row in ineq_rows))
-    for k in range(m):
-        kernel_cols.append(tuple(-1 if i == k else 0 for i in range(m)))
+        return HilbertBasis(())
+    facets = problem.facets
+    rows = sorted(primitive_vector(tuple(vec_dot(w, column) for column in basis.columns))
+                  for w, sense in zip(facets.matrix, facets.senses) if sense == GE)
+    assert rows  # a full-dimensional pointed cone has facets
+    m = len(rows)
+    kernel_cols = [tuple(row[j] for row in rows) for j in range(r)]
+    kernel_cols += [tuple(-x for x in column) for column in kernel_cols]
+    kernel_cols += [tuple(-1 if i == k else 0 for i in range(m)) for k in range(m)]
     sols, _ = _minimal_kernel_solutions(kernel_cols, limits=limits)
-    gens = set()
+    # each candidate t with its facet values s = F t
+    values = {}
     for s in sols:
         t = tuple(s[j] - s[r + j] for j in range(r))
         if not vec_is_zero(t):
-            gens.add(t)
-    minimal = _minimalize_generators(sorted(gens), limits)
-    ambient = sorted(basis.from_coordinates(g) for g in minimal)
-    return HilbertBasis(tuple(ambient), name)
+            values[t] = s[2 * r:]
+    minimal = [t for t, v in values.items()
+               if not any(u != t and all(map(le, w, v)) for u, w in values.items())]
+    return HilbertBasis(tuple(sorted(basis.from_coordinates(t) for t in minimal)))

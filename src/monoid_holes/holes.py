@@ -60,7 +60,7 @@ class SemigroupProblem:
             warnings.warn("matrix has zero rows; they are kept and never constrain anything",
                           stacklevel=2)
         grading = positive_functional(a)  # raises NotPointedError on lines
-        return cls(a, lattice_basis(a), cone_facets(a, limits).system, grading)
+        return cls(a, lattice_basis(a), cone_facets(a, limits), grading)
 
     def in_cone(self, z) -> bool:
         return self.facets.satisfied_by(z)
@@ -151,7 +151,7 @@ def fundamental_holes(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
 
 def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> FundamentalHoleSet:
     a = problem.matrix
-    basis = hilbert_basis_cone_lattice(a, limits)
+    basis = hilbert_basis_cone_lattice(problem, limits)
     basis_holes = tuple(sorted(
         b for b in basis.elements if semigroup_contains(a, b, limits) is None))
     if not basis_holes:

@@ -1,8 +1,8 @@
 """Exact rational polyhedral computations.
 
 Facet descriptions of finitely generated cones (double description on the
-dual), pointedness, and a two-phase exact simplex with Bland's anti-cycling
-rule.
+dual), a positive functional certifying pointedness, and a two-phase
+exact simplex with Bland's anti-cycling rule.
 
 The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
@@ -24,7 +24,6 @@ from .intlinalg import (
     RatVector,
     lattice_basis,
     primitive_vector,
-    rational_rank,
     rational_to_primitive_int,
     solve_rational_affine,
     unit_vector,
@@ -135,19 +134,6 @@ class LPResult:
     optimum: Fraction | None
     witness: RatVector | None
     farkas: tuple | None = None  # row multipliers refuting an infeasible system
-
-
-@dataclass(frozen=True)
-class ConeFacets:
-    """Facet description of a finitely generated cone.
-
-    system rows with sense "eq" cut out the linear span, rows with sense
-    "ge" are the facets within it; all rows are primitive integer vectors
-    with zero right-hand side.
-    """
-
-    system: InequalitySystem
-    lineality_dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +472,18 @@ def _nonzero_columns(a: IntMatrix) -> list[IntVector]:
     return out
 
 
-def cone_facets(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> ConeFacets:
+def cone_facets(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> InequalitySystem:
     """Inequality description of the cone generated by the columns of a.
 
     Equality rows pin the linear span, inequality rows are the facets of
     the cone inside its span; together {z : rows hold} equals cone(a).
+    Every row is a primitive integer vector with zero right-hand side.
     """
     d = a.rows
     cols = _nonzero_columns(a)
     if not cols:
         rows = [(unit_vector(d, i), EQ, 0) for i in range(d)]
-        return ConeFacets(InequalitySystem.from_rows(rows), 0)
+        return InequalitySystem.from_rows(rows)
 
     span = lattice_basis(a)
     r = span.rank
@@ -531,22 +518,7 @@ def cone_facets(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> ConeFacets:
 
     rows = [(row, EQ, 0) for row in sorted(eq_rows)]
     rows += [(row, GE, 0) for row in sorted(ineq_rows)]
-    lineality = r - rational_rank(rays) if rays else r
-    return ConeFacets(InequalitySystem.from_rows(rows), lineality)
-
-
-def is_pointed(a: IntMatrix) -> bool:
-    """Whether cone(a) contains no line."""
-    cols = _nonzero_columns(a)
-    if not cols:
-        return True
-    if a.is_nonnegative():
-        return True
-    try:
-        positive_functional(a)
-        return True
-    except NotPointedError:
-        return False
+    return InequalitySystem.from_rows(rows)
 
 
 def positive_functional(a: IntMatrix) -> RatVector:

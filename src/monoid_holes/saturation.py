@@ -122,8 +122,7 @@ def verify_saturation(problem: SemigroupProblem, s, box_radius: int = 0,
     """Desk-scale check that s + saturation stays inside the semigroup.
 
     Checks s itself, s plus every fundamental hole (sufficient in theory),
-    and optionally every saturation point inside a coordinate box of the
-    given radius.
+    and optionally every saturation point z with |z_i| <= box_radius.
     """
     s = tuple(int(x) for x in s)
     a = problem.matrix
@@ -135,7 +134,7 @@ def verify_saturation(problem: SemigroupProblem, s, box_radius: int = 0,
             return False
     if box_radius > 0:
         d = a.rows
-        for z in product(range(box_radius + 1), repeat=d):
+        for z in product(range(-box_radius, box_radius + 1), repeat=d):
             if not problem.in_saturation(z):
                 continue
             if semigroup_contains(a, vec_add(s, z), limits) is None:

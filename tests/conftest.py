@@ -3,6 +3,7 @@ and in_half_open_zonotope, a test helper built on the library's exact LP."""
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -156,6 +157,50 @@ def brute_lp(rows, objective, sense):
             if all(_dot(c, r) == 0 if s == "eq" else _dot(c, r) >= 0 for c, s, _ in rows):
                 return "unbounded", None
     return "optimal", sign * min(_dot(cost, x) for x in vertices)
+
+
+def _maximal_minor_gcd(rows):
+    """gcd of the maximal minors of a full-row-rank matrix: the index of
+    the lattice its columns generate."""
+    d = len(rows)
+    g = 0
+    for cols in combinations(range(len(rows[0])), d):
+        g = gcd(g, int(gauss_determinant([[row[j] for j in cols] for row in rows])))
+    return g
+
+
+def brute_saturation_hilbert(rows):
+    """Hilbert basis of cone(A) intersect lattice(A) for a full-row-rank A
+    whose cone is pointed, by box enumeration.
+
+    Every basis element is sum lam_j a_j with 0 <= lam_j <= 1, so it lies in
+    the box between the sums of the negative and of the positive entries of
+    each row.  A point z is in the lattice when adding it as a column keeps
+    the gcd of the maximal minors, and in the cone when brute_lp finds
+    min y.z = 0 over {y : y A >= 0} (Farkas: unbounded exactly when z is
+    outside).  A saturation point x of the box is reducible when x - y is
+    in the cone for a saturation point y of the box other than 0 and x:
+    some basis element is such a y.
+    """
+    index = _maximal_minor_gcd(rows)
+    lo = [sum(min(x, 0) for x in row) for row in rows]
+    hi = [sum(max(x, 0) for x in row) for row in rows]
+    dual = [(column, "ge", 0) for column in zip(*rows)]
+    cone = {}
+
+    def in_cone(z):
+        if z not in cone:
+            cone[z] = brute_lp(dual, z, "min")[0] == "optimal"
+        return cone[z]
+
+    points = [z for z in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+              if any(z)
+              and (index == 1
+                   or _maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)]) == index)
+              and in_cone(z)]
+    return sorted(x for x in points
+                  if not any(y != x and in_cone(tuple(p - q for p, q in zip(x, y)))
+                             for y in points))
 
 
 def in_half_open_zonotope(a, z):

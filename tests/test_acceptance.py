@@ -62,7 +62,7 @@ COPRIME_PAIRS = [(a, b) for a in range(2, 13) for b in range(a + 1, 13)
 
 def test_criterion_1_hilbert_basis():
     with _Criterion(1, "running-example Hilbert basis", 1.0):
-        basis = hilbert_basis_cone_lattice(EXAMPLE)
+        basis = hilbert_basis_cone_lattice(SemigroupProblem.build(EXAMPLE))
         assert basis.elements == ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4))
 
 

@@ -278,6 +278,15 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_interrupt_is_a_resource_limit(self, capsys, example_file, monkeypatch):
+        def interrupted(args, limits):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(cli._COMMANDS, "holes", interrupted)
+        assert main(["holes", example_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interrupted\n"
+
 
 class TestLimitsConfiguration:
     def test_env_var_sets_ceilings(self, capsys, example_file, monkeypatch):

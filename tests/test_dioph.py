@@ -1,16 +1,26 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
     NotPointedError,
+    SemigroupProblem,
     hilbert_basis_cone_lattice,
     hilbert_basis_kernel,
     minimal_inhomogeneous_solutions,
     semigroup_contains,
 )
 
-from conftest import brute_kernel_hilbert, brute_minimal_inhomogeneous
+from conftest import (
+    brute_kernel_hilbert,
+    brute_max_subdet,
+    brute_minimal_inhomogeneous,
+    brute_saturation_hilbert,
+)
+
+
+def saturation_basis(rows):
+    return hilbert_basis_cone_lattice(SemigroupProblem.build(IntMatrix.from_rows(rows)))
 
 
 class TestHilbertBasisKernel:
@@ -54,38 +64,38 @@ class TestHilbertBasisKernel:
 
 class TestHilbertBasisConeLattice:
     def test_example_matrix(self, example_matrix):
-        basis = hilbert_basis_cone_lattice(example_matrix)
+        basis = hilbert_basis_cone_lattice(SemigroupProblem.build(example_matrix))
         assert basis.elements == ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4))
 
     def test_identity(self):
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows([[1, 0], [0, 1]]))
+        basis = saturation_basis([[1, 0], [0, 1]])
         assert basis.elements == ((0, 1), (1, 0))
 
     def test_coprime_row(self):
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows([[2, 3]]))
+        basis = saturation_basis([[2, 3]])
         assert basis.elements == ((1,),)
 
     def test_numerical_semigroup(self):
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows([[3, 5]]))
+        basis = saturation_basis([[3, 5]])
         assert basis.elements == ((1,),)
 
     def test_sublattice(self):
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows([[2, 0], [0, 2]]))
+        basis = saturation_basis([[2, 0], [0, 2]])
         assert basis.elements == ((0, 2), (2, 0))
 
     def test_non_pointed_rejected(self):
         with pytest.raises(NotPointedError):
-            hilbert_basis_cone_lattice(IntMatrix.from_rows([[1, -1]]))
+            saturation_basis([[1, -1]])
 
     def test_even_sublattice_drops_middle(self):
         # lattice of [[1,1],[0,2]] has even second coordinates, so the
         # midpoint (1,1) of the cone is not a saturation point at all
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows([[1, 1], [0, 2]]))
+        basis = saturation_basis([[1, 1], [0, 2]])
         assert basis.elements == ((1, 0), (1, 2))
 
     def test_skew_cone(self):
         # cone spanned by (1,0) and (1,2) over the full lattice needs (1,1)
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+        basis = saturation_basis([[1, 1, 1], [0, 1, 2]])
         assert basis.elements == ((1, 0), (1, 1), (1, 2))
 
     @pytest.mark.parametrize("rows", [
@@ -94,13 +104,47 @@ class TestHilbertBasisConeLattice:
         [[2, 0, 1], [0, 2, 1]],
     ])
     def test_no_element_is_a_combination_of_the_others(self, rows):
-        basis = hilbert_basis_cone_lattice(IntMatrix.from_rows(rows))
+        basis = saturation_basis(rows)
         for e in basis.elements:
             others = [h for h in basis.elements if h != e]
             if not others:
                 continue
             matrix = IntMatrix.from_rows([list(r) for r in zip(*others)])
             assert semigroup_contains(matrix, e) is None
+
+
+def matrices(rows, columns, entries):
+    return columns.flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=rows, max_size=rows))
+
+
+two_row = st.sampled_from([0, -2]).flatmap(
+    lambda lo: matrices(2, st.integers(2, 4), st.integers(lo, 3)))
+three_row_nonnegative = matrices(3, st.integers(3, 4), st.integers(0, 2))
+
+
+class TestSaturationBasisOracle:
+    """The saturation's Hilbert basis against box enumeration."""
+
+    @staticmethod
+    def assert_matches_oracle(rows):
+        assume(brute_max_subdet(rows) != 0)
+        try:
+            problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+        except NotPointedError:
+            assume(False)
+        basis = hilbert_basis_cone_lattice(problem)
+        assert list(basis.elements) == brute_saturation_hilbert(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_row)
+    def test_two_rows(self, rows):
+        self.assert_matches_oracle(rows)
+
+    @settings(max_examples=15, deadline=None)
+    @given(three_row_nonnegative)
+    def test_three_nonnegative_rows(self, rows):
+        self.assert_matches_oracle(rows)
 
 
 class TestMinimalInhomogeneousSolutions:

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -9,13 +10,14 @@ from monoid_holes import (
     SemigroupProblem,
     certify_infinite,
     fundamental_holes,
+    hilbert_basis_cone_lattice,
     hole_bound,
     holes_representation,
     is_hole,
     saturation_points,
     verify_saturation,
 )
-from monoid_holes import holes
+from monoid_holes import dioph, holes, intlinalg, polyhedra, saturation
 from monoid_holes.limits import Limits
 
 from conftest import numerical_gaps, numerical_member
@@ -143,20 +145,53 @@ class TestVerifySaturation:
         for p in result.points:
             assert verify_saturation(example_problem, p, box_radius=3)
 
+    def test_box_reaches_negative_coordinates(self, monkeypatch):
+        # the saturation of this mixed-sign matrix holds (2, -2), a column
+        problem = SemigroupProblem.build(IntMatrix.from_rows([[2, 2, 2, 1], [-2, 3, 1, 0]]))
+        s = saturation_points(problem).points[0]
+        fundamental = set(fundamental_holes(problem).holes)
+        inner = saturation.semigroup_contains
+        checked = []
+
+        def recording(a, b, *rest):
+            checked.append(tuple(x - y for x, y in zip(b, s)))
+            return inner(a, b, *rest)
+        monkeypatch.setattr(saturation, "semigroup_contains", recording)
+        assert verify_saturation(problem, s, box_radius=2)
+        assert any(min(z) < 0 for z in checked if z not in fundamental)
+
+
+def counted(calls, key, inner):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return inner(*args, **kwargs)
+    return wrapper
+
 
 class TestComputedOnce:
+    def test_saturation_basis_reuses_the_problems_cone(self, monkeypatch):
+        calls = Counter()
+        for module in (dioph, holes, intlinalg, polyhedra, saturation):
+            for name in ("semigroup_contains", "lattice_basis", "cone_facets",
+                         "positive_functional"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
+        problem = SemigroupProblem.build(IntMatrix.from_rows([[2, 2, 2, 1], [-2, 3, 1, 0]]))
+        assert calls["cone_facets"] == 1
+        calls.clear()
+        basis = hilbert_basis_cone_lattice(problem)
+        assert basis.elements == ((1, -1), (1, 0), (1, 1), (2, 3))
+        assert not calls
+        holes_representation(problem)
+        saturation_points(problem)
+        assert calls["cone_facets"] == 0
+
     def test_stages_shared_by_every_reader(self, monkeypatch):
         calls = {"hilbert": 0, "ideal": 0}
-
-        def counted(key, inner):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return inner(*args, **kwargs)
-            return wrapper
         monkeypatch.setattr(holes, "hilbert_basis_cone_lattice",
-                            counted("hilbert", holes.hilbert_basis_cone_lattice))
+                            counted(calls, "hilbert", holes.hilbert_basis_cone_lattice))
         monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions",
-                            counted("ideal", holes.minimal_inhomogeneous_solutions))
+                            counted(calls, "ideal", holes.minimal_inhomogeneous_solutions))
         problem = numerical_problem(3, 5)
         holes_representation(problem)
         points = saturation_points(problem).points
