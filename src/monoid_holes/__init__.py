@@ -56,9 +56,11 @@ from .monomials import (
     standard_pairs,
 )
 from .polyhedra import (
+    FeasibilitySystem,
     InequalitySystem,
     LPResult,
     cone_facets,
+    feasibility_system,
     lp_exact,
 )
 from .saturation import (

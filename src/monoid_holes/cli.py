@@ -273,7 +273,10 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
 
     margins = read_margins_file(args.margins) if args.margins else None
     if args.dims:
-        dims = TransportDims(*args.dims)
+        try:
+            dims = TransportDims(*args.dims)
+        except ValueError as exc:
+            raise MatrixParseError(f"--dims: {exc}") from exc
         if margins is not None and margins.dims() != dims:
             raise MatrixParseError("margins file does not match --dims")
     elif margins is not None:
@@ -281,9 +284,8 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     else:
         raise MatrixParseError("transport needs --vlach, --dims or --margins")
 
-    a = transportation_matrix(dims)
     lines.append(f"instance: {dims.r} {dims.s} {dims.t}")
-    lines.append(f"matrix-shape: {a.rows} {a.cols}")
+    lines.append(f"matrix-shape: {dims.num_rows} {dims.num_cols}")
     if margins is None:
         lines.append("limit-status: ok")
         return lines, EXIT_OK
@@ -291,6 +293,7 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     lines.append(f"margin-vector: {_fmt_vec(f)}")
     table = table_feasible(dims, margins, limits)
     if table is None:
+        a = transportation_matrix(dims)
         feas = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min").status == "optimal"
         lines.append("integer-feasible: no")
         lines.append(f"real-feasible: {'yes' if feas else 'no'}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .dioph import (
     HilbertBasis,
@@ -26,7 +25,6 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     LatticeBasis,
-    RatVector,
     lattice_basis,
     vec_add,
     vec_dot,
@@ -51,7 +49,7 @@ class SemigroupProblem:
     matrix: IntMatrix
     lattice: LatticeBasis
     facets: InequalitySystem
-    grading: RatVector  # strictly positive on every nonzero column
+    grading: IntVector  # at least 1 on every nonzero column
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -59,8 +57,9 @@ class SemigroupProblem:
         if any(vec_is_zero(row) for row in a.entries):
             warnings.warn("matrix has zero rows; they are kept and never constrain anything",
                           stacklevel=2)
-        grading = positive_functional(a)  # raises NotPointedError on lines
-        return cls(a, lattice_basis(a), cone_facets(a, limits), grading)
+        facets = cone_facets(a, limits)
+        grading = positive_functional(a, facets)  # raises NotPointedError on lines
+        return cls(a, lattice_basis(a), facets, grading)
 
     def in_cone(self, z) -> bool:
         return self.facets.satisfied_by(z)
@@ -157,7 +156,7 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
     if not basis_holes:
         return FundamentalHoleSet((), basis, ())
     grading = problem.grading
-    cap = Fraction(0)
+    cap = 0
     for column in a.columns():
         if not vec_is_zero(column):
             cap += vec_dot(grading, column)

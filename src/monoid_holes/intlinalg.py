@@ -57,16 +57,6 @@ def primitive_vector(v) -> IntVector:
     return tuple(a // g for a in v)
 
 
-def rational_to_primitive_int(v) -> IntVector:
-    """Scale a rational vector to the primitive integer vector on its ray."""
-    fracs = [Fraction(a) for a in v]
-    lcm = 1
-    for a in fracs:
-        d = a.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive_vector(tuple(int(a * lcm) for a in fracs))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 

@@ -1,8 +1,9 @@
 """Exact rational polyhedral computations.
 
-Facet descriptions of finitely generated cones (double description on the
-dual), a positive functional certifying pointedness, and a two-phase
-exact simplex with Bland's anti-cycling rule.
+The equations and facets of a finitely generated cone from one double
+description on its dual, a grading certifying pointedness read off those
+facets, and a two-phase exact simplex with Bland's anti-cycling rule for
+systems A x = b, x >= 0 with integer data.
 
 The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
@@ -22,11 +23,9 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     RatVector,
-    lattice_basis,
     primitive_vector,
-    rational_to_primitive_int,
-    solve_rational_affine,
     unit_vector,
+    vec_add,
     vec_dot,
     vec_is_zero,
 )
@@ -70,14 +69,6 @@ class InequalitySystem:
             rhs.append(b)
         return cls(tuple(mat), tuple(senses), tuple(rhs))
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.matrix)
-
     def satisfied_by(self, x) -> bool:
         # clear the denominators of x once, so integer rows check in integers
         scale = lcm(*(c.denominator for c in x))
@@ -91,41 +82,52 @@ class InequalitySystem:
                 return False
         return True
 
+
+@dataclass(frozen=True)
+class FeasibilitySystem:
+    """The equations matrix x = rhs over variables x >= 0, all data integer."""
+
+    matrix: IntMatrix
+    rhs: IntVector
+
+    def __post_init__(self):
+        if len(self.rhs) != self.matrix.rows:
+            raise ValueError("rhs length does not match the equation count")
+        for b in self.rhs:
+            if not isinstance(b, int):
+                raise TypeError("rhs entries must be int")
+
+    @property
+    def num_vars(self) -> int:
+        return self.matrix.cols
+
+    @property
+    def num_rows(self) -> int:
+        """The equations and the sign constraints x_j >= 0 together."""
+        return self.matrix.rows + self.matrix.cols
+
+    def satisfied_by(self, x) -> bool:
+        if len(x) != self.num_vars or any(c < 0 for c in x):
+            return False
+        # clear the denominators of x once, so the rows check in integers
+        scale = lcm(*(c.denominator for c in x))
+        x = [c.numerator * (scale // c.denominator) for c in x]
+        return all(vec_dot(row, x) == b * scale
+                   for row, b in zip(self.matrix.entries, self.rhs))
+
     def refuted_by(self, multipliers) -> bool:
-        """Whether the row multipliers prove that no x satisfies the system.
-
-        That holds (Farkas) when the multipliers are nonnegative on GE rows,
-        their combination of the rows is <= 0 on every variable that a row
-        x_j >= 0 constrains and 0 on every other variable, and their
-        combination of the right-hand sides is positive.
-        """
-        if len(multipliers) != self.num_rows:
+        """Whether the equation multipliers y prove that no x >= 0 solves
+        the system: that holds (Farkas) when y.matrix <= 0 on every column
+        and y.rhs > 0."""
+        if len(multipliers) != self.matrix.rows:
             return False
-        signed = {_sign_row(*row) for row in zip(self.matrix, self.senses, self.rhs)}
-        if any(y < 0 for y, sense in zip(multipliers, self.senses) if sense == GE):
-            return False
-        for j in range(self.num_vars):
-            v = sum(y * row[j] for y, row in zip(multipliers, self.matrix) if y)
-            if v > 0 or (v < 0 and j not in signed):
-                return False
-        return vec_dot(multipliers, self.rhs) > 0
+        return (all(vec_dot(multipliers, column) <= 0 for column in self.matrix.columns())
+                and vec_dot(multipliers, self.rhs) > 0)
 
 
-def feasibility_system(a: IntMatrix, b) -> InequalitySystem:
-    """The rows a x = b, then x_j >= 0 for every column j."""
-    rows = [(a.entries[i], EQ, b[i]) for i in range(a.rows)]
-    rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
-    return InequalitySystem.from_rows(rows)
-
-
-def _sign_row(coeffs, sense, b) -> int | None:
-    """j when the row reads c * x_j >= 0 with c > 0, else None."""
-    if sense != GE or b != 0:
-        return None
-    support = [j for j, c in enumerate(coeffs) if c]
-    if len(support) == 1 and coeffs[support[0]] > 0:
-        return support[0]
-    return None
+def feasibility_system(a: IntMatrix, b) -> FeasibilitySystem:
+    """The system a x = b over x >= 0."""
+    return FeasibilitySystem(a, tuple(b))
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class LPResult:
     status: str                 # "optimal" | "infeasible" | "unbounded"
     optimum: Fraction | None
     witness: RatVector | None
-    farkas: tuple | None = None  # row multipliers refuting an infeasible system
+    farkas: tuple | None = None  # equation multipliers refuting an infeasible system
 
 
 # ---------------------------------------------------------------------------
@@ -147,68 +149,6 @@ class LPResult:
 # so every sign test and every ratio comparison has the outcome it has on
 # the rational tableau of the same rows, and so has every pivot choice.
 # Pivots replace rows and never change one in place.
-
-class _Standardized:
-    """Standard-form image of an InequalitySystem: A x = b, x >= 0, b >= 0,
-    each row scaled to integers by the lcm of its denominators."""
-
-    def __init__(self, system: InequalitySystem):
-        n = system.num_vars
-        nonneg = [False] * n
-        main = []
-        for k, (coeffs, sense, b) in enumerate(zip(system.matrix, system.senses, system.rhs)):
-            j = _sign_row(coeffs, sense, b)
-            if j is not None:
-                nonneg[j] = True
-            else:
-                main.append((k, coeffs, sense, b))
-
-        # column j of the standard form carries (original var, sign)
-        self.col_map: list[tuple[int, int]] = []
-        self.var_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in range(n):
-            self.var_cols[v].append((len(self.col_map), 1))
-            self.col_map.append((v, 1))
-            if not nonneg[v]:
-                self.var_cols[v].append((len(self.col_map), -1))
-                self.col_map.append((v, -1))
-        surplus_start = len(self.col_map)
-        num_surplus = sum(1 for _, _, sense, _ in main if sense == GE)
-
-        self.ncols = surplus_start + num_surplus
-        self.rows: list[list[int]] = []
-        self.rhs: list[int] = []
-        # standard row i is origin[i][1] times original row origin[i][0]
-        self.origin: list[tuple[int, int]] = []
-        s_idx = surplus_start
-        for k, coeffs, sense, b in main:
-            scale = lcm(*(c.denominator for c in coeffs), b.denominator)
-            if b < 0:
-                scale = -scale
-            row = [0] * self.ncols
-            for v, c in enumerate(coeffs):
-                if c:
-                    c = c.numerator * (scale // c.denominator)
-                    for col, sign in self.var_cols[v]:
-                        row[col] = sign * c
-            if sense == GE:
-                row[s_idx] = -scale
-                s_idx += 1
-            self.rows.append(row)
-            self.rhs.append(b.numerator * (scale // b.denominator))
-            self.origin.append((k, scale))
-        self.num_main = len(self.rows)
-        self.num_vars = n
-        self.num_rows = system.num_rows
-
-    def original_multipliers(self, y) -> tuple[int, ...]:
-        """Multipliers on the original rows for multipliers y on the standard
-        rows; rows absorbed as sign constraints get 0."""
-        out = [0] * self.num_rows
-        for (k, scale), yi in zip(self.origin, y):
-            out[k] = scale * yi
-        return tuple(out)
-
 
 def _eliminate(row, prow, p, d, enter):
     f = row[enter]
@@ -273,27 +213,23 @@ class _Phase1:
     against the system before they are stored.
     """
 
-    def __init__(self, system: InequalitySystem):
+    def __init__(self, system: FeasibilitySystem):
         self.system = system
-        std = _Standardized(system)
-        ncols = std.ncols
-        m = std.num_main
-        tab = []
-        for i in range(m):
-            art = [0] * m
-            art[i] = 1
-            tab.append(std.rows[i] + art + [std.rhs[i]])
-        basis = list(range(ncols, ncols + m))
+        n, m = system.matrix.cols, system.matrix.rows
+        # rows with a negative rhs are negated, so the artificials start feasible
+        signs = [-1 if b < 0 else 1 for b in system.rhs]
+        rows = [[s * x for x in row] for s, row in zip(signs, system.matrix.entries)]
+        rhs = [s * b for s, b in zip(signs, system.rhs)]
+        tab = [rows[i] + list(unit_vector(m, i)) + [rhs[i]] for i in range(m)]
+        basis = list(range(n, n + m))
         # cost 1 on every artificial, priced out against the artificial basis
-        zrow = ([-sum(row[j] for row in std.rows) for j in range(ncols)]
-                + [0] * m + [-sum(std.rhs)])
-        status, d = _run_simplex(tab, basis, zrow, 1, range(ncols + m))
+        zrow = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m + [-sum(rhs)]
+        status, d = _run_simplex(tab, basis, zrow, 1, range(n + m))
         assert status == "optimal"  # phase 1 objective is bounded below by 0
         if zrow[-1] != 0:
             # the dual of phase 1 has y_i = 1 - z_i on artificial i, and
             # y.A <= 0 < y.b at the optimum
-            y = [d - z for z in zrow[ncols:ncols + m]]
-            self.farkas = std.original_multipliers(y)
+            self.farkas = tuple(s * (d - z) for s, z in zip(signs, zrow[n:n + m]))
             if not system.refuted_by(self.farkas):
                 raise InternalInconsistencyError(
                     "LP infeasibility certificate failed its integer check")
@@ -304,30 +240,22 @@ class _Phase1:
         # drive artificials out of the basis, dropping redundant rows
         keep = []
         for i in range(len(tab)):
-            if basis[i] >= ncols:
-                enter = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            if basis[i] >= n:
+                enter = next((j for j in range(n) if tab[i][j] != 0), None)
                 if enter is None:
                     continue  # redundant row
                 d = _pivot(tab, None, basis, d, i, enter)
             keep.append(i)
-        self.std = std
-        self.tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+        self.tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
         self.basis = [basis[i] for i in keep]
         self.d = d
-        self.ncols = ncols
 
     def solve(self, objective, sense: str) -> LPResult:
         """Phase 2 for one objective; leaves the stored tableau untouched."""
-        std = self.std
         # minimize sign * scale * objective, an integer cost with the same pivots
         sign = 1 if sense == "min" else -1
         scale = lcm(*(c.denominator for c in objective))
-        cost = [0] * self.ncols
-        for v, c in enumerate(objective):
-            if c:
-                c = sign * c.numerator * (scale // c.denominator)
-                for col, s in std.var_cols[v]:
-                    cost[col] += s * c
+        cost = [sign * c.numerator * (scale // c.denominator) for c in objective]
         tab = self.tab[:]
         basis = self.basis[:]
         d = self.d
@@ -336,12 +264,10 @@ class _Phase1:
             if cost[bi]:
                 cb = cost[bi]
                 zrow = [z - cb * x for z, x in zip(zrow, row)]
-        status, d = _run_simplex(tab, basis, zrow, d, range(self.ncols))
-        point = [0] * std.num_vars
+        status, d = _run_simplex(tab, basis, zrow, d, range(len(cost)))
+        point = [0] * len(cost)
         for row, bi in zip(tab, basis):
-            if bi < len(std.col_map):  # not a surplus column
-                v, s = std.col_map[bi]
-                point[v] += s * row[-1]
+            point[bi] = row[-1]
         witness = tuple(Fraction(x, d) for x in point)
         if not self.system.satisfied_by(witness):
             raise InternalInconsistencyError("LP witness violates its own system")
@@ -350,13 +276,12 @@ class _Phase1:
         return LPResult("optimal", Fraction(-sign * zrow[-1], d * scale), witness)
 
 
-def lp_exact(system: InequalitySystem, objective, sense: str = "min") -> LPResult:
-    """Exact rational LP over the system's free variables.
+def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResult:
+    """Exact rational LP over {x >= 0 : matrix x = rhs}.
 
-    Rows of the shape x_i >= 0 are recognized as sign constraints; all other
-    variables are handled as differences of nonnegatives.  Every verdict is
-    checked before it is returned: the witness against the system, and for
-    an infeasible system the Farkas multipliers in `farkas`.
+    Every verdict is checked before it is returned: the witness against the
+    system, and for an infeasible system the Farkas multipliers in `farkas`,
+    one per equation.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
@@ -368,7 +293,7 @@ def lp_exact(system: InequalitySystem, objective, sense: str = "min") -> LPResul
     return phase1.solve(objective, sense)
 
 
-def maximize_each(system: InequalitySystem, objectives) -> list[LPResult]:
+def maximize_each(system: FeasibilitySystem, objectives) -> list[LPResult]:
     """Maximize several objectives over one feasible region, sharing phase 1."""
     phase1 = _Phase1(system)
     if not phase1.feasible:
@@ -377,18 +302,20 @@ def maximize_each(system: InequalitySystem, objectives) -> list[LPResult]:
 
 
 # ---------------------------------------------------------------------------
-# double description: extreme rays of a dual cone
+# double description: the dual cone
 
 def _tight_set(vector, cols, upto) -> frozenset[int]:
     return frozenset(p for p in range(upto) if vec_dot(vector, cols[p]) == 0)
 
 
-def _extreme_rays_dual(cols: list[IntVector], dim: int, limits: Limits) -> list[IntVector]:
-    """Extreme rays of {y : y.c >= 0 for all c in cols}.
+def _extreme_rays_dual(cols: list[IntVector], dim: int,
+                       limits: Limits) -> tuple[list[IntVector], list[IntVector]]:
+    """The lineality basis and the extreme rays of {y : y.c >= 0 for all c
+    in cols}, every vector primitive.
 
-    Incremental double description starting from full space; the caller
-    guarantees cols spans R^dim so the result is a pointed cone and the
-    lineality shrinks to zero.
+    Incremental double description starting from full space (Fukuda &
+    Prodon 1996).  The lineality left at the end is the space orthogonal
+    to every column, and the rays are the extreme rays modulo it.
     """
     lin: list[IntVector] = [unit_vector(dim, i) for i in range(dim)]
     rays: list[IntVector] = []
@@ -446,15 +373,7 @@ def _extreme_rays_dual(cols: list[IntVector], dim: int, limits: Limits) -> list[
         rays = cleaned
         if len(rays) > limits.max_rays:
             raise ResourceLimitError("intermediate rays in facet enumeration", limits.max_rays)
-    if lin:
-        raise NotPointedError("dual cone has lineality; input columns do not span")
-    seen = set()
-    out = []
-    for r in sorted(rays):
-        if r not in seen and not vec_is_zero(r):
-            seen.add(r)
-            out.append(r)
-    return out
+    return lin, rays
 
 
 # ---------------------------------------------------------------------------
@@ -477,63 +396,33 @@ def cone_facets(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> InequalitySyst
 
     Equality rows pin the linear span, inequality rows are the facets of
     the cone inside its span; together {z : rows hold} equals cone(a).
-    Every row is a primitive integer vector with zero right-hand side.
+    Both come from one double description of the dual cone: its lineality
+    is the left kernel of a, and its extreme rays are the facets.  Every
+    row is a primitive integer vector with zero right-hand side; an
+    equality row has a positive first nonzero entry.
     """
-    d = a.rows
-    cols = _nonzero_columns(a)
-    if not cols:
-        rows = [(unit_vector(d, i), EQ, 0) for i in range(d)]
-        return InequalitySystem.from_rows(rows)
-
-    span = lattice_basis(a)
-    r = span.rank
-    coords = []
-    for column in cols:
-        c = span.contains(column)
-        assert c is not None  # columns lie in their own lattice
-        coords.append(c)
-
-    rays = _extreme_rays_dual(coords, r, limits)
-
-    # equalities: basis of the left kernel of a, as primitive integer rows
-    solved = solve_rational_affine(a.transpose(), (0,) * a.cols)
-    assert solved is not None
-    _, kernel = solved
-    eq_rows = []
-    for vec in kernel:
-        row = rational_to_primitive_int(vec)
-        first = next((x for x in row if x), None)
-        if first is not None and first < 0:
-            row = tuple(-x for x in row)
-        eq_rows.append(row)
-
-    # lift each dual ray g through the span parameterization z = B t:
-    # wanted is w with B^T w = g, so that w.z = g.t on the span
-    basis_rows = IntMatrix.from_rows(span.columns)  # rank x d, rows are basis columns
-    ineq_rows = []
-    for g in rays:
-        lifted = solve_rational_affine(basis_rows, g)
-        assert lifted is not None  # basis has full column rank
-        ineq_rows.append(rational_to_primitive_int(lifted[0]))
-
+    lin, rays = _extreme_rays_dual(_nonzero_columns(a), a.rows, limits)
+    eq_rows = [row if next(x for x in row if x) > 0 else tuple(-x for x in row)
+               for row in lin]
     rows = [(row, EQ, 0) for row in sorted(eq_rows)]
-    rows += [(row, GE, 0) for row in sorted(ineq_rows)]
+    rows += [(row, GE, 0) for row in sorted(rays)]
     return InequalitySystem.from_rows(rows)
 
 
-def positive_functional(a: IntMatrix) -> RatVector:
-    """A rational y with y.col >= 1 for every nonzero column of a.
+def positive_functional(a: IntMatrix, facets: InequalitySystem) -> IntVector:
+    """A primitive integer y with y.col >= 1 for every nonzero column of a:
+    the sum of the inequality rows of cone(a)'s facets.
 
-    Exists exactly when cone(a) is pointed; used as a termination grading.
+    That sum vanishes on a point of the cone only when the point lies in
+    the cone's lineality space, which the columns in it span; so it is
+    positive on every nonzero column exactly when the cone is pointed.
+    Used as a termination grading.
     """
-    d = a.rows
-    cols = _nonzero_columns(a)
-    if not cols:
-        return tuple(Fraction(1) for _ in range(d))
-    if a.is_nonnegative():
-        return tuple(Fraction(1) for _ in range(d))
-    rows = [(col, GE, 1) for col in cols]
-    result = lp_exact(InequalitySystem.from_rows(rows), (0,) * d, "min")
-    if result.status != "optimal":
+    total = (0,) * a.rows
+    for row, sense in zip(facets.matrix, facets.senses):
+        if sense == GE:
+            total = vec_add(total, row)
+    grading = primitive_vector(total)
+    if any(vec_dot(grading, column) <= 0 for column in _nonzero_columns(a)):
         raise NotPointedError("cone contains a line; no strictly positive functional")
-    return result.witness
+    return grading

@@ -24,7 +24,7 @@ from .intlinalg import (
     vec_sub,
 )
 from .limits import DEFAULT_LIMITS, Limits, pool_map
-from .polyhedra import EQ, GE, InequalitySystem, feasibility_system, lp_exact, maximize_each
+from .polyhedra import feasibility_system, lp_exact, maximize_each
 
 
 @dataclass(frozen=True)
@@ -270,19 +270,18 @@ class _TableSearch:
         if not free:
             return True
         index = {c: pos for pos, c in enumerate(free)}
-        rows = []
+        rows, budgets = [], []
         for ln in range(self.d):
             coeffs = [0] * len(free)
-            any_free = False
             for c in self.line_cells[ln]:
                 if c in index:
                     coeffs[index[c]] = 1
-                    any_free = True
-            if any_free or self.budget[ln] != 0:
-                rows.append((tuple(coeffs), EQ, self.budget[ln]))
-        for pos in range(len(free)):
-            rows.append((unit_vector(len(free), pos), GE, 0))
-        result = lp_exact(InequalitySystem.from_rows(rows), (0,) * len(free), "min")
+            if any(coeffs) or self.budget[ln] != 0:
+                rows.append(coeffs)
+                budgets.append(self.budget[ln])
+        # every free cell lies on a line, so rows is not empty
+        system = feasibility_system(IntMatrix.from_rows(rows), budgets)
+        result = lp_exact(system, (0,) * len(free), "min")
         return result.status == "optimal"
 
     # -- search -----------------------------------------------------------

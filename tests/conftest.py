@@ -7,9 +7,7 @@ from math import gcd
 
 import pytest
 
-from monoid_holes import IntMatrix, lp_exact
-from monoid_holes.intlinalg import unit_vector
-from monoid_holes.polyhedra import EQ, GE, InequalitySystem
+from monoid_holes import IntMatrix, feasibility_system, lp_exact
 
 
 def gauss_determinant(rows):
@@ -125,9 +123,13 @@ def brute_satisfies(rows, x):
     return True
 
 
-def brute_is_pointed(rows, n):
-    """Whether the rows have rank n, so the region has no lines."""
-    return any(gauss_determinant([r[0] for r in sub]) != 0 for sub in combinations(rows, n))
+def standard_form_rows(matrix_rows, rhs):
+    """brute_lp rows of the system matrix x = rhs over x >= 0: the
+    equations, then the sign rows x_j >= 0."""
+    n = len(matrix_rows[0])
+    rows = [(tuple(row), "eq", b) for row, b in zip(matrix_rows, rhs)]
+    rows += [(tuple(int(k == j) for k in range(n)), "ge", 0) for j in range(n)]
+    return rows
 
 
 def brute_lp(rows, objective, sense):
@@ -206,8 +208,9 @@ def brute_saturation_hilbert(rows):
 def in_half_open_zonotope(a, z):
     """Whether z = a @ lam for some 0 <= lam with every lam_i < 1.
 
-    Decided by the exact LP minimizing the largest coefficient: the strict
-    inequalities hold iff the min-max optimum over the closed box is < 1.
+    Decided by the exact LP minimizing the largest coefficient t: the
+    strict inequalities hold iff the min-max optimum is < 1.  In standard
+    form the variables are lam, t and a slack s_j with lam_j + s_j = t.
     """
     if len(z) != a.rows:
         raise ValueError("vector dimension does not match matrix rows")
@@ -215,17 +218,14 @@ def in_half_open_zonotope(a, z):
         if not isinstance(x, int):
             raise TypeError("half-open zonotope membership is defined for integer points")
     n = a.cols
-    rows = []
-    for i in range(a.rows):
-        rows.append((tuple(a.entries[i]) + (0,), EQ, z[i]))
+    rows = [list(row) + [0] * (n + 1) for row in a.entries]
     for j in range(n):
-        rows.append((unit_vector(n + 1, j), GE, 0))
-    for j in range(n):
-        coeffs = tuple(-1 if k == j else (1 if k == n else 0) for k in range(n + 1))
-        rows.append((coeffs, GE, 0))
-    rows.append((tuple(0 if k < n else -1 for k in range(n + 1)), GE, -1))
-    objective = tuple(0 if k < n else 1 for k in range(n + 1))
-    result = lp_exact(InequalitySystem.from_rows(rows), objective, "min")
+        slack = [0] * n
+        slack[j] = 1
+        rows.append([int(k == j) for k in range(n)] + [-1] + slack)
+    rhs = tuple(z) + (0,) * n
+    objective = (0,) * n + (1,) + (0,) * n
+    result = lp_exact(feasibility_system(IntMatrix.from_rows(rows), rhs), objective, "min")
     return result.status == "optimal" and result.optimum < 1
 
 

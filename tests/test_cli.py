@@ -191,6 +191,20 @@ class TestTransport:
         assert code == 0
         assert "matrix-shape: 54 72" in out
 
+    def test_dims_only_builds_no_matrix(self, capsys, monkeypatch):
+        def refuse(dims):
+            raise AssertionError("transportation_matrix called")
+        monkeypatch.setattr(cli, "transportation_matrix", refuse)
+        code, out = run(capsys, "transport", "--dims", "3", "4", "6")
+        assert code == 0
+        assert "matrix-shape: 54 72" in out
+
+    def test_nonpositive_dims_are_a_parse_error(self, capsys):
+        assert main(["transport", "--dims", "0", "2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dims: table dimensions must be positive\n"
+
     def test_margins_infer_dims(self, capsys, tmp_path):
         margins = tmp_path / "m2.txt"
         margins.write_text("1 1\n1 1\n\n1 1\n1 1\n\n1 1\n1 1\n")

@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
@@ -10,9 +13,15 @@ from monoid_holes import (
     is_hole,
     row_sum_bound,
 )
-from monoid_holes.intlinalg import vec_add, vec_dot
+from monoid_holes.intlinalg import rational_rank, vec_add, vec_dot
 
-from conftest import in_half_open_zonotope, numerical_gaps, numerical_member
+from conftest import (
+    brute_lp,
+    in_half_open_zonotope,
+    numerical_gaps,
+    numerical_member,
+    standard_form_rows,
+)
 
 
 def numerical_problem(a, b):
@@ -22,6 +31,48 @@ def numerical_problem(a, b):
 @pytest.fixture
 def example_problem(example_matrix):
     return SemigroupProblem.build(example_matrix)
+
+
+@st.composite
+def cones_with_lineality(draw):
+    """3-row matrices of rank 2, whose dual cones keep a lineality, and
+    mixed-sign 2-row matrices, whose cones may hold a line; none has a
+    zero row, so some column is nonzero."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=2, max_size=2))
+    if draw(st.booleans()):
+        mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                            min_size=3, max_size=3))
+        rows = [[vec_dot(m, column) for column in zip(*rows)] for m in mix]
+        assume(rational_rank(rows) == 2)
+    else:
+        assume(any(x < 0 for row in rows for x in row))
+        assume(any(x > 0 for row in rows for x in row))
+    assume(all(any(row) for row in rows))
+    return IntMatrix.from_rows(rows)
+
+
+class TestConeOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(cones_with_lineality())
+    def test_cone_and_grading_match_brute_lp(self, a):
+        nonzero = [column for column in a.columns() if any(column)]
+        # a line exists when lam >= 0 with sum 1 combines the columns to 0
+        line_rows = [list(row) for row in zip(*nonzero)] + [[1] * len(nonzero)]
+        has_line = brute_lp(standard_form_rows(line_rows, (0,) * a.rows + (1,)),
+                            (0,) * len(nonzero), "min")[0] != "infeasible"
+        try:
+            problem = SemigroupProblem.build(a)
+        except NotPointedError:
+            assert has_line
+            return
+        assert not has_line
+        assert all(vec_dot(problem.grading, column) >= 1 for column in nonzero)
+        for z in product(range(-2, 3), repeat=a.rows):
+            feasible = brute_lp(standard_form_rows(a.entries, z),
+                                (0,) * a.cols, "min")[0] != "infeasible"
+            assert problem.in_cone(z) == feasible
 
 
 class TestIsHole:

@@ -1,44 +1,51 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monoid_holes import (
-    InequalitySystem,
+    FeasibilitySystem,
     InternalInconsistencyError,
     IntMatrix,
     NotPointedError,
     cone_facets,
+    feasibility_system,
     lp_exact,
 )
 from monoid_holes.polyhedra import EQ, GE, maximize_each, positive_functional
-from monoid_holes.intlinalg import unit_vector, vec_dot
+from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero
 from monoid_holes.transport import TransportDims, transportation_matrix
 
-from conftest import brute_is_pointed, brute_lp, brute_satisfies, in_half_open_zonotope
+from conftest import brute_lp, brute_satisfies, in_half_open_zonotope, standard_form_rows
 
 coefficients = st.one_of(
     st.integers(-4, 4),
     st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
+def system_of(rows, rhs):
+    return feasibility_system(IntMatrix.from_rows(rows), rhs)
+
+
 @st.composite
-def pointed_systems(draw):
-    """Rows over at most 3 variables whose region contains no line."""
-    n = draw(st.integers(1, 3))
-    rows = draw(st.lists(
-        st.tuples(st.lists(coefficients, min_size=n, max_size=n).map(tuple),
-                  st.sampled_from([EQ, GE]), coefficients),
-        min_size=n, max_size=5))
-    assume(brute_is_pointed(rows, n))
-    return rows
+def standard_systems(draw):
+    """Rows of A x = b over at most 4 variables x >= 0, with small integers."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rhs = tuple(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
+    return rows, rhs
 
 
-def assert_matches_oracle(rows, result, objective, sense):
-    assert (result.status, result.optimum) == brute_lp(rows, objective, sense)
+def assert_matches_oracle(rows, rhs, result, objective, sense):
+    oracle_rows = standard_form_rows(rows, rhs)
+    assert (result.status, result.optimum) == brute_lp(oracle_rows, objective, sense)
     if result.witness is not None:
-        assert brute_satisfies(rows, result.witness)
+        assert brute_satisfies(oracle_rows, result.witness)
     assert (result.farkas is None) == (result.status != "infeasible")
+    if result.farkas is not None:
+        assert system_of(rows, rhs).refuted_by(result.farkas)
 
 
 class TestConeFacets:
@@ -84,87 +91,81 @@ class TestConeFacets:
         z = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
         if fc.satisfied_by(z):
             return
-        rows = [(a.entries[i], EQ, z[i]) for i in range(a.rows)]
-        rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
-        res = lp_exact(InequalitySystem.from_rows(rows), (0,) * a.cols, "min")
-        assert res.status == "infeasible"
+        oracle_rows = standard_form_rows(a.entries, z)
+        assert brute_lp(oracle_rows, (0,) * a.cols, "min")[0] == "infeasible"
 
 
 class TestIsPointed:
-    """Pointedness is decided by positive_functional: a functional that is
-    at least 1 on every nonzero column, or NotPointedError."""
+    """Pointedness is decided by positive_functional on the cone's facets:
+    a functional that is at least 1 on every nonzero column, or
+    NotPointedError."""
 
     @staticmethod
     def assert_pointed(a):
-        phi = positive_functional(a)
-        assert all(vec_dot(phi, col) >= 1 for col in a.columns())
+        phi = positive_functional(a, cone_facets(a))
+        assert all(vec_dot(phi, col) >= 1 for col in a.columns() if not vec_is_zero(col))
 
     def test_example_matrix(self, example_matrix):
         self.assert_pointed(example_matrix)
 
     def test_line(self):
+        a = IntMatrix.from_rows([[1, -1]])
         with pytest.raises(NotPointedError):
-            positive_functional(IntMatrix.from_rows([[1, -1]]))
+            positive_functional(a, cone_facets(a))
 
     def test_transportation_cone(self):
-        self.assert_pointed(transportation_matrix(TransportDims(3, 4, 6)))
+        self.assert_pointed(transportation_matrix(TransportDims(3, 3, 3)))
 
     def test_mixed_sign_pointed(self):
         self.assert_pointed(IntMatrix.from_rows([[2, 2, 2, 1], [-2, 3, 1, 0]]))
 
     def test_positive_functional_certifies(self):
         a = IntMatrix.from_rows([[2, -1], [0, 1]])
-        phi = positive_functional(a)
+        phi = positive_functional(a, cone_facets(a))
         for col in a.columns():
             assert vec_dot(phi, col) >= 1
 
 
 class TestLpExact:
     def test_min_with_lower_bound(self):
-        system = InequalitySystem.from_rows([((1,), GE, 3)])
-        res = lp_exact(system, (1,), "min")
+        # min x subject to x - s = 3
+        res = lp_exact(system_of([[1, -1]], (3,)), (1, 0), "min")
         assert res.status == "optimal"
         assert res.optimum == 3
-        assert res.witness == (3,)
+        assert res.witness == (3, 0)
 
     def test_infeasible(self):
-        system = InequalitySystem.from_rows([((1,), GE, 1), ((-1,), GE, 0)])
-        res = lp_exact(system, (1,), "max")
+        # x - s = 1 and x + t = 0
+        res = lp_exact(system_of([[1, -1, 0], [1, 0, 1]], (1, 0)), (1, 0, 0), "max")
         assert res.status == "infeasible"
 
     def test_unbounded(self):
-        system = InequalitySystem.from_rows([((1,), GE, 0)])
-        res = lp_exact(system, (1,), "max")
+        # max x subject to x - s = 0
+        res = lp_exact(system_of([[1, -1]], (0,)), (1, 0), "max")
         assert res.status == "unbounded"
 
     def test_exact_rational_optimum(self):
-        # min x + y subject to 3x + y >= 1, x + 3y >= 1, x, y >= 0
-        system = InequalitySystem.from_rows([
-            ((3, 1), GE, 1), ((1, 3), GE, 1),
-            ((1, 0), GE, 0), ((0, 1), GE, 0)])
-        res = lp_exact(system, (1, 1), "min")
+        # min x + y subject to 3x + y - s = 1, x + 3y - t = 1
+        system = system_of([[3, 1, -1, 0], [1, 3, 0, -1]], (1, 1))
+        res = lp_exact(system, (1, 1, 0, 0), "min")
         assert res.status == "optimal"
         assert res.optimum == Fraction(1, 2)
-        assert res.witness == (Fraction(1, 4), Fraction(1, 4))
+        assert res.witness == (Fraction(1, 4), Fraction(1, 4), 0, 0)
 
     def test_equality_with_free_variable(self):
-        system = InequalitySystem.from_rows([((1, 1), EQ, 5)])
-        res = lp_exact(system, (0, 1), "min")
+        # x + y = 5 with x and y free, split into nonnegative parts: min y
+        system = system_of([[1, -1, 1, -1]], (5,))
+        res = lp_exact(system, (0, 0, 1, -1), "min")
         assert res.status == "unbounded"
 
     def test_degenerate_terminates(self):
         # heavily degenerate feasibility at a single point
-        system = InequalitySystem.from_rows([
-            ((1, 1), EQ, 0), ((1, -1), EQ, 0),
-            ((1, 0), GE, 0), ((0, 1), GE, 0)])
-        res = lp_exact(system, (1, 0), "max")
+        res = lp_exact(system_of([[1, 1], [1, -1]], (0, 0)), (1, 0), "max")
         assert res.status == "optimal"
         assert res.optimum == 0
 
     def test_maximize_each_matches_single_calls(self):
-        rows = [((1, 1, 1), EQ, 4)]
-        rows += [(unit_vector(3, j), GE, 0) for j in range(3)]
-        system = InequalitySystem.from_rows(rows)
+        system = system_of([[1, 1, 1]], (4,))
         objectives = [unit_vector(3, j) for j in range(3)]
         batched = maximize_each(system, objectives)
         singles = [lp_exact(system, obj, "max") for obj in objectives]
@@ -175,81 +176,86 @@ class TestLpExact:
 
 class TestLpOracle:
     @settings(max_examples=150, deadline=None)
-    @given(pointed_systems(), st.data())
-    def test_lp_exact_matches_oracle(self, rows, data):
-        n = len(rows[0][0])
+    @given(standard_systems(), st.data())
+    def test_lp_exact_matches_oracle(self, system, data):
+        rows, rhs = system
+        n = len(rows[0])
         objective = tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
         sense = data.draw(st.sampled_from(["min", "max"]))
-        result = lp_exact(InequalitySystem.from_rows(rows), objective, sense)
-        assert_matches_oracle(rows, result, objective, sense)
+        result = lp_exact(system_of(rows, rhs), objective, sense)
+        assert_matches_oracle(rows, rhs, result, objective, sense)
 
     @settings(max_examples=60, deadline=None)
-    @given(pointed_systems(), st.data())
-    def test_maximize_each_matches_oracle(self, rows, data):
-        n = len(rows[0][0])
+    @given(standard_systems(), st.data())
+    def test_maximize_each_matches_oracle(self, system, data):
+        rows, rhs = system
+        n = len(rows[0])
         objectives = data.draw(st.lists(
             st.lists(coefficients, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3))
-        results = maximize_each(InequalitySystem.from_rows(rows), objectives)
+        results = maximize_each(system_of(rows, rhs), objectives)
         for objective, result in zip(objectives, results):
-            assert_matches_oracle(rows, result, objective, "max")
+            assert_matches_oracle(rows, rhs, result, objective, "max")
 
     def test_large_coefficients(self):
-        # entries near 10^6 make the pivots' common denominators large
-        rows = [((999_983, 1_000_000, 3), GE, 999_999),
-                ((-2, 999_979, 1_000_000), GE, 123_457),
-                ((1_000_000, -7, 999_961), EQ, 654_321)]
-        rows += [(unit_vector(3, j), GE, 0) for j in range(3)]
-        objective = (1_000_000, 999_907, -3)
+        # entries near 10^6 make the pivots' common denominators large; the
+        # last two columns are the surplus of the first two rows
+        rows = [[999_983, 1_000_000, 3, -1, 0],
+                [-2, 999_979, 1_000_000, 0, -1],
+                [1_000_000, -7, 999_961, 0, 0]]
+        rhs = (999_999, 123_457, 654_321)
+        objective = (1_000_000, 999_907, -3, 0, 0)
         results = {}
         for sense in ("min", "max"):
-            results[sense] = lp_exact(InequalitySystem.from_rows(rows), objective, sense)
-            assert_matches_oracle(rows, results[sense], objective, sense)
+            results[sense] = lp_exact(system_of(rows, rhs), objective, sense)
+            assert_matches_oracle(rows, rhs, results[sense], objective, sense)
         assert results["max"].status == "unbounded"
         assert results["min"].optimum.denominator > 10**6
 
 
 class TestCertificates:
-    # x + y >= 3 with x <= 1 and y <= 1: the three rows sum to 0 >= 1
-    BOX = InequalitySystem.from_rows([((1, 1), GE, 3), ((-1, 0), GE, -1), ((0, -1), GE, -1)])
+    # x + y - s = 3 with x + t = 1 and y + u = 1: the multipliers
+    # (1, -1, -1) give -s - t - u = 1
+    BOX = feasibility_system(IntMatrix.from_rows(
+        [[1, 1, -1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]), (3, 1, 1))
 
     def test_infeasible_box_is_refuted(self):
-        result = lp_exact(self.BOX, (0, 0), "min")
+        result = lp_exact(self.BOX, (0,) * 5, "min")
         assert result.status == "infeasible"
         assert self.BOX.refuted_by(result.farkas)
-        assert self.BOX.refuted_by((1, 1, 1))
+        assert self.BOX.refuted_by((1, -1, -1))
 
     @pytest.mark.parametrize("multipliers", [
-        (1, 1, 0), (1, 1, 2), (-1, -1, -1), (0, 0, 0), (1, 1), (2, 1, 1)])
+        (1, -1, 0), (1, -1, -2), (-1, 1, 1), (0, 0, 0), (1, -1), (2, -1, -1)])
     def test_corrupted_multipliers_rejected(self, multipliers):
         assert not self.BOX.refuted_by(multipliers)
 
     def test_negative_rhs_and_sign_rows(self):
-        # x + y = -1 over x, y >= 0; the sign rows are absorbed and get 0
-        system = InequalitySystem.from_rows([((1, 1), EQ, -1), ((1, 0), GE, 0), ((0, 1), GE, 0)])
+        # x + y = -1 over x, y >= 0: one multiplier, on the one equation
+        system = system_of([[1, 1]], (-1,))
         result = lp_exact(system, (0, 0), "min")
         assert result.status == "infeasible"
-        assert result.farkas[1:] == (0, 0)
+        assert len(result.farkas) == 1
         assert result.farkas[0] < 0
         assert system.refuted_by(result.farkas)
-        # the same row over free variables is feasible, so it cannot be refuted
-        free = InequalitySystem.from_rows([((1, 1), EQ, -1)])
+        # the same row over split free variables is feasible, so it cannot be refuted
+        free = system_of([[1, -1, 1, -1]], (-1,))
         assert not free.refuted_by((-1,))
 
     def test_maximize_each_shares_certificate(self):
-        results = maximize_each(self.BOX, [(1, 0), (0, 1)])
+        results = maximize_each(self.BOX, [unit_vector(5, 0), unit_vector(5, 1)])
         assert [r.status for r in results] == ["infeasible", "infeasible"]
         assert all(self.BOX.refuted_by(r.farkas) for r in results)
 
     def test_failed_certificate_check_raises(self, monkeypatch):
-        monkeypatch.setattr(InequalitySystem, "refuted_by", lambda self, y: False)
+        monkeypatch.setattr(FeasibilitySystem, "refuted_by", lambda self, y: False)
         with pytest.raises(InternalInconsistencyError):
-            lp_exact(self.BOX, (0, 0), "min")
+            lp_exact(self.BOX, (0,) * 5, "min")
 
     def test_failed_witness_check_raises(self, monkeypatch):
-        system = InequalitySystem.from_rows([((1,), GE, 3)])
-        monkeypatch.setattr(InequalitySystem, "satisfied_by", lambda self, x: False)
+        system = system_of([[1, -1]], (3,))
+        monkeypatch.setattr(FeasibilitySystem, "satisfied_by", lambda self, x: False)
         with pytest.raises(InternalInconsistencyError):
-            lp_exact(system, (1,), "min")
+            lp_exact(system, (1, 0), "min")
 
 
 class TestHalfOpenZonotope:

@@ -169,6 +169,19 @@ def counted(calls, key, inner):
 
 
 class TestComputedOnce:
+    @pytest.mark.parametrize("rows", [[[1, 1, 1, 1], [0, 2, 3, 4]],
+                                      [[2, 2, 2, 1], [-2, 3, 1, 0]]])
+    def test_build_reads_the_cone_once(self, monkeypatch, rows):
+        # one lattice basis and one double description; the grading comes
+        # from the facets, not from an LP
+        calls = Counter()
+        for module in (holes, intlinalg, polyhedra):
+            for name in ("lattice_basis", "cone_facets", "lp_exact"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
+        SemigroupProblem.build(IntMatrix.from_rows(rows))
+        assert calls == {"lattice_basis": 1, "cone_facets": 1}
+
     def test_saturation_basis_reuses_the_problems_cone(self, monkeypatch):
         calls = Counter()
         for module in (dioph, holes, intlinalg, polyhedra, saturation):

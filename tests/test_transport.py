@@ -21,8 +21,8 @@ from monoid_holes.transport import (
     margins_to_vector,
     vector_to_margins,
 )
-from monoid_holes.polyhedra import EQ, GE, InequalitySystem, lp_exact
-from monoid_holes.intlinalg import unit_vector, vec_add
+from monoid_holes.polyhedra import feasibility_system, lp_exact
+from monoid_holes.intlinalg import vec_add
 
 # the unique real point of the 3x4x6 margin polytope, entered as twice its
 # value: blocks are indexed by k, rows by j, columns by i
@@ -44,12 +44,6 @@ def known_half_integral_point():
             for i, doubled in enumerate(row):
                 z[dims.col(i, j, k)] = Fraction(doubled, 2)
     return tuple(z)
-
-
-def feasibility_system(a, f):
-    rows = [(a.entries[i], EQ, f[i]) for i in range(a.rows)]
-    rows += [(unit_vector(a.cols, j), GE, 0) for j in range(a.cols)]
-    return InequalitySystem.from_rows(rows)
 
 
 class TestTransportationMatrix:
