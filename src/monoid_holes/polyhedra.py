@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import itemgetter
 
 from .errors import InternalInconsistencyError, NotPointedError, ResourceLimitError
 from .intlinalg import (
@@ -109,10 +111,11 @@ class FeasibilitySystem:
     def satisfied_by(self, x) -> bool:
         if len(x) != self.num_vars or any(c < 0 for c in x):
             return False
-        # clear the denominators of x once, so the rows check in integers
+        # clear the denominators of x once, so the rows check in integers;
+        # only the nonzero coordinates of x contribute to a row's value
         scale = lcm(*(c.denominator for c in x))
-        x = [c.numerator * (scale // c.denominator) for c in x]
-        return all(vec_dot(row, x) == b * scale
+        support = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(x) if c]
+        return all(sum(row[j] * c for j, c in support) == b * scale
                    for row, b in zip(self.matrix.entries, self.rhs))
 
     def refuted_by(self, multipliers) -> bool:
@@ -148,30 +151,53 @@ class LPResult:
 # column; Sylvester's identity makes each division exact.  D stays positive,
 # so every sign test and every ratio comparison has the outcome it has on
 # the rational tableau of the same rows, and so has every pivot choice.
-# Pivots replace rows and never change one in place.
+#
+# A pivot does work only where it changes something.  A row whose entry f
+# in the pivot column is 0 becomes p*x // D, so when p = D, as on most
+# pivots, it stays as it is and only the rows with f != 0 are touched.
+# Each of those changes only on the pivot row's support, by f*y // D, which
+# is exact: D divides both p*x and p*x - f*y, hence f*y.  When p != D every
+# row is rescaled in full.  Pivots replace the rows they change and never
+# edit a row of the tableau in place, so two tableaux may share rows.
 
-def _eliminate(row, prow, p, d, enter):
+def _eliminate(row, prow, support, p, d, enter):
+    """Row x after the pivot on entry p of row y = prow, whose nonzero
+    entries are support; row itself when nothing changes."""
     f = row[enter]
-    if f:
-        return [(p * x - f * y) // d for x, y in zip(row, prow)]
-    if p == d:
+    if p != d:
+        if f:
+            return [(p * x - f * y) // d for x, y in zip(row, prow)]
+        return [p * x // d for x in row]
+    if not f:
         return row
-    return [p * x // d for x in row]
+    row = row[:]
+    for j, y in support:
+        row[j] -= f * y // d
+    return row
 
 
 def _pivot(tab, zrow, basis, d, leave, enter) -> int:
-    """Pivot on tab[leave][enter] in place; returns the new denominator."""
+    """Pivot on tab[leave][enter]; returns the new denominator.
+
+    Changed rows of tab are replaced, and zrow, which the caller owns, is
+    overwritten.
+    """
     prow = tab[leave]
     p = prow[enter]
     if p < 0:
         # only driving artificials out pivots on a negative entry
         tab[leave] = prow = [-x for x in prow]
         p = -p
-    for i, row in enumerate(tab):
+    support = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
+    changed = range(len(tab))
+    if p == d:
+        # only the rows with f != 0 change
+        changed = list(compress(changed, map(itemgetter(enter), tab)))
+    for i in changed:
         if i != leave:
-            tab[i] = _eliminate(row, prow, p, d, enter)
+            tab[i] = _eliminate(tab[i], prow, support, p, d, enter)
     if zrow is not None:
-        zrow[:] = _eliminate(zrow, prow, p, d, enter)
+        zrow[:] = _eliminate(zrow, prow, support, p, d, enter)
     basis[leave] = enter
     return p
 
@@ -216,14 +242,19 @@ class _Phase1:
     def __init__(self, system: FeasibilitySystem):
         self.system = system
         n, m = system.matrix.cols, system.matrix.rows
-        # rows with a negative rhs are negated, so the artificials start feasible
+        # rows with a negative rhs are negated, so the artificials start
+        # feasible; artificial i is column n + i
         signs = [-1 if b < 0 else 1 for b in system.rhs]
-        rows = [[s * x for x in row] for s, row in zip(signs, system.matrix.entries)]
-        rhs = [s * b for s, b in zip(signs, system.rhs)]
-        tab = [rows[i] + list(unit_vector(m, i)) + [rhs[i]] for i in range(m)]
+        tab = []
+        for i, (s, row, b) in enumerate(zip(signs, system.matrix.entries, system.rhs)):
+            artificials = [0] * m
+            artificials[i] = 1
+            tab.append([s * x for x in row] + artificials + [s * b])
         basis = list(range(n, n + m))
-        # cost 1 on every artificial, priced out against the artificial basis
-        zrow = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m + [-sum(rhs)]
+        # cost 1 on every artificial, priced out against the artificial basis:
+        # minus the column sums of the real columns and of the rhs
+        zrow = [-sum(column) for column in zip(*tab)]
+        zrow[n:n + m] = [0] * m
         status, d = _run_simplex(tab, basis, zrow, 1, range(n + m))
         assert status == "optimal"  # phase 1 objective is bounded below by 0
         if zrow[-1] != 0:
@@ -251,7 +282,17 @@ class _Phase1:
         self.d = d
 
     def solve(self, objective, sense: str) -> LPResult:
-        """Phase 2 for one objective; leaves the stored tableau untouched."""
+        """Phase 2 for one objective; leaves the stored tableau untouched.
+
+        An infeasible system gets its Farkas multipliers, whatever the
+        objective, once the objective is well formed.
+        """
+        if sense not in ("min", "max"):
+            raise ValueError("sense must be 'min' or 'max'")
+        if len(objective) != self.system.num_vars:
+            raise ValueError("objective length does not match variable count")
+        if not self.feasible:
+            return LPResult("infeasible", None, None, self.farkas)
         # minimize sign * scale * objective, an integer cost with the same pivots
         sign = 1 if sense == "min" else -1
         scale = lcm(*(c.denominator for c in objective))
@@ -283,21 +324,12 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
     system, and for an infeasible system the Farkas multipliers in `farkas`,
     one per equation.
     """
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
-    if len(objective) != system.num_vars:
-        raise ValueError("objective length does not match variable count")
-    phase1 = _Phase1(system)
-    if not phase1.feasible:
-        return LPResult("infeasible", None, None, phase1.farkas)
-    return phase1.solve(objective, sense)
+    return _Phase1(system).solve(objective, sense)
 
 
 def maximize_each(system: FeasibilitySystem, objectives) -> list[LPResult]:
     """Maximize several objectives over one feasible region, sharing phase 1."""
     phase1 = _Phase1(system)
-    if not phase1.feasible:
-        return [LPResult("infeasible", None, None, phase1.farkas) for _ in objectives]
     return [phase1.solve(obj, "max") for obj in objectives]
 
 

@@ -473,3 +473,45 @@ class TestGoldenOutput:
         path = tmp_path / f"{name}.txt"
         path.write_text(self.MATRICES[name])
         assert run(capsys, command, str(path), *vector) == GOLDEN[key]
+
+
+class TestCeilings:
+    """A ceiling, however low, ends a run in exit 4 with nothing on stdout,
+    or the run gives the exact answer: it never turns into a wrong
+    verdict."""
+
+    @staticmethod
+    def assert_limit_or_answer(capsys, argv, answer):
+        code = main(argv)
+        captured = capsys.readouterr()
+        if code == 4:
+            assert captured.out == ""
+            assert captured.err.startswith("error: resource limit exceeded")
+        else:
+            assert (code, captured.out) == answer
+
+    @pytest.mark.parametrize("command", ["fundamental", "holes", "saturation", "bound"])
+    @pytest.mark.parametrize("value", ["1", "2"])
+    @pytest.mark.parametrize("flag", ["--max-basis", "--max-pairs", "--max-subsets",
+                                      "--max-rays", "--max-nodes"])
+    def test_running_example(self, capsys, tmp_path, flag, value, command):
+        path = tmp_path / "example.txt"
+        path.write_text(TestGoldenOutput.MATRICES["example"])
+        self.assert_limit_or_answer(capsys, [flag, value, command, str(path)],
+                                    GOLDEN[("example", command)])
+
+    @pytest.mark.parametrize("margins", [
+        "1 1\n1 1\n\n1 1\n1 1\n\n1 1\n1 1\n",   # a table exists
+        None,                                   # the 3x4x6 hole
+    ], ids=["2x2x2", "3x4x6"])
+    def test_transport_margins(self, capsys, tmp_path, margins):
+        if margins is None:
+            from monoid_holes import vlach_margins
+            m = vlach_margins()
+            fmt = lambda block: "\n".join(" ".join(str(x) for x in row) for row in block)
+            margins = f"{fmt(m.u)}\n\n{fmt(m.v)}\n\n{fmt(m.w)}\n"
+        path = tmp_path / "margins.txt"
+        path.write_text(margins)
+        answer = run(capsys, "transport", "--margins", str(path))
+        self.assert_limit_or_answer(
+            capsys, ["--max-nodes", "1", "transport", "--margins", str(path)], answer)

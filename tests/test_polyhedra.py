@@ -12,9 +12,10 @@ from monoid_holes import (
     feasibility_system,
     lp_exact,
 )
-from monoid_holes.polyhedra import EQ, GE, maximize_each, positive_functional
-from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero
-from monoid_holes.transport import TransportDims, transportation_matrix
+from monoid_holes import polyhedra
+from monoid_holes.polyhedra import EQ, GE, _Phase1, maximize_each, positive_functional
+from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero, vec_sub
+from monoid_holes.transport import TransportDims, transportation_matrix, vlach_instance
 
 from conftest import brute_lp, brute_satisfies, in_half_open_zonotope, standard_form_rows
 
@@ -172,6 +173,77 @@ class TestLpExact:
         for b, s in zip(batched, singles):
             assert (b.status, b.optimum) == (s.status, s.optimum)
             assert b.optimum == 4
+
+    @pytest.mark.parametrize("rhs", [(4,), (-4,)])
+    def test_objective_length_is_checked(self, rhs):
+        # on a feasible and on an infeasible system alike, both entry points
+        # reject an objective of the wrong length
+        system = system_of([[1, 1, 1]], rhs)
+        with pytest.raises(ValueError, match="objective length"):
+            maximize_each(system, [(1,)])
+        with pytest.raises(ValueError, match="objective length"):
+            lp_exact(system, (1,), "max")
+
+    def test_phase2_leaves_phase1_rows_unchanged(self):
+        # phase 2 starts from the phase-1 rows without copying them, and the
+        # second objective pivots there, so a pivot that edited a row in
+        # place would corrupt the stored tableau
+        system = system_of([[0, 1, 1], [2, 0, 1]], (4, 6))
+        phase1 = _Phase1(system)
+        stored = ([list(row) for row in phase1.tab], list(phase1.basis), phase1.d)
+        objectives = [(2, 2, 1), (2, 1, 3), (2, 2, 1)]
+        results = []
+        for objective in objectives:
+            results.append(phase1.solve(objective, "max"))
+            assert (phase1.tab, phase1.basis, phase1.d) == stored
+        assert [(r.optimum, r.witness) for r in results] == [
+            (14, (3, 4, 0)), (14, (1, 0, 4)), (14, (3, 4, 0))]
+        assert results == maximize_each(system, objectives)
+
+
+class TestPinnedAnswers:
+    """Exact answers of the simplex, which pin its pivots: Bland's rule picks
+    one vertex among several optimal ones, and one set of multipliers among
+    many that refute a system."""
+
+    def test_vlach_margin_witness(self):
+        # the unique real point of the 3x4x6 margin polytope, half-integral
+        a, f = vlach_instance()
+        result = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min")
+        support = [0, 2, 7, 8, 13, 15, 18, 21, 24, 28, 31, 35, 37, 40, 42, 47,
+                   50, 52, 56, 59, 63, 64, 69, 71]
+        assert (result.status, result.optimum) == ("optimal", 0)
+        assert result.witness == tuple(Fraction(1, 2) if c in support else 0
+                                       for c in range(a.cols))
+
+    def test_vlach_fundamentality_farkas(self):
+        # the margins minus the first column are not real feasible
+        a, f = vlach_instance()
+        system = feasibility_system(a, vec_sub(f, a.col(0)))
+        result = lp_exact(system, (0,) * a.cols, "min")
+        assert result.status == "infeasible"
+        assert result.farkas == (
+            -4, -4, 2, -4, -4, -4, 2, 2, 2, -4, -4, 2, -4, -4, -4, -4, -4, -4,
+            2, -4, -4, -4, -4, 2, -4, 2, 2, 2, 2, -4, 2, 2, -4, 2, 2, 2, -4, -4,
+            -4, 2, 2, -4, -4, -4, 2, 2, 2, -4, 2, -4, 2, 2, 2, 2)
+        assert system.refuted_by(result.farkas)
+
+    def test_pivot_that_changes_the_denominator(self, monkeypatch):
+        # max 3x + 4y subject to 2x + y <= 7 and x + 3y <= 9; its pivots
+        # include some whose pivot entry differs from the denominator, so
+        # every row is rescaled
+        pivots = []
+        pivot = polyhedra._pivot
+
+        def logged(tab, zrow, basis, d, leave, enter):
+            pivots.append((abs(tab[leave][enter]), d))
+            return pivot(tab, zrow, basis, d, leave, enter)
+        monkeypatch.setattr(polyhedra, "_pivot", logged)
+        system = system_of([[2, 1, 1, 0], [1, 3, 0, 1]], (7, 9))
+        result = lp_exact(system, (3, 4, 0, 0), "max")
+        assert any(p != d for p, d in pivots)
+        assert (result.status, result.optimum) == ("optimal", 16)
+        assert result.witness == (Fraction(12, 5), Fraction(11, 5), 0, 0)
 
 
 class TestLpOracle:
