@@ -351,9 +351,14 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         limits = limits_from_env(DEFAULT_LIMITS).override(
             max_basis=args.max_basis, max_nodes=args.max_nodes,

@@ -7,8 +7,9 @@ is negative.  Every componentwise-minimal nonnegative solution of A x = 0
 is reachable along such a path, and any state dominating a known solution
 can be pruned, so the search is complete and terminates.  Optional upper
 bounds restrict the search to a box without losing minimal solutions
-inside it, which is how inhomogeneous systems are handled after
-homogenization with an auxiliary variable capped at one.
+inside it.  Inhomogeneous systems f + A lam = A mu are homogenized with an
+auxiliary variable u and searched from u = 1 alone, with the u = 0
+solutions (the Hilbert basis of A lam = A mu) preloaded as known ones.
 """
 
 from __future__ import annotations
@@ -69,11 +70,18 @@ def _dominates(x, y) -> bool:
 
 
 def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
-                              stop=None):
+                              stop=None, preloaded=(), starts=None):
     """Minimal nonzero x in Z^n_+ (x <= upper where bounded) with sum x_i cols[i] = 0.
 
     stop, when given, is a predicate on solutions; the search returns as
     soon as a solution satisfying it is found.  Returns (solutions, stopped).
+
+    preloaded solutions prune the search as if it had found them, but are
+    not returned.  starts are the indices of the unit vectors the search
+    begins from (all of them when None): it finds the minimal solutions
+    that are at least one of those unit vectors and dominate no preloaded
+    solution.  max_nodes and max_basis count this search's own states and
+    solutions.
 
     A state x carries the scalar products (A x).cols[j] for every j and
     |A x|^2; extending it by e_i adds row i of the Gram matrix
@@ -89,12 +97,18 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
     gram = [tuple(vec_dot(c, d) for d in cols) for c in cols]
     caps = [None] * n if upper is None else upper
     max_nodes = limits.max_nodes
-    sols: list[IntVector] = []
+    sols: list[IntVector] = list(preloaded)
+    skip = len(sols)
     buckets: dict[tuple[int, int], list[IntVector]] = {}
-    # (state, its scalar products, |A x|^2, len(sols) when it was created)
+    for s in sols:
+        for i, v in enumerate(s):
+            if v:
+                buckets.setdefault((i, v), []).append(s)
+    # (state, its scalar products, |A x|^2, len(sols) when it was created);
+    # the unit vectors are checked against every solution
     frontier: list[tuple[IntVector, tuple, int, int]] = []
     seen: set[IntVector] = set()
-    for i in range(n):
+    for i in range(n) if starts is None else starts:
         if caps[i] is not None and caps[i] < 1:
             continue
         x = unit_vector(n, i)
@@ -110,13 +124,13 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
             if norm == 0:
                 if not any(_dominates(x, s) for s in sols[known:]):
                     sols.append(x)
-                    if len(sols) > limits.max_basis:
+                    if len(sols) - skip > limits.max_basis:
                         raise ResourceLimitError("minimal solution count", limits.max_basis)
                     for i, v in enumerate(x):
                         if v:
                             buckets.setdefault((i, v), []).append(x)
                     if stop is not None and stop(x):
-                        return sols, True
+                        return sols[skip:], True
                 continue
             # no solution is added while x is extended
             later, count = sols[known:], len(sols)
@@ -137,7 +151,8 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
         frontier = next_frontier
     # defensive minimalization; solutions of equal degree are incomparable,
     # so this is normally a no-op
-    minimal = [s for s in sols if not any(_dominates(s, t) and s != t for t in sols)]
+    found = sols[skip:]
+    minimal = [s for s in found if not any(_dominates(s, t) and s != t for t in found)]
     return sorted(minimal), False
 
 
@@ -147,28 +162,43 @@ def hilbert_basis_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> Hilbe
     return HilbertBasis(tuple(sols))
 
 
-def minimal_inhomogeneous_solutions(a: IntMatrix, f,
-                                    limits: Limits = DEFAULT_LIMITS) -> MinimalSolutionSet:
+def _difference_columns(a: IntMatrix) -> list[IntVector]:
+    """The columns of [a | -a]."""
+    columns = a.columns()
+    return columns + [tuple(-x for x in col) for col in columns]
+
+
+def difference_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVector, ...]:
+    """Minimal Hilbert basis of {(lam, mu) in Z^{2n}_+ : a@lam = a@mu}, the
+    kernel of [a | -a] (the Lawrence lifting of a's Graver basis), as plain
+    tuples (lam + mu)."""
+    sols, _ = _minimal_kernel_solutions(_difference_columns(a), limits=limits)
+    return tuple(sols)
+
+
+def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
+                                    kernel=None) -> MinimalSolutionSet:
     """All minimal (lam, mu) in Z^{2n}_+ with f + a@lam = a@mu.
 
     Computed on the homogenized system u*f + a@lam - a@mu = 0 with the
     auxiliary variable capped at one: the minimal solutions with u = 1 are
-    exactly the minimal inhomogeneous pairs.
+    exactly the minimal inhomogeneous pairs.  The search starts at u = 1
+    alone, with the u = 0 solutions, kernel = difference_kernel(a) (computed
+    here when not given), preloaded.  Every minimal u = 1 solution s lies
+    above e_0 and is reached through states below s, which dominate no
+    other solution; and two states x < y on one path with the same value
+    make y - x a u = 0 solution below y, so y is pruned and the search ends.
     """
     f = tuple(int(x) for x in f)
     if len(f) != a.rows:
         raise ValueError("inhomogeneous term has wrong dimension")
+    if kernel is None:
+        kernel = difference_kernel(a, limits)
     n = a.cols
-    cols = [f]
-    cols += a.columns()
-    cols += [tuple(-x for x in col) for col in a.columns()]
     upper = [1] + [None] * (2 * n)
-    sols, _ = _minimal_kernel_solutions(cols, upper=upper, limits=limits)
-    pairs = []
-    for s in sols:
-        if s[0] == 1:
-            pairs.append((s[1:n + 1], s[n + 1:]))
-    return MinimalSolutionSet(tuple(sorted(pairs)), f)
+    sols, _ = _minimal_kernel_solutions([f] + _difference_columns(a), upper=upper, limits=limits,
+                                        preloaded=[(0,) + k for k in kernel], starts=(0,))
+    return MinimalSolutionSet(tuple(sorted((s[1:n + 1], s[n + 1:]) for s in sols)), f)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +318,11 @@ def hilbert_basis_cone_lattice(problem: SemigroupProblem,
     """
     basis = problem.lattice
     r = basis.rank
-    if r == 0:
-        return HilbertBasis(())
+    columns = {c for c in problem.matrix.columns() if not vec_is_zero(c)}
+    if len(columns) == r:
+        # r independent columns are a basis of the lattice they generate,
+        # so the saturation is the semigroup itself
+        return HilbertBasis(tuple(sorted(columns)))
     facets = problem.facets
     rows = sorted(primitive_vector(tuple(vec_dot(w, column) for column in basis.columns))
                   for w, sense in zip(facets.matrix, facets.senses) if sense == GE)

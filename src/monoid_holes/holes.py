@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .dioph import (
     HilbertBasis,
+    difference_kernel,
     hilbert_basis_cone_lattice,
     minimal_inhomogeneous_solutions,
     semigroup_contains,
@@ -183,11 +184,17 @@ def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) ->
     """The monomial ideal of exponents lam with f + A lam back in the
     semigroup; its standard monomials enumerate the holes above f."""
     f = tuple(int(x) for x in f)
-    return problem._derive(("ideal", f), lambda: _ideal_of(problem.matrix, f, limits))
+    return problem._derive(("ideal", f),
+                           lambda: _ideal_of(problem.matrix, f, _kernel(problem, limits), limits))
 
 
-def _ideal_of(a: IntMatrix, f: IntVector, limits: Limits) -> MonomialIdeal:
-    solutions = minimal_inhomogeneous_solutions(a, f, limits)
+def _kernel(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:
+    """The Hilbert basis of A lam = A mu, shared by every hole ideal's search."""
+    return problem._derive("kernel", lambda: difference_kernel(problem.matrix, limits))
+
+
+def _ideal_of(a: IntMatrix, f: IntVector, kernel, limits: Limits) -> MonomialIdeal:
+    solutions = minimal_inhomogeneous_solutions(a, f, limits, kernel)
     return MonomialIdeal.from_generators(a.cols, solutions.lam_parts())
 
 
@@ -197,7 +204,8 @@ def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
     are computed in worker processes."""
     if jobs > 1:
         missing = [f for f in holes if ("ideal", f) not in problem._derived]
-        ideals = pool_map(_ideal_of, [(problem.matrix, f, limits) for f in missing], jobs)
+        tasks = [(problem.matrix, f, _kernel(problem, limits), limits) for f in missing]
+        ideals = pool_map(_ideal_of, tasks, jobs)
         problem._derived.update(zip([("ideal", f) for f in missing], ideals))
     return [hole_ideal(problem, f, limits) for f in holes]
 

@@ -1,9 +1,10 @@
 """Resource ceilings for the potentially explosive computations, and the
 process pool that spreads independent tasks over workers.
 
-Every ceiling aborts with ResourceLimitError instead of returning a wrong
-answer.  Defaults can be overridden by the MONOID_HOLES_LIMITS environment
-variable ("key=value,key=value") or per call.
+Every ceiling is at least 1 and aborts with ResourceLimitError instead of
+returning a wrong answer.  Defaults can be overridden by the
+MONOID_HOLES_LIMITS environment variable ("key=value,key=value") or per
+call.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ class Limits:
     max_subsets: int = 10**6     # column subsets enumerated for subdeterminants
     max_rays: int = 10**5        # intermediate rays in facet enumeration
     lp_stride: int = 12          # cells assigned between LP relaxation checks
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if getattr(self, name) < 1:
+                raise ValueError(f"limit {name} must be at least 1, got {getattr(self, name)}")
 
     def override(self, **kwargs) -> "Limits":
         fields = {k: v for k, v in kwargs.items() if v is not None}

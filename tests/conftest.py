@@ -205,6 +205,48 @@ def brute_saturation_hilbert(rows):
                              for y in points))
 
 
+def brute_grading(rows, bound=3):
+    """An integral y with |y_i| <= bound and y.a >= 1 on every nonzero
+    column a, smallest |y| first, or None."""
+    columns = [c for c in zip(*rows) if any(c)]
+    candidates = sorted(product(range(-bound, bound + 1), repeat=len(rows)),
+                        key=lambda y: (sum(map(abs, y)), y))
+    return next((y for y in candidates
+                 if all(sum(p * q for p, q in zip(y, c)) >= 1 for c in columns)), None)
+
+
+def brute_holes(rows, grading, top):
+    """The holes z of a full-row-rank A with grading.z <= top, where the
+    grading is at least 1 on every nonzero column.
+
+    The points of Q come from a layer sieve: layer g holds the points of
+    grading g, and is the union over columns a of layer g - grading.a
+    shifted by a.  Every point of the cone with grading at most top is
+    sum t_a a with sum t_a grading.a <= top, so it lies in the box spanned
+    by 0 and the points top * a / grading.a.  Points of that box are in the
+    lattice when adding them as a column keeps the gcd of the maximal
+    minors, and in the cone when brute_lp finds min y.z = 0 over
+    {y : y A >= 0}.
+    """
+    columns = sorted({c for c in zip(*rows) if any(c)})
+    grade = {c: sum(p * q for p, q in zip(grading, c)) for c in columns}
+    layers = [{(0,) * len(rows)}]
+    for g in range(1, top + 1):
+        layers.append({tuple(x + y for x, y in zip(z, c))
+                       for c in columns if grade[c] <= g for z in layers[g - grade[c]]})
+    semigroup = set().union(*layers)
+    box = [range(min([0] + [top * c[r] // grade[c] for c in columns]),
+                 max([0] + [top * c[r] // grade[c] for c in columns]) + 1)
+           for r in range(len(rows))]
+    index = _maximal_minor_gcd(rows)
+    dual = [(column, "ge", 0) for column in zip(*rows)]
+    return sorted(
+        z for z in product(*box)
+        if 0 <= sum(p * q for p, q in zip(grading, z)) <= top and z not in semigroup
+        and _maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)]) == index
+        and brute_lp(dual, z, "min")[0] == "optimal")
+
+
 def in_half_open_zonotope(a, z):
     """Whether z = a @ lam for some 0 <= lam with every lam_i < 1.
 

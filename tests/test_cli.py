@@ -3,13 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import monoid_holes
 from monoid_holes import cli, holes, saturation
-from monoid_holes.cli import main
+from monoid_holes.cli import build_parser, main
+from monoid_holes.limits import Limits
 
 
 @pytest.fixture
@@ -57,6 +59,21 @@ class TestFundamental:
         code, out = run(capsys, "fundamental", ns35_file)
         assert code == 10
         assert "fundamental-holes:\n  1\n  2\n" in out
+
+    def test_independent_columns_are_the_hilbert_basis(self, capsys, tmp_path):
+        # det 4 and no holes: the saturation is the semigroup of the three
+        # columns, found without a kernel search
+        path = tmp_path / "simplicial.txt"
+        path.write_text("3 3\n0 2 1\n3 0 1\n2 0 0\n")
+        started = time.process_time()
+        code, out = run(capsys, "fundamental", str(path))
+        assert time.process_time() - started < 1.0
+        assert code == 0
+        assert out == ("command: fundamental\ninput-matrix: 3 3\n  0 2 1\n  3 0 1\n  2 0 0\n"
+                       "lattice-rank: 3\nhilbert-basis-size: 3\nhilbert-basis:\n"
+                       "  0 3 2\n  1 1 0\n  2 0 0\nbasis-holes-size: 0\nbasis-holes:\n"
+                       "fundamental-holes-size: 0\nfundamental-holes:\nverdict: normal\n"
+                       "limit-status: ok\n")
 
     def test_builds_no_hole_ideal(self, capsys, example_file, monkeypatch):
         expected = run(capsys, "fundamental", example_file)
@@ -244,16 +261,32 @@ class TestErrorPaths:
         assert main(["--max-nodes", "1", "holes", example_file]) == 4
 
     @pytest.mark.parametrize("argv, code", [
-        (("--max-nodes", "4122", "holes"), 4),
-        (("--max-nodes", "4123", "holes"), 10),
+        (("--max-nodes", "2733", "holes"), 4),
+        (("--max-nodes", "2734", "holes"), 10),
         (("--max-nodes", "41", "fundamental"), 4),
         (("--max-nodes", "42", "fundamental"), 10),
     ])
     def test_node_ceiling_is_exact(self, capsys, example_file, argv, code):
-        # the hole ideal of (1,1) visits 4123 completion states and the
+        # the Hilbert basis of A lam = A mu visits 2734 completion states
+        # (the hole ideal of (1,1) then needs 633 of its own) and the
         # fundamental holes need 42: one state fewer is a resource limit,
         # never a wrong verdict
         assert main([*argv, example_file]) == code
+
+    def test_usage_error_repeats_with_one_parser(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["bogus"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: monoid-holes")
+        assert main(["--max-nodes", "1", "fundamental", "/nonexistent/file.txt"]) == 2
+        assert len(built) == 1
 
     def test_bad_vector(self, capsys, example_file):
         assert main(["member", example_file, "1,2,3"]) == 2
@@ -314,6 +347,25 @@ class TestLimitsConfiguration:
     def test_bad_env_var(self, capsys, example_file, monkeypatch):
         monkeypatch.setenv("MONOID_HOLES_LIMITS", "max_warp=9")
         assert main(["holes", example_file]) == 2
+
+    @pytest.mark.parametrize("argv", [("--max-nodes", "-3"), ("--lp-stride", "0"),
+                                      ("--max-basis", "0")])
+    def test_nonpositive_flag_is_bad_input(self, capsys, example_file, argv):
+        assert main([*argv, "holes", example_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: limit ")
+
+    def test_limits_reject_nonpositive_ceilings(self):
+        for name in Limits.__dataclass_fields__:
+            with pytest.raises(ValueError, match=name):
+                Limits(**{name: 0})
+        assert Limits(max_nodes=1).max_nodes == 1
+
+    def test_nonpositive_env_var_is_bad_input(self, capsys, example_file, monkeypatch):
+        monkeypatch.setenv("MONOID_HOLES_LIMITS", "max_pairs=0")
+        assert main(["holes", example_file]) == 2
+        assert capsys.readouterr().err == "error: limit max_pairs must be at least 1, got 0\n"
 
     def test_limits_change_only_exhaustion(self, capsys, ns35_file):
         # a generous explicit ceiling must not change the answer

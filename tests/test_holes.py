@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from monoid_holes import (
     IntMatrix,
     NotPointedError,
+    ResourceLimitError,
     SemigroupProblem,
     fundamental_holes,
     hole_ideal,
@@ -14,9 +15,13 @@ from monoid_holes import (
     row_sum_bound,
 )
 from monoid_holes.intlinalg import rational_rank, vec_add, vec_dot
+from monoid_holes.limits import Limits
 
 from conftest import (
+    brute_grading,
+    brute_holes,
     brute_lp,
+    brute_max_subdet,
     in_half_open_zonotope,
     numerical_gaps,
     numerical_member,
@@ -31,6 +36,19 @@ def numerical_problem(a, b):
 @pytest.fixture
 def example_problem(example_matrix):
     return SemigroupProblem.build(example_matrix)
+
+
+@st.composite
+def pointed_two_row(draw):
+    """2x3 and 2x4 matrices, nonnegative with a positive first row or
+    mixed-sign; the mixed-sign ones are pointed when brute_grading finds
+    a grading."""
+    n = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        return [draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=2, max_size=2))
 
 
 @st.composite
@@ -208,6 +226,29 @@ class TestHolesRepresentation:
                 z = (x, y)
                 if is_hole(example_problem, z):
                     assert z in points
+
+    @settings(max_examples=40, deadline=None)
+    @given(pointed_two_row())
+    def test_union_matches_box_oracle(self, rows):
+        # every hole up to the grading of the sum of the distinct columns,
+        # which covers the half-open zonotope and so every fundamental hole
+        grading = brute_grading(rows)
+        assume(grading is not None and brute_max_subdet(rows) != 0)
+        top = sum(vec_dot(grading, c) for c in set(zip(*rows)) if any(c))
+        try:
+            rep = holes_representation(SemigroupProblem.build(IntMatrix.from_rows(rows)),
+                                       Limits(max_nodes=20000))
+        except ResourceLimitError:
+            assume(False)
+        points = set()
+        for cell in rep.cells:
+            stack = [cell.shift]
+            while stack:
+                z = stack.pop()
+                if vec_dot(grading, z) <= top and z not in points:
+                    points.add(z)
+                    stack += [vec_add(z, g) for g in cell.generators]
+        assert sorted(points) == brute_holes(rows, grading, top)
 
     @pytest.mark.parametrize("a,b", [(2, 5), (3, 7), (4, 5)])
     def test_union_matches_gap_oracle(self, a, b):

@@ -214,6 +214,56 @@ class TestComputedOnce:
         # 3 5 has two fundamental holes, so two hole ideals
         assert calls == {"hilbert": 1, "ideal": 2}
 
+    def test_kernel_searched_once_per_problem(self, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(holes, "difference_kernel",
+                            counted(calls, "kernel", holes.difference_kernel))
+        monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions",
+                            counted(calls, "ideal", holes.minimal_inhomogeneous_solutions))
+        problem = numerical_problem(3, 5)
+        holes_representation(problem)
+        saturation_points(problem)
+        assert certify_infinite(problem) is None
+        assert calls == {"kernel": 1, "ideal": 2}
+        assert problem._derived["kernel"] == ((0, 1, 0, 1), (0, 3, 5, 0), (1, 0, 1, 0), (5, 0, 0, 3))
+
+    def test_normal_semigroup_searches_no_kernel(self, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(holes, "difference_kernel",
+                            counted(calls, "kernel", holes.difference_kernel))
+        problem = numerical_problem(1, 2)
+        assert holes_representation(problem).cells == ()
+        assert saturation_points(problem, jobs=2).ideal.is_unit
+        assert not calls
+
+    def test_resource_limit_stores_no_kernel(self):
+        problem = numerical_problem(3, 5)
+        fundamental_holes(problem)
+        with pytest.raises(ResourceLimitError):
+            holes_representation(problem, Limits(max_nodes=1))
+        assert "kernel" not in problem._derived
+
+    def test_parallel_ideals_share_the_kernel(self, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(holes, "difference_kernel",
+                            counted(calls, "kernel", holes.difference_kernel))
+        problem = numerical_problem(3, 5)
+        assert (holes_representation(problem, jobs=2)
+                == holes_representation(numerical_problem(3, 5)))
+        assert calls == {"kernel": 2}  # once here, once for the sequential problem
+
+    def test_resource_limit_in_a_worker_stores_no_ideal(self):
+        # with the kernel stored, the hole ideals of 3 5 need 9 states each
+        # and run in two worker processes
+        problem = numerical_problem(3, 5)
+        fundamental_holes(problem)
+        holes._kernel(problem, Limits())
+        with pytest.raises(ResourceLimitError):
+            holes_representation(problem, Limits(max_nodes=8), jobs=2)
+        assert not any(key[0] == "ideal" for key in problem._derived if isinstance(key, tuple))
+        assert holes_representation(problem, Limits(max_nodes=9), jobs=2) == \
+            holes_representation(numerical_problem(3, 5))
+
     def test_resource_limit_stores_nothing(self):
         # a resource ceiling never becomes a wrong answer, not even later
         a = IntMatrix.from_rows([[3, 5]])
