@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-pairs", type=int, help="cap on standard pair cells")
     parser.add_argument("--max-subsets", type=int, help="cap on subdeterminant subsets")
     parser.add_argument("--max-rays", type=int, help="cap on intermediate facet rays")
-    parser.add_argument("--lp-stride", type=int, help="cells between LP relaxation checks")
+    parser.add_argument("--lp-stride", type=int,
+                        help="assignments between LP relaxation checks of the "
+                             "integer-feasibility search")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -360,6 +362,8 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         limits = limits_from_env(DEFAULT_LIMITS).override(
             max_basis=args.max_basis, max_nodes=args.max_nodes,
             max_pairs=args.max_pairs, max_subsets=args.max_subsets,

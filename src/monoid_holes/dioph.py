@@ -10,6 +10,10 @@ bounds restrict the search to a box without losing minimal solutions
 inside it.  Inhomogeneous systems f + A lam = A mu are homogenized with an
 auxiliary variable u and searched from u = 1 alone, with the u = 0
 solutions (the Hilbert basis of A lam = A mu) preloaded as known ones.
+
+Integer feasibility A lam = b of a nonnegative A, that is semigroup
+membership and 3-way table feasibility, is decided by one depth-first
+search with constraint propagation and LP-relaxation pruning.
 """
 
 from __future__ import annotations
@@ -202,80 +206,167 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
 
 
 # ---------------------------------------------------------------------------
-# semigroup membership
+# integer feasibility of nonnegative systems
 
-def _contains_nonneg(a: IntMatrix, b, limits: Limits) -> IntVector | None:
-    """Branch-and-bound witness search for nonnegative matrices.
+class _FeasibilitySearch:
+    """Depth-first search for lam in Z^n_+ with A lam = b, where A >= 0.
 
-    Caps come from the rows: lam_j <= min over rows r with a[r][j] > 0 of
-    resid_r // a[r][j]; branching picks the tightest variable first.
+    Column c lies on the lines (rows) lines[c] with positive integer
+    weights.  Propagation closes under: a line with budget 0 forces its
+    free columns to 0; a line with one free column of weight w forces it
+    to budget / w, and fails when w does not divide the budget; and a line
+    budget must be reachable, sum w * cap(c) over its free columns, where
+    cap(c) is the least budget // w over the lines of c.  An exact LP
+    relaxation of the remaining system runs every lp_stride assignments.
+    Branching takes the first free column, values from its cap down to 0.
     """
-    d, n = a.rows, a.cols
-    cols = a.columns()
-    active = [j for j in range(n) if not vec_is_zero(cols[j])]
-    witness = [0] * n
-    budget = [limits.max_nodes]
 
-    def cap(j, resid):
-        c = None
-        col = cols[j]
-        for r in range(d):
-            if col[r] > 0:
-                q = resid[r] // col[r]
-                if c is None or q < c:
-                    c = q
-        return c
+    def __init__(self, lines, budget, limits: Limits):
+        self.limits = limits
+        self.col_lines = lines
+        self.line_cols: list[list[tuple[int, int]]] = [[] for _ in budget]
+        for c, pairs in enumerate(lines):
+            for ln, w in pairs:
+                self.line_cols[ln].append((c, w))
+        self.budget = list(budget)
+        self.pending = [len(cols) for cols in self.line_cols]
+        # a column on no line is fixed at 0 before the search starts
+        self.value: list[int | None] = [None if pairs else 0 for pairs in lines]
+        self.trail: list[int] = []
+        self.nodes = 0
+        self.last_lp = 0
 
-    def dfs(resid, remaining) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("membership search nodes", limits.max_nodes)
-        if all(x == 0 for x in resid):
-            for j in remaining:
-                witness[j] = 0
+    def _assign(self, col: int, val: int) -> bool:
+        # always updates every line of col so that undo stays symmetric
+        self.value[col] = val
+        self.trail.append(col)
+        ok = True
+        for ln, w in self.col_lines[col]:
+            self.budget[ln] -= w * val
+            self.pending[ln] -= 1
+            if self.budget[ln] < 0:
+                ok = False
+        return ok
+
+    def _undo_to(self, mark: int):
+        while len(self.trail) > mark:
+            col = self.trail.pop()
+            val = self.value[col]
+            self.value[col] = None
+            for ln, w in self.col_lines[col]:
+                self.budget[ln] += w * val
+                self.pending[ln] += 1
+
+    def _cap(self, col: int) -> int:
+        return min([self.budget[ln] // w for ln, w in self.col_lines[col]])
+
+    def _propagate(self) -> bool:
+        # budgets are nonnegative here, so assigning 0 never fails, and a
+        # forced value above the cap of its column fails in _assign
+        budget, pending, value = self.budget, self.pending, self.value
+        changed = True
+        while changed:
+            changed = False
+            for ln, cols in enumerate(self.line_cols):
+                pend = pending[ln]
+                if pend == 0:
+                    if budget[ln] != 0:
+                        return False
+                    continue
+                if budget[ln] == 0:
+                    for c, _ in cols:
+                        if value[c] is None:
+                            self._assign(c, 0)
+                    changed = True
+                elif pend == 1:
+                    c, w = next((c, w) for c, w in cols if value[c] is None)
+                    need, rest = divmod(budget[ln], w)
+                    if rest or not self._assign(c, need):
+                        return False
+                    changed = True
+        # capacity check: each line must be fillable by its free columns
+        col_lines = self.col_lines
+        for ln, cols in enumerate(self.line_cols):
+            if pending[ln] == 0:
+                continue
+            room = 0
+            for c, w in cols:
+                if value[c] is None:
+                    # w * cap(c), inlined: this is the search's innermost loop
+                    room += w * min([budget[k] // v for k, v in col_lines[c]])
+                    if room >= budget[ln]:
+                        break
+            if room < budget[ln]:
+                return False
+        return True
+
+    def _lp_prune(self) -> bool:
+        """True when the remaining real relaxation is feasible."""
+        free = [c for c, v in enumerate(self.value) if v is None]
+        if not free:
             return True
-        if not remaining:
-            return False
-        for r in range(d):
-            if resid[r] > 0 and all(cols[j][r] == 0 for j in remaining):
-                return False
-        caps = [(cap(j, resid), j) for j in remaining]
-        best_cap, best = min(caps)
-        if len(remaining) == 1:
-            col = cols[best]
-            r0 = next(r for r in range(d) if col[r] > 0)
-            if resid[r0] % col[r0]:
-                return False
-            k = resid[r0] // col[r0]
-            if all(resid[r] == k * col[r] for r in range(d)):
-                witness[best] = k
-                return True
-            return False
-        rest = [j for j in remaining if j != best]
-        col = cols[best]
-        for val in range(best_cap, -1, -1):
-            witness[best] = val
-            new_resid = tuple(x - val * c for x, c in zip(resid, col))
-            if dfs(new_resid, rest):
-                return True
-        witness[best] = 0
-        return False
+        index = {c: pos for pos, c in enumerate(free)}
+        rows, budgets = [], []
+        for ln, cols in enumerate(self.line_cols):
+            coeffs = [0] * len(free)
+            for c, w in cols:
+                if c in index:
+                    coeffs[index[c]] = w
+            if any(coeffs) or self.budget[ln] != 0:
+                rows.append(coeffs)
+                budgets.append(self.budget[ln])
+        # every free column lies on a line, so rows is not empty; the rows
+        # hold ints already, so they skip from_rows's conversion pass
+        system = feasibility_system(IntMatrix(tuple(map(tuple, rows))), budgets)
+        return lp_exact(system, (0,) * len(free), "min").status == "optimal"
 
-    b = tuple(b)
-    if any(x < 0 for x in b):
+    def search(self) -> list[int] | None:
+        self.nodes += 1
+        if self.nodes > self.limits.max_nodes:
+            raise ResourceLimitError("integer-feasibility search nodes", self.limits.max_nodes)
+        mark = len(self.trail)
+        if not self._propagate():
+            self._undo_to(mark)
+            return None
+        if len(self.trail) - self.last_lp >= self.limits.lp_stride:
+            self.last_lp = len(self.trail)
+            if not self._lp_prune():
+                self._undo_to(mark)
+                self.last_lp = min(self.last_lp, len(self.trail))
+                return None
+        col = next((c for c, v in enumerate(self.value) if v is None), None)
+        if col is None:
+            return list(self.value)
+        for val in range(self._cap(col), -1, -1):
+            inner = len(self.trail)
+            self._assign(col, val)  # val <= cap, so no budget goes negative
+            result = self.search()
+            if result is not None:
+                return result
+            self._undo_to(inner)
+            self.last_lp = min(self.last_lp, len(self.trail))
+        self._undo_to(mark)
+        self.last_lp = min(self.last_lp, len(self.trail))
         return None
-    if dfs(b, active):
-        return tuple(witness)
-    return None
+
+
+def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list[int] | None:
+    """lam in Z^n_+ with A lam = budget for a nonnegative A, or None.
+
+    A is given sparsely: lines[c] lists the (row, weight) pairs of the
+    nonzero entries of column c.  budget must be nonnegative.  Raises
+    ResourceLimitError rather than guessing when more than max_nodes
+    search nodes are needed.
+    """
+    return _FeasibilitySearch(lines, budget, limits).search()
 
 
 def semigroup_contains(a: IntMatrix, b, limits: Limits = DEFAULT_LIMITS) -> IntVector | None:
     """Witness lam in Z^n_+ with a @ lam = b, or None when b is not in Q.
 
-    Nonnegative matrices get a direct branch-and-bound with row-derived
-    caps.  Mixed-sign matrices go through an LP feasibility check and then
-    the completion search on the homogenized system, which stays correct
-    even for non-pointed cones.
+    Nonnegative matrices go to nonnegative_solution.  Mixed-sign matrices
+    go through an LP feasibility check and then the completion search on
+    the homogenized system, which stays correct even for non-pointed cones.
     """
     b = tuple(int(x) for x in b)
     if len(b) != a.rows:
@@ -283,7 +374,11 @@ def semigroup_contains(a: IntMatrix, b, limits: Limits = DEFAULT_LIMITS) -> IntV
     if all(x == 0 for x in b):
         return (0,) * a.cols
     if a.is_nonnegative():
-        return _contains_nonneg(a, b, limits)
+        if any(x < 0 for x in b):
+            return None
+        lines = [tuple((r, x) for r, x in enumerate(col) if x) for col in a.columns()]
+        lam = nonnegative_solution(lines, b, limits)
+        return None if lam is None else tuple(lam)
     relax = lp_exact(feasibility_system(a, b), (0,) * a.cols, "min")
     if relax.status != "optimal":
         return None

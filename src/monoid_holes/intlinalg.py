@@ -105,9 +105,6 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(vec_dot(row, x) for row in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.entries for x in row)
 

@@ -1,8 +1,8 @@
 """Three-dimensional transportation problems.
 
 Constraint matrices for r x s x t tables with prescribed two-dimensional
-margins, an exhaustive integer feasibility search with constraint
-propagation and LP-relaxation pruning, and the verification pipeline that
+margins, integer feasibility of a margin triple through the search for
+nonnegative systems in dioph, and the verification pipeline that
 certifies the classical 3 x 4 x 6 margin triple as a fundamental hole
 whose translates form an infinite hole family.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError
+from .dioph import nonnegative_solution
 from .intlinalg import (
     IntMatrix,
     IntVector,
@@ -21,7 +21,6 @@ from .intlinalg import (
     solve_rational_affine,
     unit_vector,
     vec_add,
-    vec_sub,
 )
 from .limits import DEFAULT_LIMITS, Limits, pool_map
 from .polyhedra import feasibility_system, lp_exact, maximize_each
@@ -171,164 +170,22 @@ def vlach_instance() -> tuple[IntMatrix, IntVector]:
 # ---------------------------------------------------------------------------
 # integer feasibility for margin triples
 
-class _TableSearch:
-    """Exhaustive DFS over table cells with constraint propagation.
-
-    Propagation closes under: exhausted lines force zeros, single-cell
-    lines force the remaining budget, and a line budget must be reachable
-    by the capacities of its unassigned cells.  An exact LP relaxation of
-    the remaining system runs every lp_stride assignments.
-    """
-
-    def __init__(self, dims: TransportDims, margins: MarginTriple, limits: Limits):
-        self.dims = dims
-        self.limits = limits
-        self.n = dims.num_cols
-        self.d = dims.num_rows
-        self.cell_lines = []
-        for (i, j, k) in dims.triples():
-            self.cell_lines.append((dims.u_row(j, k), dims.v_row(i, k), dims.w_row(i, j)))
-        self.line_cells: list[list[int]] = [[] for _ in range(self.d)]
-        for c, lines in enumerate(self.cell_lines):
-            for ln in lines:
-                self.line_cells[ln].append(c)
-        f = margins_to_vector(dims, margins)
-        self.budget = list(f)
-        self.pending = [len(cells) for cells in self.line_cells]
-        self.value: list[int | None] = [None] * self.n
-        self.trail: list[int] = []
-        self.nodes = 0
-        self.last_lp = 0
-
-    # -- assignment machinery -------------------------------------------
-
-    def _assign(self, cell: int, val: int) -> bool:
-        # always updates all three lines so that undo stays symmetric
-        self.value[cell] = val
-        self.trail.append(cell)
-        ok = True
-        for ln in self.cell_lines[cell]:
-            self.budget[ln] -= val
-            self.pending[ln] -= 1
-            if self.budget[ln] < 0:
-                ok = False
-        return ok
-
-    def _undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            cell = self.trail.pop()
-            val = self.value[cell]
-            self.value[cell] = None
-            for ln in self.cell_lines[cell]:
-                self.budget[ln] += val
-                self.pending[ln] += 1
-
-    def _cell_cap(self, cell: int) -> int:
-        return min(self.budget[ln] for ln in self.cell_lines[cell])
-
-    def _propagate(self) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for ln in range(self.d):
-                pend = self.pending[ln]
-                if pend == 0:
-                    if self.budget[ln] != 0:
-                        return False
-                    continue
-                if self.budget[ln] == 0:
-                    for c in self.line_cells[ln]:
-                        if self.value[c] is None:
-                            if not self._assign(c, 0):
-                                return False
-                    changed = True
-                elif pend == 1:
-                    c = next(c for c in self.line_cells[ln] if self.value[c] is None)
-                    need = self.budget[ln]
-                    if need > self._cell_cap(c):
-                        return False
-                    if not self._assign(c, need):
-                        return False
-                    changed = True
-        # capacity check: each line must be fillable by its remaining cells
-        for ln in range(self.d):
-            if self.pending[ln] == 0:
-                continue
-            room = 0
-            for c in self.line_cells[ln]:
-                if self.value[c] is None:
-                    room += self._cell_cap(c)
-                    if room >= self.budget[ln]:
-                        break
-            if room < self.budget[ln]:
-                return False
-        return True
-
-    def _lp_prune(self) -> bool:
-        """True when the remaining real relaxation is feasible."""
-        free = [c for c in range(self.n) if self.value[c] is None]
-        if not free:
-            return True
-        index = {c: pos for pos, c in enumerate(free)}
-        rows, budgets = [], []
-        for ln in range(self.d):
-            coeffs = [0] * len(free)
-            for c in self.line_cells[ln]:
-                if c in index:
-                    coeffs[index[c]] = 1
-            if any(coeffs) or self.budget[ln] != 0:
-                rows.append(coeffs)
-                budgets.append(self.budget[ln])
-        # every free cell lies on a line, so rows is not empty
-        system = feasibility_system(IntMatrix.from_rows(rows), budgets)
-        result = lp_exact(system, (0,) * len(free), "min")
-        return result.status == "optimal"
-
-    # -- search -----------------------------------------------------------
-
-    def search(self) -> list[int] | None:
-        self.nodes += 1
-        if self.nodes > self.limits.max_nodes:
-            raise ResourceLimitError("table search nodes", self.limits.max_nodes)
-        mark = len(self.trail)
-        if not self._propagate():
-            self._undo_to(mark)
-            return None
-        if len(self.trail) - self.last_lp >= self.limits.lp_stride:
-            self.last_lp = len(self.trail)
-            if not self._lp_prune():
-                self._undo_to(mark)
-                self.last_lp = min(self.last_lp, len(self.trail))
-                return None
-        cell = next((c for c in range(self.n) if self.value[c] is None), None)
-        if cell is None:
-            return list(self.value)
-        for val in range(self._cell_cap(cell), -1, -1):
-            inner = len(self.trail)
-            ok = self._assign(cell, val)
-            if ok:
-                result = self.search()
-                if result is not None:
-                    return result
-            self._undo_to(inner)
-            self.last_lp = min(self.last_lp, len(self.trail))
-        self._undo_to(mark)
-        self.last_lp = min(self.last_lp, len(self.trail))
-        return None
-
-
 def table_feasible(dims: TransportDims, margins: MarginTriple,
                    limits: Limits = DEFAULT_LIMITS):
     """An integer table with the given margins, or None when none exists.
 
-    Tables come back as nested (r, s, t) tuples.  Raises ResourceLimitError
-    rather than guessing when the node budget runs out.
+    Decided by dioph.nonnegative_solution on the margin system.  Tables
+    come back as nested (r, s, t) tuples.  Raises ResourceLimitError rather
+    than guessing when the node budget runs out.
     """
     if margins.dims() != dims:
         raise ValueError("margins do not match the stated dimensions")
     if not margins.is_nonnegative() or not margins.is_consistent():
         return None
-    flat = _TableSearch(dims, margins, limits).search()
+    # each cell lies on its u, v and w line with weight 1
+    lines = [((dims.u_row(j, k), 1), (dims.v_row(i, k), 1), (dims.w_row(i, j), 1))
+             for (i, j, k) in dims.triples()]
+    flat = nonnegative_solution(lines, margins_to_vector(dims, margins), limits)
     if flat is None:
         return None
     return tuple(
@@ -369,9 +226,9 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     Steps: find the unique real point of the margin polytope and its
     half-integral support; certify uniqueness by the support rank and the
     48 off-support coordinate maxima; conclude the margin vector is a hole;
-    check fundamentality column by column; produce integer witnesses for
-    the 48 incremented-margin systems; and confirm the remaining holes are
-    exactly the support-column translates.
+    derive fundamentality from the unique real point; produce integer
+    witnesses for the 48 incremented-margin systems; and confirm the
+    remaining holes are exactly the support-column translates.
     """
     dims = VLACH_DIMS
     a, f = vlach_instance()
@@ -435,25 +292,15 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     all_fractional = all(x == half for x in (z_star[c] for c in support_cols))
     holes_flag = f_is_hole and cover_ok and support_clear and unique and all_fractional
 
-    # fundamentality: f is non-fundamental exactly when f minus some column
-    # is again a hole, so every real-feasible difference disqualifies f
-    # (an integer-feasible one would contradict f being a hole at all)
-    fundamental = True
-    for c, triple in enumerate(triples):
-        reduced = vec_sub(f, a.col(c))
-        if any(x < 0 for x in reduced):
-            continue
-        sub_feas = lp_exact(feasibility_system(a, reduced), (0,) * a.cols, "min")
-        if sub_feas.status != "optimal":
-            continue
-        witness = table_feasible(dims, vector_to_margins(dims, reduced), limits)
-        if witness is None:
-            fundamental = False
-            diagnostics.append(f"margin vector minus column {triple} is itself a hole")
-        else:
-            fundamental = False
-            diagnostics.append(f"margin vector minus column {triple} lies in the semigroup, "
-                               "contradicting the hole certificate")
+    # fundamentality: f is non-fundamental exactly when f - a_c is a hole
+    # for some column c.  If f - a_c = A y with real y >= 0, then y + e_c is
+    # a real point of f's polytope; that polytope is {z*} alone, so
+    # z*_c >= 1.  Every coordinate of z* is below 1, so no f - a_c is even
+    # real feasible, and f is fundamental
+    fundamental = unique and all(x < 1 for x in z_star)
+    if not fundamental:
+        diagnostics.append("fundamentality is not certified: the real point is not unique "
+                           "or has a coordinate of at least 1")
 
     # explicit witnesses: every off-support increment is integer feasible
     witnesses = []

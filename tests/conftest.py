@@ -71,6 +71,26 @@ def minimalize_vectors(vectors):
     return out
 
 
+def brute_member(rows, b):
+    """Whether b = A lam for some integer lam >= 0, for a nonnegative A.
+
+    Enumerates the box 0 <= lam_j <= min b_r // A[r][j] over the rows with
+    A[r][j] > 0 (lam_j = 0 for a zero column) column by column, skipping
+    the rest of the box once a partial sum exceeds b.
+    """
+    n = len(rows[0])
+
+    def reach(j, resid):
+        if j == n:
+            return not any(resid)
+        col = [row[j] for row in rows]
+        top = min((r // x for r, x in zip(resid, col) if x), default=0)
+        return any(reach(j + 1, [r - k * x for r, x in zip(resid, col)])
+                   for k in range(top + 1))
+
+    return all(x >= 0 for x in b) and reach(0, list(b))
+
+
 def brute_minimal_inhomogeneous(rows, f, box):
     """Box enumeration of minimal (lam, mu) with f + A lam = A mu."""
     n = len(rows[0])

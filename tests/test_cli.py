@@ -356,6 +356,13 @@ class TestLimitsConfiguration:
         assert captured.out == ""
         assert captured.err.startswith("error: limit ")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_bad_input(self, capsys, example_file, jobs):
+        assert main(["--jobs", jobs, "holes", example_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+
     def test_limits_reject_nonpositive_ceilings(self):
         for name in Limits.__dataclass_fields__:
             with pytest.raises(ValueError, match=name):

@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
+    Limits,
     NotPointedError,
     SemigroupProblem,
     hilbert_basis_cone_lattice,
@@ -14,6 +15,7 @@ from monoid_holes import (
 from conftest import (
     brute_kernel_hilbert,
     brute_max_subdet,
+    brute_member,
     brute_minimal_inhomogeneous,
     brute_saturation_hilbert,
 )
@@ -253,6 +255,22 @@ class TestSemigroupContains:
         witness = semigroup_contains(a, b)
         assert witness is not None
         assert a.mul_vector(witness) == b
+
+    # lp_stride=1 runs the LP prune after every assignment
+    @pytest.mark.parametrize("limits", [Limits(), Limits(lp_stride=1)],
+                             ids=["default", "lp_every_assignment"])
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_nonnegative_matches_box_oracle(self, limits, d, n, data):
+        # zero rows and zero columns are drawn too
+        rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                                  min_size=d, max_size=d))
+        b = tuple(data.draw(st.lists(st.integers(0, 12), min_size=d, max_size=d)))
+        witness = semigroup_contains(IntMatrix.from_rows(rows), b, limits)
+        assert (witness is not None) == brute_member(rows, b)
+        if witness is not None:
+            assert min(witness) >= 0
+            assert tuple(sum(x * y for x, y in zip(row, witness)) for row in rows) == b
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(-3, 4), min_size=2, max_size=2),
