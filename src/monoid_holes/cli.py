@@ -230,7 +230,7 @@ def cmd_member(args, limits: Limits) -> tuple[list[str], int]:
     lines = ["command: member"]
     _echo_matrix(lines, a)
     lines.append(f"vector: {_fmt_vec(b)}")
-    witness = semigroup_contains(a, b, limits)
+    witness = semigroup_contains(problem, b, limits)
     if witness is not None:
         lines.append("status: in-semigroup")
         lines.append(f"witness: {_fmt_vec(witness)}")

@@ -11,9 +11,11 @@ inside it.  Inhomogeneous systems f + A lam = A mu are homogenized with an
 auxiliary variable u and searched from u = 1 alone, with the u = 0
 solutions (the Hilbert basis of A lam = A mu) preloaded as known ones.
 
-Integer feasibility A lam = b of a nonnegative A, that is semigroup
-membership and 3-way table feasibility, is decided by one depth-first
-search with constraint propagation and LP-relaxation pruning.
+Integer feasibility A lam = b of a nonnegative A, that is 3-way table
+feasibility and semigroup membership, is decided by one depth-first
+search with constraint propagation and LP-relaxation pruning; a
+mixed-sign A of a pointed cone is first made nonnegative by its facet
+rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from operator import add, ge, le
 from typing import TYPE_CHECKING
 
-from .errors import ResourceLimitError
+from .errors import InternalInconsistencyError, ResourceLimitError
 from .intlinalg import (
     IntMatrix,
     IntVector,
@@ -32,7 +34,7 @@ from .intlinalg import (
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .polyhedra import GE, feasibility_system, lp_exact
+from .polyhedra import EQ, GE, feasibility_system, lp_exact
 
 if TYPE_CHECKING:
     from .holes import SemigroupProblem
@@ -74,11 +76,8 @@ def _dominates(x, y) -> bool:
 
 
 def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
-                              stop=None, preloaded=(), starts=None):
+                              preloaded=(), starts=None) -> list[IntVector]:
     """Minimal nonzero x in Z^n_+ (x <= upper where bounded) with sum x_i cols[i] = 0.
-
-    stop, when given, is a predicate on solutions; the search returns as
-    soon as a solution satisfying it is found.  Returns (solutions, stopped).
 
     preloaded solutions prune the search as if it had found them, but are
     not returned.  starts are the indices of the unit vectors the search
@@ -97,7 +96,7 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
     """
     n = len(cols)
     if n == 0:
-        return [], False
+        return []
     gram = [tuple(vec_dot(c, d) for d in cols) for c in cols]
     caps = [None] * n if upper is None else upper
     max_nodes = limits.max_nodes
@@ -133,8 +132,6 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
                     for i, v in enumerate(x):
                         if v:
                             buckets.setdefault((i, v), []).append(x)
-                    if stop is not None and stop(x):
-                        return sols[skip:], True
                 continue
             # no solution is added while x is extended
             later, count = sols[known:], len(sols)
@@ -157,13 +154,12 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
     # so this is normally a no-op
     found = sols[skip:]
     minimal = [s for s in found if not any(_dominates(s, t) and s != t for t in found)]
-    return sorted(minimal), False
+    return sorted(minimal)
 
 
 def hilbert_basis_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> HilbertBasis:
     """Minimal Hilbert basis of {x in Z^n_+ : a @ x = 0}."""
-    sols, _ = _minimal_kernel_solutions(a.columns(), limits=limits)
-    return HilbertBasis(tuple(sols))
+    return HilbertBasis(tuple(_minimal_kernel_solutions(a.columns(), limits=limits)))
 
 
 def _difference_columns(a: IntMatrix) -> list[IntVector]:
@@ -176,8 +172,7 @@ def difference_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[In
     """Minimal Hilbert basis of {(lam, mu) in Z^{2n}_+ : a@lam = a@mu}, the
     kernel of [a | -a] (the Lawrence lifting of a's Graver basis), as plain
     tuples (lam + mu)."""
-    sols, _ = _minimal_kernel_solutions(_difference_columns(a), limits=limits)
-    return tuple(sols)
+    return tuple(_minimal_kernel_solutions(_difference_columns(a), limits=limits))
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
@@ -200,8 +195,8 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
         kernel = difference_kernel(a, limits)
     n = a.cols
     upper = [1] + [None] * (2 * n)
-    sols, _ = _minimal_kernel_solutions([f] + _difference_columns(a), upper=upper, limits=limits,
-                                        preloaded=[(0,) + k for k in kernel], starts=(0,))
+    sols = _minimal_kernel_solutions([f] + _difference_columns(a), upper=upper, limits=limits,
+                                     preloaded=[(0,) + k for k in kernel], starts=(0,))
     return MinimalSolutionSet(tuple(sorted((s[1:n + 1], s[n + 1:]) for s in sols)), f)
 
 
@@ -361,37 +356,53 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
     return _FeasibilitySearch(lines, budget, limits).search()
 
 
-def semigroup_contains(a: IntMatrix, b, limits: Limits = DEFAULT_LIMITS) -> IntVector | None:
-    """Witness lam in Z^n_+ with a @ lam = b, or None when b is not in Q.
+def _membership_system(problem: SemigroupProblem):
+    """(T, equations, lines): the rows T that turn A lam = b into a
+    nonnegative system, the EQ rows of the cone, and the sparse (row,
+    weight) pairs of each column of T A."""
+    a = problem.matrix
+    if a.is_nonnegative():
+        rows, equations = tuple(unit_vector(a.rows, i) for i in range(a.rows)), ()
+    else:
+        facets = problem.facets
+        rows = tuple(w for w, sense in zip(facets.matrix, facets.senses) if sense == GE)
+        equations = tuple(w for w, sense in zip(facets.matrix, facets.senses) if sense == EQ)
+    lines = [tuple((r, x) for r, x in enumerate(vec_dot(t, col) for t in rows) if x)
+             for col in a.columns()]
+    return rows, equations, lines
 
-    Nonnegative matrices go to nonnegative_solution.  Mixed-sign matrices
-    go through an LP feasibility check and then the completion search on
-    the homogenized system, which stays correct even for non-pointed cones.
+
+def semigroup_contains(problem: SemigroupProblem, b,
+                       limits: Limits = DEFAULT_LIMITS) -> IntVector | None:
+    """Witness lam in Z^n_+ with A lam = b, or None when b is not in Q.
+
+    One search decides every pointed matrix: nonnegative_solution on
+    T A lam = T b.  T is the identity when A >= 0 (its rows are far fewer
+    than its facets on transportation matrices), and otherwise the facet
+    rows of the cone, each nonnegative on every column, so T A >= 0.  A
+    point b off the span of A (an EQ row is nonzero on it) or with a
+    negative entry of T b is not in Q.  For b in the span, A lam = b holds
+    exactly when T A lam = T b, because T is injective on the span: if
+    T v = 0 for a nonzero v in the span, then v and -v both lie in the
+    cone, which is pointed.  The witness is checked against A lam = b
+    before it is returned.
     """
     b = tuple(int(x) for x in b)
+    a = problem.matrix
     if len(b) != a.rows:
         raise ValueError("vector dimension does not match matrix rows")
-    if all(x == 0 for x in b):
-        return (0,) * a.cols
-    if a.is_nonnegative():
-        if any(x < 0 for x in b):
-            return None
-        lines = [tuple((r, x) for r, x in enumerate(col) if x) for col in a.columns()]
-        lam = nonnegative_solution(lines, b, limits)
-        return None if lam is None else tuple(lam)
-    relax = lp_exact(feasibility_system(a, b), (0,) * a.cols, "min")
-    if relax.status != "optimal":
+    rows, equations, lines = problem._derive("membership", lambda: _membership_system(problem))
+    if any(vec_dot(w, b) for w in equations):
         return None
-    cols = [tuple(-x for x in b)] + a.columns()
-    upper = [1] + [None] * a.cols
-    sols, stopped = _minimal_kernel_solutions(
-        cols, upper=upper, limits=limits, stop=lambda s: s[0] == 1)
-    if stopped:
-        return sols[-1][1:]
-    for s in sols:
-        if s[0] == 1:
-            return s[1:]
-    return None
+    budget = [vec_dot(t, b) for t in rows]
+    if any(x < 0 for x in budget):
+        return None
+    lam = nonnegative_solution(lines, budget, limits)
+    if lam is None:
+        return None
+    if a.mul_vector(lam) != b:
+        raise InternalInconsistencyError("membership witness does not solve A lam = b")
+    return tuple(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +437,7 @@ def hilbert_basis_cone_lattice(problem: SemigroupProblem,
     kernel_cols = [tuple(row[j] for row in rows) for j in range(r)]
     kernel_cols += [tuple(-x for x in column) for column in kernel_cols]
     kernel_cols += [tuple(-1 if i == k else 0 for i in range(m)) for k in range(m)]
-    sols, _ = _minimal_kernel_solutions(kernel_cols, limits=limits)
+    sols = _minimal_kernel_solutions(kernel_cols, limits=limits)
     # each candidate t with its facet values s = F t
     values = {}
     for s in sols:

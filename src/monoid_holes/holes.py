@@ -116,7 +116,7 @@ def is_hole(problem: SemigroupProblem, z, limits: Limits = DEFAULT_LIMITS) -> bo
         return False
     if problem.lattice.contains(z) is None:
         return False
-    return semigroup_contains(problem.matrix, z, limits) is None
+    return semigroup_contains(problem, z, limits) is None
 
 
 def _is_fundamental(problem: SemigroupProblem, z, limits: Limits) -> bool:
@@ -131,7 +131,7 @@ def _is_fundamental(problem: SemigroupProblem, z, limits: Limits) -> bool:
         v = vec_sub(z, column)
         if not problem.in_cone(v):
             continue
-        if semigroup_contains(problem.matrix, v, limits) is None:
+        if semigroup_contains(problem, v, limits) is None:
             return False
     return True
 
@@ -153,7 +153,7 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
     a = problem.matrix
     basis = hilbert_basis_cone_lattice(problem, limits)
     basis_holes = tuple(sorted(
-        b for b in basis.elements if semigroup_contains(a, b, limits) is None))
+        b for b in basis.elements if semigroup_contains(problem, b, limits) is None))
     if not basis_holes:
         return FundamentalHoleSet((), basis, ())
     grading = problem.grading
@@ -173,7 +173,7 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
             visited.add(y)
             if vec_dot(grading, y) >= cap:
                 continue
-            if semigroup_contains(a, y, limits) is None:
+            if semigroup_contains(problem, y, limits) is None:
                 holes_found.append(y)
                 queue.append(y)
     fund = tuple(sorted(z for z in holes_found if _is_fundamental(problem, z, limits)))

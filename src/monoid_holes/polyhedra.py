@@ -72,6 +72,8 @@ class InequalitySystem:
         return cls(tuple(mat), tuple(senses), tuple(rhs))
 
     def satisfied_by(self, x) -> bool:
+        if self.matrix and len(x) != len(self.matrix[0]):
+            raise ValueError("vector dimension does not match the system")
         # clear the denominators of x once, so integer rows check in integers
         scale = lcm(*(c.denominator for c in x))
         x = [c.numerator * (scale // c.denominator) for c in x]

@@ -107,7 +107,7 @@ def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
     kept = []
     for s in points:
         reducible = any(
-            s != t and semigroup_contains(a, vec_sub(s, t), limits) is not None
+            s != t and semigroup_contains(problem, vec_sub(s, t), limits) is not None
             for t in points
         )
         if reducible:
@@ -125,18 +125,16 @@ def verify_saturation(problem: SemigroupProblem, s, box_radius: int = 0,
     and optionally every saturation point z with |z_i| <= box_radius.
     """
     s = tuple(int(x) for x in s)
-    a = problem.matrix
-    if semigroup_contains(a, s, limits) is None:
+    if semigroup_contains(problem, s, limits) is None:
         return False
     fund = fundamental_holes(problem, limits)
     for f in fund.holes:
-        if semigroup_contains(a, vec_add(s, f), limits) is None:
+        if semigroup_contains(problem, vec_add(s, f), limits) is None:
             return False
     if box_radius > 0:
-        d = a.rows
-        for z in product(range(-box_radius, box_radius + 1), repeat=d):
+        for z in product(range(-box_radius, box_radius + 1), repeat=problem.matrix.rows):
             if not problem.in_saturation(z):
                 continue
-            if semigroup_contains(a, vec_add(s, z), limits) is None:
+            if semigroup_contains(problem, vec_add(s, z), limits) is None:
                 return False
     return True

@@ -72,12 +72,30 @@ def minimalize_vectors(vectors):
 
 
 def brute_member(rows, b):
-    """Whether b = A lam for some integer lam >= 0, for a nonnegative A.
+    """Whether b = A lam for some integer lam >= 0, for a nonnegative A or
+    one whose cone is pointed.
 
-    Enumerates the box 0 <= lam_j <= min b_r // A[r][j] over the rows with
-    A[r][j] > 0 (lam_j = 0 for a zero column) column by column, skipping
-    the rest of the box once a partial sum exceeds b.
+    For a nonnegative A, enumerates the box 0 <= lam_j <= min b_r // A[r][j]
+    over the rows with A[r][j] > 0 (lam_j = 0 for a zero column) column by
+    column, skipping the rest of the box once a partial sum exceeds b.
+
+    For a mixed-sign A, takes the grading g of brute_grading, at least 1 on
+    every nonzero column, and bounds lam_j by g.r // g.a_j, where r is the
+    part of b the columns from j on must still reach (at first, g.b //
+    g.a_j).  The reachable residuals r are kept as a set, column by column.
     """
+    if any(x < 0 for row in rows for x in row):
+        g = brute_grading(rows)
+        if g is None:
+            raise ValueError("no grading within brute_grading's bound")
+        residuals = {tuple(b)}
+        for col in zip(*rows):
+            step = sum(p * q for p, q in zip(g, col))
+            if step:
+                residuals = {tuple(x - k * y for x, y in zip(r, col))
+                             for r in residuals
+                             for k in range(sum(p * q for p, q in zip(g, r)) // step + 1)}
+        return (0,) * len(rows) in residuals
     n = len(rows[0])
 
     def reach(j, resid):
@@ -225,6 +243,43 @@ def brute_saturation_hilbert(rows):
                              for y in points))
 
 
+def brute_in_cone(rows, z):
+    """Whether z is in the cone of the columns: by Farkas, min y.z over
+    {y : y A >= 0} is 0 exactly then, and unbounded otherwise."""
+    return brute_lp([(column, "ge", 0) for column in zip(*rows)], z, "min")[0] == "optimal"
+
+
+def brute_in_lattice(rows, z):
+    """Whether z is in the lattice of the columns of a full-row-rank A:
+    exactly when adding z as a column keeps the gcd of the maximal minors."""
+    return (_maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)])
+            == _maximal_minor_gcd(rows))
+
+
+def sieve_member(rows, b):
+    """Whether b is in Q for a 2-row A whose first row is positive on every
+    column, by a sieve over the layers of that grading.
+
+    Layer k is a Python int whose bit y + off is set when (k, y) is in Q;
+    it is the OR over columns (g, h) of layer k - g shifted by h.  The
+    offset off keeps every point of the cone up to layer b_0 at a
+    nonnegative bit.
+    """
+    top, y = b
+    if top < 0:
+        return False
+    columns = list(zip(*rows))
+    off = max([0] + [-((h * top) // g) for g, h in columns])
+    layers = [1 << off]
+    for k in range(1, top + 1):
+        acc = 0
+        for g, h in columns:
+            if g <= k:
+                acc |= layers[k - g] << h if h >= 0 else layers[k - g] >> -h
+        layers.append(acc)
+    return y + off >= 0 and bool(layers[top] >> (y + off) & 1)
+
+
 def brute_grading(rows, bound=3):
     """An integral y with |y_i| <= bound and y.a >= 1 on every nonzero
     column a, smallest |y| first, or None."""
@@ -243,10 +298,8 @@ def brute_holes(rows, grading, top):
     grading g, and is the union over columns a of layer g - grading.a
     shifted by a.  Every point of the cone with grading at most top is
     sum t_a a with sum t_a grading.a <= top, so it lies in the box spanned
-    by 0 and the points top * a / grading.a.  Points of that box are in the
-    lattice when adding them as a column keeps the gcd of the maximal
-    minors, and in the cone when brute_lp finds min y.z = 0 over
-    {y : y A >= 0}.
+    by 0 and the points top * a / grading.a.  Lattice and cone come from
+    brute_in_lattice and brute_in_cone.
     """
     columns = sorted({c for c in zip(*rows) if any(c)})
     grade = {c: sum(p * q for p, q in zip(grading, c)) for c in columns}
@@ -258,13 +311,10 @@ def brute_holes(rows, grading, top):
     box = [range(min([0] + [top * c[r] // grade[c] for c in columns]),
                  max([0] + [top * c[r] // grade[c] for c in columns]) + 1)
            for r in range(len(rows))]
-    index = _maximal_minor_gcd(rows)
-    dual = [(column, "ge", 0) for column in zip(*rows)]
     return sorted(
         z for z in product(*box)
         if 0 <= sum(p * q for p, q in zip(grading, z)) <= top and z not in semigroup
-        and _maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)]) == index
-        and brute_lp(dual, z, "min")[0] == "optimal")
+        and brute_in_lattice(rows, z) and brute_in_cone(rows, z))
 
 
 def in_half_open_zonotope(a, z):

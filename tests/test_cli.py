@@ -13,6 +13,8 @@ from monoid_holes import cli, holes, saturation
 from monoid_holes.cli import build_parser, main
 from monoid_holes.limits import Limits
 
+from conftest import brute_in_cone, brute_in_lattice, sieve_member
+
 
 @pytest.fixture
 def example_file(tmp_path):
@@ -148,6 +150,25 @@ class TestBound:
         assert "verdict: holes-infinite" in out
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rows, certificate", [
+        ([[2, 2, 2, 1], [-2, 3, 1, 0]], (2945, 4415)),
+        ([[1, 2, 2, 2], [0, 0, 1, -2]], (1769, -1769)),
+    ], ids=["mxa", "mxc"])
+    def test_mixed_sign_certificate(self, capsys, tmp_path, rows, certificate):
+        # the membership search on these far points once ran for minutes
+        path = tmp_path / "mixed.txt"
+        path.write_text("2 4\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        start = time.process_time()
+        code, out = run(capsys, "bound", str(path))
+        assert time.process_time() - start < 2
+        assert code == 10
+        assert "certificate-hole: {} {}\n".format(*certificate) in out
+        assert "verdict: holes-infinite" in out
+        # a hole by the oracles alone
+        assert brute_in_cone(rows, certificate)
+        assert brute_in_lattice(rows, certificate)
+        assert not sieve_member(rows, certificate)
+
     def test_two_three(self, capsys, tmp_path):
         path = tmp_path / "ns23.txt"
         path.write_text("1 2\n2 3\n")
@@ -174,11 +195,11 @@ class TestMember:
         assert code == 0
         assert "witness: 0 0 0 0" in out
 
-    @pytest.mark.parametrize("vector, witness", [("5 5", "0 1 2 1"), ("6 4", "1 2 1 1")])
+    @pytest.mark.parametrize("vector, witness", [("5 5", "3 2 0 0"), ("6 4", "1 2 1 1")])
     def test_mixed_sign_witness(self, capsys, tmp_path, vector, witness):
-        # each vector has two representations, of different degree; the
-        # layered completion search stops at the first one it reaches, so
-        # the witness pins its degree-by-degree traversal
+        # each vector has two representations; the search tries the first
+        # free column from its largest value down, so the witness is the
+        # lexicographically largest one
         path = tmp_path / "mixed.txt"
         path.write_text("2 4\n1 1 1 2\n3 -2 2 3\n")
         code, out = run(capsys, "member", str(path), vector)

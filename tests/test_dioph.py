@@ -13,6 +13,7 @@ from monoid_holes import (
 )
 
 from conftest import (
+    brute_grading,
     brute_kernel_hilbert,
     brute_max_subdet,
     brute_member,
@@ -23,6 +24,10 @@ from conftest import (
 
 def saturation_basis(rows):
     return hilbert_basis_cone_lattice(SemigroupProblem.build(IntMatrix.from_rows(rows)))
+
+
+def contains(a, b, limits=Limits()):
+    return semigroup_contains(SemigroupProblem.build(a), b, limits)
 
 
 class TestHilbertBasisKernel:
@@ -112,7 +117,7 @@ class TestHilbertBasisConeLattice:
             if not others:
                 continue
             matrix = IntMatrix.from_rows([list(r) for r in zip(*others)])
-            assert semigroup_contains(matrix, e) is None
+            assert contains(matrix, e) is None
 
 
 def matrices(rows, columns, entries):
@@ -120,6 +125,14 @@ def matrices(rows, columns, entries):
         st.lists(entries, min_size=n, max_size=n), min_size=rows, max_size=rows))
 
 
+# 2-3 rows with entries -3..3, some negative; the third row of a
+# rank-deficient draw is the sum of the first two, so its cone has an EQ row
+mixed_sign = st.one_of(
+    matrices(2, st.integers(2, 5), st.integers(-3, 3)),
+    matrices(3, st.integers(2, 5), st.integers(-3, 3)),
+    matrices(2, st.integers(2, 5), st.integers(-3, 3)).map(
+        lambda rows: rows + [[x + y for x, y in zip(*rows)]]),
+).filter(lambda rows: any(x < 0 for row in rows for x in row))
 two_row = st.sampled_from([0, -2]).flatmap(
     lambda lo: matrices(2, st.integers(2, 4), st.integers(lo, 3)))
 three_row_nonnegative = matrices(3, st.integers(3, 4), st.integers(0, 2))
@@ -218,32 +231,32 @@ class TestHomogenizationCrossCheck:
         assert set(sols.solutions) == from_kernel
 
 
+@pytest.mark.filterwarnings("ignore:matrix has zero rows")
 class TestSemigroupContains:
     def test_member_with_witness(self, example_matrix):
-        witness = semigroup_contains(example_matrix, (2, 2))
+        witness = contains(example_matrix, (2, 2))
         assert witness is not None
         assert example_matrix.mul_vector(witness) == (2, 2)
 
     def test_zero(self, example_matrix):
-        assert semigroup_contains(example_matrix, (0, 0)) == (0, 0, 0, 0)
+        assert contains(example_matrix, (0, 0)) == (0, 0, 0, 0)
 
     def test_hole_rejected(self, example_matrix):
-        assert semigroup_contains(example_matrix, (1, 1)) is None
+        assert contains(example_matrix, (1, 1)) is None
 
     def test_far_hole_rejected(self, example_matrix):
-        assert semigroup_contains(example_matrix, (1000, 1)) is None
+        assert contains(example_matrix, (1000, 1)) is None
 
     def test_mixed_sign_matrix(self):
         a = IntMatrix.from_rows([[2, -1], [0, 1]])
-        witness = semigroup_contains(a, (1, 1))
+        witness = contains(a, (1, 1))
         assert witness == (1, 1)
-        assert semigroup_contains(a, (1, 0)) is None
+        assert contains(a, (1, 0)) is None
 
-    def test_non_pointed_still_decided(self):
-        a = IntMatrix.from_rows([[1, -1]])
-        witness = semigroup_contains(a, (5,))
-        assert witness is not None
-        assert a.mul_vector(witness) == (5,)
+    def test_non_pointed_rejected(self):
+        # membership needs the problem, and a cone with a line has none
+        with pytest.raises(NotPointedError):
+            SemigroupProblem.build(IntMatrix.from_rows([[1, -1]]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
@@ -252,7 +265,7 @@ class TestSemigroupContains:
         a = IntMatrix.from_rows(rows)
         lam = data.draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
         b = a.mul_vector(lam)
-        witness = semigroup_contains(a, b)
+        witness = contains(a, b)
         assert witness is not None
         assert a.mul_vector(witness) == b
 
@@ -266,7 +279,28 @@ class TestSemigroupContains:
         rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
                                   min_size=d, max_size=d))
         b = tuple(data.draw(st.lists(st.integers(0, 12), min_size=d, max_size=d)))
-        witness = semigroup_contains(IntMatrix.from_rows(rows), b, limits)
+        witness = contains(IntMatrix.from_rows(rows), b, limits)
+        assert (witness is not None) == brute_member(rows, b)
+        if witness is not None:
+            assert min(witness) >= 0
+            assert tuple(sum(x * y for x, y in zip(row, witness)) for row in rows) == b
+
+    @pytest.mark.parametrize("limits", [Limits(), Limits(lp_stride=1)],
+                             ids=["default", "lp_every_assignment"])
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_sign, st.data())
+    def test_mixed_sign_matches_box_oracle(self, limits, rows, data):
+        # a grading exists exactly when the cone is pointed
+        assume(brute_grading(rows) is not None)
+        problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+        # A lam moved by up to one in each coordinate: members, holes,
+        # points outside the cone and, for the rank-deficient draws,
+        # points off the span that only the EQ rows reject
+        lam = data.draw(st.lists(st.integers(0, 2), min_size=len(rows[0]),
+                                 max_size=len(rows[0])))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=len(rows), max_size=len(rows)))
+        b = tuple(sum(x * y for x, y in zip(row, lam)) + s for row, s in zip(rows, shift))
+        witness = semigroup_contains(problem, b, limits)
         assert (witness is not None) == brute_member(rows, b)
         if witness is not None:
             assert min(witness) >= 0
@@ -277,8 +311,12 @@ class TestSemigroupContains:
                     min_size=2, max_size=2), st.data())
     def test_roundtrip_mixed_sign(self, rows, data):
         a = IntMatrix.from_rows(rows)
+        try:
+            problem = SemigroupProblem.build(a)
+        except NotPointedError:
+            assume(False)
         lam = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
         b = a.mul_vector(lam)
-        witness = semigroup_contains(a, b)
+        witness = semigroup_contains(problem, b)
         assert witness is not None
         assert a.mul_vector(witness) == b

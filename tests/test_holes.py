@@ -109,6 +109,13 @@ class TestIsHole:
     def test_outside_cone_is_not(self, example_problem):
         assert not is_hole(example_problem, (-1, 0))
 
+    def test_wrong_length_rejected(self, example_problem):
+        # a short vector is not cut down to the rows it happens to reach
+        with pytest.raises(ValueError):
+            example_problem.in_cone((5,))
+        with pytest.raises(ValueError):
+            is_hole(example_problem, (-1,))
+
 
 class TestFundamentalHoles:
     def test_example_matrix(self, example_problem):

@@ -72,6 +72,8 @@ class TestConeFacets:
         assert fc.satisfied_by((2, 2))
         assert not fc.satisfied_by((2, 3))
         assert not fc.satisfied_by((-1, -1))
+        with pytest.raises(ValueError):
+            fc.satisfied_by((2, 2, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
