@@ -321,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-pairs", type=int, help="cap on standard pair cells")
     parser.add_argument("--max-subsets", type=int, help="cap on subdeterminant subsets")
     parser.add_argument("--max-rays", type=int, help="cap on intermediate facet rays")
-    parser.add_argument("--lp-stride", type=int,
-                        help="assignments between LP relaxation checks of the "
-                             "integer-feasibility search")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -367,7 +364,7 @@ def main(argv=None) -> int:
         limits = limits_from_env(DEFAULT_LIMITS).override(
             max_basis=args.max_basis, max_nodes=args.max_nodes,
             max_pairs=args.max_pairs, max_subsets=args.max_subsets,
-            max_rays=args.max_rays, lp_stride=args.lp_stride)
+            max_rays=args.max_rays)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,7 +13,7 @@ solutions (the Hilbert basis of A lam = A mu) preloaded as known ones.
 
 Integer feasibility A lam = b of a nonnegative A, that is 3-way table
 feasibility and semigroup membership, is decided by one depth-first
-search with constraint propagation and LP-relaxation pruning; a
+search with constraint propagation alone, with no LP relaxation; a
 mixed-sign A of a pointed cone is first made nonnegative by its facet
 rows.
 """
@@ -34,7 +34,7 @@ from .intlinalg import (
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .polyhedra import EQ, GE, feasibility_system, lp_exact
+from .polyhedra import GE
 
 if TYPE_CHECKING:
     from .holes import SemigroupProblem
@@ -211,9 +211,11 @@ class _FeasibilitySearch:
     free columns to 0; a line with one free column of weight w forces it
     to budget / w, and fails when w does not divide the budget; and a line
     budget must be reachable, sum w * cap(c) over its free columns, where
-    cap(c) is the least budget // w over the lines of c.  An exact LP
-    relaxation of the remaining system runs every lp_stride assignments.
-    Branching takes the first free column, values from its cap down to 0.
+    cap(c) is the least budget // w over the lines of c.  Branching takes
+    the first free column, values from its cap down to 0.  No LP relaxation
+    runs, so a system with no real solution is refuted by propagation and
+    branching alone; callers reject the cheap cases first, a point outside
+    the cone (membership) or off the span of A (margin triples).
     """
 
     def __init__(self, lines, budget, limits: Limits):
@@ -229,7 +231,6 @@ class _FeasibilitySearch:
         self.value: list[int | None] = [None if pairs else 0 for pairs in lines]
         self.trail: list[int] = []
         self.nodes = 0
-        self.last_lp = 0
 
     def _assign(self, col: int, val: int) -> bool:
         # always updates every line of col so that undo stays symmetric
@@ -295,26 +296,6 @@ class _FeasibilitySearch:
                 return False
         return True
 
-    def _lp_prune(self) -> bool:
-        """True when the remaining real relaxation is feasible."""
-        free = [c for c, v in enumerate(self.value) if v is None]
-        if not free:
-            return True
-        index = {c: pos for pos, c in enumerate(free)}
-        rows, budgets = [], []
-        for ln, cols in enumerate(self.line_cols):
-            coeffs = [0] * len(free)
-            for c, w in cols:
-                if c in index:
-                    coeffs[index[c]] = w
-            if any(coeffs) or self.budget[ln] != 0:
-                rows.append(coeffs)
-                budgets.append(self.budget[ln])
-        # every free column lies on a line, so rows is not empty; the rows
-        # hold ints already, so they skip from_rows's conversion pass
-        system = feasibility_system(IntMatrix(tuple(map(tuple, rows))), budgets)
-        return lp_exact(system, (0,) * len(free), "min").status == "optimal"
-
     def search(self) -> list[int] | None:
         self.nodes += 1
         if self.nodes > self.limits.max_nodes:
@@ -323,12 +304,6 @@ class _FeasibilitySearch:
         if not self._propagate():
             self._undo_to(mark)
             return None
-        if len(self.trail) - self.last_lp >= self.limits.lp_stride:
-            self.last_lp = len(self.trail)
-            if not self._lp_prune():
-                self._undo_to(mark)
-                self.last_lp = min(self.last_lp, len(self.trail))
-                return None
         col = next((c for c, v in enumerate(self.value) if v is None), None)
         if col is None:
             return list(self.value)
@@ -339,9 +314,7 @@ class _FeasibilitySearch:
             if result is not None:
                 return result
             self._undo_to(inner)
-            self.last_lp = min(self.last_lp, len(self.trail))
         self._undo_to(mark)
-        self.last_lp = min(self.last_lp, len(self.trail))
         return None
 
 
@@ -357,47 +330,43 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
 
 
 def _membership_system(problem: SemigroupProblem):
-    """(T, equations, lines): the rows T that turn A lam = b into a
-    nonnegative system, the EQ rows of the cone, and the sparse (row,
-    weight) pairs of each column of T A."""
+    """(T, lines): the rows T that turn A lam = b into a nonnegative
+    system, and the sparse (row, weight) pairs of each column of T A."""
     a = problem.matrix
     if a.is_nonnegative():
-        rows, equations = tuple(unit_vector(a.rows, i) for i in range(a.rows)), ()
+        rows = tuple(unit_vector(a.rows, i) for i in range(a.rows))
     else:
         facets = problem.facets
         rows = tuple(w for w, sense in zip(facets.matrix, facets.senses) if sense == GE)
-        equations = tuple(w for w, sense in zip(facets.matrix, facets.senses) if sense == EQ)
     lines = [tuple((r, x) for r, x in enumerate(vec_dot(t, col) for t in rows) if x)
              for col in a.columns()]
-    return rows, equations, lines
+    return rows, lines
 
 
 def semigroup_contains(problem: SemigroupProblem, b,
                        limits: Limits = DEFAULT_LIMITS) -> IntVector | None:
     """Witness lam in Z^n_+ with A lam = b, or None when b is not in Q.
 
-    One search decides every pointed matrix: nonnegative_solution on
-    T A lam = T b.  T is the identity when A >= 0 (its rows are far fewer
-    than its facets on transportation matrices), and otherwise the facet
-    rows of the cone, each nonnegative on every column, so T A >= 0.  A
-    point b off the span of A (an EQ row is nonzero on it) or with a
-    negative entry of T b is not in Q.  For b in the span, A lam = b holds
-    exactly when T A lam = T b, because T is injective on the span: if
-    T v = 0 for a nonzero v in the span, then v and -v both lie in the
-    cone, which is pointed.  The witness is checked against A lam = b
-    before it is returned.
+    A point b outside the cone of A is not in Q, and is rejected before
+    any search.  Every other b is decided by one search for every pointed
+    matrix: nonnegative_solution on T A lam = T b.  T is the identity when
+    A >= 0 (its rows are far fewer than its facets on transportation
+    matrices), and otherwise the facet rows of the cone, each nonnegative
+    on every column, so T A >= 0; in both cases T b >= 0 on the cone.  For
+    b in the cone, which lies in the span of A, A lam = b holds exactly
+    when T A lam = T b, because T is injective on the span: if T v = 0 for
+    a nonzero v in the span, then v and -v both lie in the cone, which is
+    pointed.  The witness is checked against A lam = b before it is
+    returned.
     """
     b = tuple(int(x) for x in b)
     a = problem.matrix
     if len(b) != a.rows:
         raise ValueError("vector dimension does not match matrix rows")
-    rows, equations, lines = problem._derive("membership", lambda: _membership_system(problem))
-    if any(vec_dot(w, b) for w in equations):
+    if not problem.in_cone(b):
         return None
-    budget = [vec_dot(t, b) for t in rows]
-    if any(x < 0 for x in budget):
-        return None
-    lam = nonnegative_solution(lines, budget, limits)
+    rows, lines = problem._derive("membership", lambda: _membership_system(problem))
+    lam = nonnegative_solution(lines, [vec_dot(t, b) for t in rows], limits)
     if lam is None:
         return None
     if a.mul_vector(lam) != b:

@@ -11,7 +11,6 @@ the hole ideal of f.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -55,9 +54,6 @@ class SemigroupProblem:
 
     @classmethod
     def build(cls, a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> "SemigroupProblem":
-        if any(vec_is_zero(row) for row in a.entries):
-            warnings.warn("matrix has zero rows; they are kept and never constrain anything",
-                          stacklevel=2)
         facets = cone_facets(a, limits)
         grading = positive_functional(a, facets)  # raises NotPointedError on lines
         return cls(a, lattice_basis(a), facets, grading)

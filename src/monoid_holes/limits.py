@@ -22,8 +22,6 @@ class Limits:
     max_pairs: int = 10**5       # standard pairs emitted per ideal
     max_subsets: int = 10**6     # column subsets enumerated for subdeterminants
     max_rays: int = 10**5        # intermediate rays in facet enumeration
-    # assignments between LP relaxation checks of the integer-feasibility search
-    lp_stride: int = 12
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:

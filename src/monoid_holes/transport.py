@@ -81,13 +81,16 @@ class MarginTriple:
             raise ValueError("margin blocks have inconsistent shapes")
         return d
 
-    def grand_totals(self) -> tuple[int, int, int]:
-        total = lambda m: sum(sum(row) for row in m)
-        return total(self.u), total(self.v), total(self.w)
-
     def is_consistent(self) -> bool:
-        a, b, c = self.grand_totals()
-        return a == b == c
+        """Whether the two-dimensional margins agree on every one-dimensional
+        margin: the i-sums of v and w, the j-sums of u and w and the k-sums
+        of u and v.  This holds exactly when the margin vector lies in the
+        span of the transportation matrix, so it is the condition for a
+        real table with possibly negative cells."""
+        u, v, w = self.u, self.v, self.w
+        return ([sum(row) for row in v] == [sum(row) for row in w]
+                and [sum(row) for row in u] == [sum(col) for col in zip(*w)]
+                and [sum(col) for col in zip(*u)] == [sum(col) for col in zip(*v)])
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for m in (self.u, self.v, self.w) for row in m for x in row)
@@ -174,9 +177,10 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
                    limits: Limits = DEFAULT_LIMITS):
     """An integer table with the given margins, or None when none exists.
 
-    Decided by dioph.nonnegative_solution on the margin system.  Tables
-    come back as nested (r, s, t) tuples.  Raises ResourceLimitError rather
-    than guessing when the node budget runs out.
+    Negative margins and margins off the span (is_consistent) have no
+    table; the rest are decided by dioph.nonnegative_solution on the
+    margin system.  Tables come back as nested (r, s, t) tuples.  Raises
+    ResourceLimitError rather than guessing when the node budget runs out.
     """
     if margins.dims() != dims:
         raise ValueError("margins do not match the stated dimensions")

@@ -213,6 +213,15 @@ class TestMember:
         assert code == 0
         assert "status: outside-lattice" in out
 
+    def test_outside_cone_is_not_searched(self, capsys, tmp_path):
+        # 5001 / 1000 is beyond the steepest column (1, 5), but the point is
+        # nonnegative, so only the cone test keeps the search from running
+        path = tmp_path / "n2c.txt"
+        path.write_text("2 4\n1 1 1 1\n0 1 2 5\n")
+        code, out = run(capsys, "--max-nodes", "1000", "member", str(path), "1000 5001")
+        assert code == 0
+        assert "status: outside-cone\n" in out
+
 
 class TestTransport:
     def test_dims_and_margins(self, capsys, tmp_path):
@@ -262,6 +271,17 @@ class TestTransport:
         assert code == 10
         assert "integer-feasible: no" in out
         assert "real-feasible: yes" in out
+
+    def test_margins_off_the_span_are_not_searched(self, capsys, tmp_path):
+        # equal grand totals (85), but the one-dimensional margins disagree,
+        # e.g. the j = 0 sums of u and w are 19 and 22
+        margins = tmp_path / "off_span.txt"
+        margins.write_text("8 2 5 4\n4 10 4 5\n5 3 4 8\n5 6 7 5\n\n"
+                           "6 9 6 9\n9 5 7 5\n7 7 8 7\n\n"
+                           "10 8 7 5\n6 7 3 10\n6 7 9 7\n")
+        code, out = run(capsys, "--max-nodes", "1000", "transport", "--margins", str(margins))
+        assert code == 10
+        assert out.endswith("integer-feasible: no\nreal-feasible: no\nlimit-status: ok\n")
 
 
 class TestErrorPaths:
@@ -313,8 +333,8 @@ class TestErrorPaths:
         assert main(["member", example_file, "1,2,3"]) == 2
 
     def test_deep_recursion_is_a_resource_limit(self, tmp_path):
-        # the table search recurses once per branching cell; without LP
-        # pruning a long 2x2xt table outgrows a lowered recursion limit
+        # the table search recurses once per branching cell, so a long
+        # 2x2xt table outgrows a lowered recursion limit
         rng = random.Random(7)
         r, s, t = 2, 2, 400
         table = [[[rng.randint(0, 2) for _ in range(t)] for _ in range(s)] for _ in range(r)]
@@ -330,8 +350,7 @@ class TestErrorPaths:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
-            [sys.executable, "-c", code, "--lp-stride", "100000000",
-             "transport", "--margins", str(margins)],
+            [sys.executable, "-c", code, "transport", "--margins", str(margins)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 4
         assert proc.stdout == ""
@@ -369,13 +388,21 @@ class TestLimitsConfiguration:
         monkeypatch.setenv("MONOID_HOLES_LIMITS", "max_warp=9")
         assert main(["holes", example_file]) == 2
 
-    @pytest.mark.parametrize("argv", [("--max-nodes", "-3"), ("--lp-stride", "0"),
+    @pytest.mark.parametrize("argv", [("--max-nodes", "-3"), ("--max-pairs", "0"),
                                       ("--max-basis", "0")])
     def test_nonpositive_flag_is_bad_input(self, capsys, example_file, argv):
         assert main([*argv, "holes", example_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: limit ")
+
+    def test_lp_stride_is_gone(self, capsys, example_file, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["--lp-stride", "5", "holes", example_file])
+        assert exc.value.code == 2
+        monkeypatch.setenv("MONOID_HOLES_LIMITS", "lp_stride=5")
+        assert main(["holes", example_file]) == 2
+        assert capsys.readouterr().err.endswith("unknown limit 'lp_stride'\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_is_bad_input(self, capsys, example_file, jobs):

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from monoid_holes import (
     holes_representation,
     is_hole,
     row_sum_bound,
+    semigroup_contains,
 )
 from monoid_holes.intlinalg import rational_rank, vec_add, vec_dot
 from monoid_holes.limits import Limits
@@ -137,9 +139,15 @@ class TestFundamentalHoles:
         with pytest.raises(NotPointedError):
             SemigroupProblem.build(IntMatrix.from_rows([[1, -1]]))
 
-    def test_zero_row_kept_with_warning(self):
-        with pytest.warns(UserWarning, match="zero rows"):
-            problem = SemigroupProblem.build(IntMatrix.from_rows([[2, 3], [0, 0]]))
+    def test_zero_row_is_an_equation(self):
+        # a zero row constrains: its coordinate must be 0 in the cone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = SemigroupProblem.build(IntMatrix.from_rows([[1, 2], [0, 0]]))
+        assert not problem.in_cone((3, 1))
+        assert semigroup_contains(problem, (3, 1)) is None
+        assert semigroup_contains(problem, (3, 0)) == (3, 0)
+        problem = SemigroupProblem.build(IntMatrix.from_rows([[2, 3], [0, 0]]))
         assert fundamental_holes(problem).holes == ((1, 0),)
 
     def test_fundamental_holes_lie_in_zonotope(self, example_problem):

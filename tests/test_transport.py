@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
@@ -15,6 +16,7 @@ from monoid_holes import (
     vlach_instance,
     vlach_margins,
 )
+from monoid_holes.intlinalg import solve_rational_affine, vec_add
 from monoid_holes.limits import Limits
 from monoid_holes.transport import (
     VLACH_DIMS,
@@ -22,7 +24,6 @@ from monoid_holes.transport import (
     vector_to_margins,
 )
 from monoid_holes.polyhedra import feasibility_system, lp_exact
-from monoid_holes.intlinalg import vec_add
 
 # the unique real point of the 3x4x6 margin polytope, entered as twice its
 # value: blocks are indexed by k, rows by j, columns by i
@@ -85,7 +86,8 @@ class TestTransportationMatrix:
 
 class TestVlachInstance:
     def test_grand_totals(self):
-        assert vlach_margins().grand_totals() == (12, 12, 12)
+        m = vlach_margins()
+        assert [sum(map(sum, block)) for block in (m.u, m.v, m.w)] == [12, 12, 12]
 
     def test_real_feasible_at_the_known_point(self):
         a, f = vlach_instance()
@@ -108,7 +110,6 @@ class TestVlachInstance:
         assert table_feasible(VLACH_DIMS, vlach_margins()) is None
 
     def test_support_restriction_solves_uniquely(self):
-        from monoid_holes import solve_rational_affine
         a, f = vlach_instance()
         z = known_half_integral_point()
         support = [c for c, x in enumerate(z) if x != 0]
@@ -119,6 +120,27 @@ class TestVlachInstance:
         particular, kernel = solved
         assert kernel == ()  # support columns have full rank 24
         assert particular == tuple(Fraction(1, 2) for _ in range(24))
+
+
+class TestMarginConsistency:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_consistent_exactly_on_the_span(self, r, s, t, data):
+        # margins of an integer table with negative cells lie in the span;
+        # moving one unit between two entries of one block keeps the grand
+        # totals equal, and leaves the span unless the entries coincide
+        dims = TransportDims(r, s, t)
+        cells = data.draw(st.lists(st.integers(-3, 3), min_size=dims.num_cols,
+                                   max_size=dims.num_cols))
+        table = [[[cells[dims.col(i, j, k)] for k in range(t)] for j in range(s)]
+                 for i in range(r)]
+        f = list(margins_to_vector(dims, table_margins(dims, table)))
+        block = data.draw(st.sampled_from([range(0, s * t), range(s * t, (s + r) * t),
+                                           range((s + r) * t, dims.num_rows)]))
+        f[data.draw(st.sampled_from(block))] += 1
+        f[data.draw(st.sampled_from(block))] -= 1
+        in_span = solve_rational_affine(transportation_matrix(dims), f) is not None
+        assert vector_to_margins(dims, f).is_consistent() == in_span
 
 
 class TestTableFeasible:
