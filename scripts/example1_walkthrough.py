@@ -12,8 +12,8 @@ from monoid_holes import (
     certify_infinite,
     fundamental_holes,
     hole_ideal,
+    hole_solutions,
     holes_representation,
-    minimal_inhomogeneous_solutions,
     problem_bound,
     saturation_points,
 )
@@ -25,7 +25,8 @@ def main():
     print(a)
 
     # each stage is computed once and stored on the problem, so the later
-    # stages reuse the fundamental holes and the hole ideal printed here
+    # stages reuse the fundamental holes, the solutions and the hole ideal
+    # printed here
     problem = SemigroupProblem.build(a)
     fund = fundamental_holes(problem)
     print("\nHilbert basis of the saturation:")
@@ -37,7 +38,7 @@ def main():
 
     f = fund.holes[0]
     print(f"\nminimal solutions of f + A lam = A mu for f = {f}:")
-    for lam, mu in minimal_inhomogeneous_solutions(a, f):
+    for lam, mu in hole_solutions(problem, f):
         print("  lam =", lam, " mu =", mu)
 
     ideal = hole_ideal(problem, f)

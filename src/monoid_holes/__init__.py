@@ -13,7 +13,6 @@ from .dioph import (
     HilbertBasis,
     MinimalSolutionSet,
     hilbert_basis_cone_lattice,
-    hilbert_basis_kernel,
     minimal_inhomogeneous_solutions,
     semigroup_contains,
 )
@@ -32,6 +31,7 @@ from .holes import (
     SemigroupProblem,
     fundamental_holes,
     hole_ideal,
+    hole_solutions,
     holes_representation,
     is_hole,
 )
@@ -51,16 +51,14 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     StandardPair,
-    contains,
     intersect,
     standard_pairs,
 )
 from .polyhedra import (
     FeasibilitySystem,
-    InequalitySystem,
+    Cone,
     LPResult,
     cone_facets,
-    feasibility_system,
     lp_exact,
 )
 from .saturation import (
@@ -78,7 +76,6 @@ from .transport import (
     VlachConclusions,
     VlachReport,
     table_feasible,
-    table_margins,
     transportation_matrix,
     verify_vlach,
     vlach_instance,

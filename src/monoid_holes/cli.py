@@ -25,7 +25,7 @@ from .errors import (
 from .holes import SemigroupProblem, fundamental_holes, holes_representation
 from .intlinalg import IntMatrix
 from .limits import DEFAULT_LIMITS, Limits, limits_from_env
-from .polyhedra import feasibility_system, lp_exact
+from .polyhedra import FeasibilitySystem, lp_exact
 from .saturation import certify_infinite, problem_bound, saturation_points
 from .transport import (
     MarginTriple,
@@ -294,7 +294,7 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     table = table_feasible(dims, margins, limits)
     if table is None:
         a = transportation_matrix(dims)
-        feas = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min").status == "optimal"
+        feas = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min").status == "optimal"
         lines.append("integer-feasible: no")
         lines.append(f"real-feasible: {'yes' if feas else 'no'}")
         lines.append("limit-status: ok")

@@ -34,7 +34,6 @@ from .intlinalg import (
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .polyhedra import GE
 
 if TYPE_CHECKING:
     from .holes import SemigroupProblem
@@ -55,10 +54,9 @@ class HilbertBasis:
 
 @dataclass(frozen=True)
 class MinimalSolutionSet:
-    """Componentwise-minimal (lam, mu) solving rhs + A lam = A mu."""
+    """Componentwise-minimal (lam, mu) solving f + A lam = A mu."""
 
     solutions: tuple[tuple[IntVector, IntVector], ...]
-    rhs: IntVector
 
     def __len__(self):
         return len(self.solutions)
@@ -157,11 +155,6 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
     return sorted(minimal)
 
 
-def hilbert_basis_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> HilbertBasis:
-    """Minimal Hilbert basis of {x in Z^n_+ : a @ x = 0}."""
-    return HilbertBasis(tuple(_minimal_kernel_solutions(a.columns(), limits=limits)))
-
-
 def _difference_columns(a: IntMatrix) -> list[IntVector]:
     """The columns of [a | -a]."""
     columns = a.columns()
@@ -197,7 +190,7 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
     upper = [1] + [None] * (2 * n)
     sols = _minimal_kernel_solutions([f] + _difference_columns(a), upper=upper, limits=limits,
                                      preloaded=[(0,) + k for k in kernel], starts=(0,))
-    return MinimalSolutionSet(tuple(sorted((s[1:n + 1], s[n + 1:]) for s in sols)), f)
+    return MinimalSolutionSet(tuple(sorted((s[1:n + 1], s[n + 1:]) for s in sols)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +329,7 @@ def _membership_system(problem: SemigroupProblem):
     if a.is_nonnegative():
         rows = tuple(unit_vector(a.rows, i) for i in range(a.rows))
     else:
-        facets = problem.facets
-        rows = tuple(w for w, sense in zip(facets.matrix, facets.senses) if sense == GE)
+        rows = problem.cone.facets
     lines = [tuple((r, x) for r, x in enumerate(vec_dot(t, col) for t in rows) if x)
              for col in a.columns()]
     return rows, lines
@@ -347,23 +339,23 @@ def semigroup_contains(problem: SemigroupProblem, b,
                        limits: Limits = DEFAULT_LIMITS) -> IntVector | None:
     """Witness lam in Z^n_+ with A lam = b, or None when b is not in Q.
 
-    A point b outside the cone of A is not in Q, and is rejected before
-    any search.  Every other b is decided by one search for every pointed
-    matrix: nonnegative_solution on T A lam = T b.  T is the identity when
-    A >= 0 (its rows are far fewer than its facets on transportation
-    matrices), and otherwise the facet rows of the cone, each nonnegative
-    on every column, so T A >= 0; in both cases T b >= 0 on the cone.  For
-    b in the cone, which lies in the span of A, A lam = b holds exactly
-    when T A lam = T b, because T is injective on the span: if T v = 0 for
-    a nonzero v in the span, then v and -v both lie in the cone, which is
-    pointed.  The witness is checked against A lam = b before it is
-    returned.
+    A point b outside the saturation, off the cone or off the lattice of
+    A, is not in Q, and is rejected before any search.  Every other b is
+    decided by one search for every pointed matrix: nonnegative_solution
+    on T A lam = T b.  T is the identity when A >= 0 (its rows are far
+    fewer than its facets on transportation matrices), and otherwise the
+    facet rows of the cone, each nonnegative on every column, so T A >= 0;
+    in both cases T b >= 0 on the cone.  For b in the cone, which lies in
+    the span of A, A lam = b holds exactly when T A lam = T b, because T
+    is injective on the span: if T v = 0 for a nonzero v in the span, then
+    v and -v both lie in the cone, which is pointed.  The witness is
+    checked against A lam = b before it is returned.
     """
     b = tuple(int(x) for x in b)
     a = problem.matrix
     if len(b) != a.rows:
         raise ValueError("vector dimension does not match matrix rows")
-    if not problem.in_cone(b):
+    if not problem.in_saturation(b):
         return None
     rows, lines = problem._derive("membership", lambda: _membership_system(problem))
     lam = nonnegative_solution(lines, [vec_dot(t, b) for t in rows], limits)
@@ -393,14 +385,12 @@ def hilbert_basis_cone_lattice(problem: SemigroupProblem,
     """
     basis = problem.lattice
     r = basis.rank
-    columns = {c for c in problem.matrix.columns() if not vec_is_zero(c)}
-    if len(columns) == r:
+    if len(problem.generators) == r:
         # r independent columns are a basis of the lattice they generate,
         # so the saturation is the semigroup itself
-        return HilbertBasis(tuple(sorted(columns)))
-    facets = problem.facets
+        return HilbertBasis(tuple(sorted(problem.generators)))
     rows = sorted(primitive_vector(tuple(vec_dot(w, column) for column in basis.columns))
-                  for w, sense in zip(facets.matrix, facets.senses) if sense == GE)
+                  for w in problem.cone.facets)
     assert rows  # a full-dimensional pointed cone has facets
     m = len(rows)
     kernel_cols = [tuple(row[j] for row in rows) for j in range(r)]

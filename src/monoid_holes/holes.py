@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .dioph import (
     HilbertBasis,
+    MinimalSolutionSet,
     difference_kernel,
     hilbert_basis_cone_lattice,
     minimal_inhomogeneous_solutions,
@@ -28,17 +29,17 @@ from .intlinalg import (
     lattice_basis,
     vec_add,
     vec_dot,
-    vec_is_zero,
     vec_sub,
 )
 from .limits import DEFAULT_LIMITS, Limits, pool_map
 from .monomials import MonomialIdeal, StandardPair, standard_pairs
-from .polyhedra import InequalitySystem, cone_facets, positive_functional
+from .polyhedra import Cone, cone_facets, cone_generators, positive_functional
 
 
 @dataclass(frozen=True)
 class SemigroupProblem:
-    """A matrix together with its precomputed lattice and cone data.
+    """A matrix together with its lattice, its generators (the distinct
+    nonzero columns) and its cone, each computed once.
 
     The stages derived from it later (the fundamental hole set, each hole
     ideal, the hole representation, the entry bound) are stored on it the
@@ -48,18 +49,20 @@ class SemigroupProblem:
 
     matrix: IntMatrix
     lattice: LatticeBasis
-    facets: InequalitySystem
-    grading: IntVector  # at least 1 on every nonzero column
+    cone: Cone
+    generators: tuple[IntVector, ...]  # the distinct nonzero columns
+    grading: IntVector  # at least 1 on every generator
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> "SemigroupProblem":
-        facets = cone_facets(a, limits)
-        grading = positive_functional(a, facets)  # raises NotPointedError on lines
-        return cls(a, lattice_basis(a), facets, grading)
+        generators = cone_generators(a)
+        cone = cone_facets(generators, a.rows, limits)
+        grading = positive_functional(cone, generators)  # raises NotPointedError on lines
+        return cls(a, lattice_basis(a), cone, generators, grading)
 
     def in_cone(self, z) -> bool:
-        return self.facets.satisfied_by(z)
+        return self.cone.contains(z)
 
     def in_saturation(self, z) -> bool:
         return self.in_cone(z) and self.lattice.contains(z) is not None
@@ -108,22 +111,14 @@ class HoleRepresentation:
 def is_hole(problem: SemigroupProblem, z, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Whether z is feasible over the reals and the lattice but not over Z_+."""
     z = tuple(int(x) for x in z)
-    if not problem.in_cone(z):
-        return False
-    if problem.lattice.contains(z) is None:
-        return False
-    return semigroup_contains(problem, z, limits) is None
+    return problem.in_saturation(z) and semigroup_contains(problem, z, limits) is None
 
 
 def _is_fundamental(problem: SemigroupProblem, z, limits: Limits) -> bool:
     # z (a hole) fails to be fundamental exactly when z minus some column
     # is again a hole: peeling one generator off a semigroup element of the
     # difference lands on a hole.
-    seen = set()
-    for column in problem.matrix.columns():
-        if vec_is_zero(column) or column in seen:
-            continue
-        seen.add(column)
+    for column in problem.generators:
         v = vec_sub(z, column)
         if not problem.in_cone(v):
             continue
@@ -153,10 +148,7 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
     if not basis_holes:
         return FundamentalHoleSet((), basis, ())
     grading = problem.grading
-    cap = 0
-    for column in a.columns():
-        if not vec_is_zero(column):
-            cap += vec_dot(grading, column)
+    cap = sum(vec_dot(grading, column) for column in a.columns())
     queue = deque(basis_holes)
     visited = set(basis_holes)
     holes_found = list(basis_holes)
@@ -176,12 +168,21 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
     return FundamentalHoleSet(fund, basis, basis_holes)
 
 
+def hole_solutions(problem: SemigroupProblem, f,
+                   limits: Limits = DEFAULT_LIMITS) -> MinimalSolutionSet:
+    """The minimal (lam, mu) with f + A lam = A mu, searched once per hole."""
+    f = tuple(int(x) for x in f)
+    return problem._derive(("solutions", f),
+                           lambda: _solutions_of(problem.matrix, f, _kernel(problem, limits), limits))
+
+
 def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
     """The monomial ideal of exponents lam with f + A lam back in the
-    semigroup; its standard monomials enumerate the holes above f."""
+    semigroup, generated by the lam parts of hole_solutions; its standard
+    monomials enumerate the holes above f."""
     f = tuple(int(x) for x in f)
-    return problem._derive(("ideal", f),
-                           lambda: _ideal_of(problem.matrix, f, _kernel(problem, limits), limits))
+    return problem._derive(("ideal", f), lambda: MonomialIdeal.from_generators(
+        problem.matrix.cols, hole_solutions(problem, f, limits).lam_parts()))
 
 
 def _kernel(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:
@@ -189,20 +190,20 @@ def _kernel(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:
     return problem._derive("kernel", lambda: difference_kernel(problem.matrix, limits))
 
 
-def _ideal_of(a: IntMatrix, f: IntVector, kernel, limits: Limits) -> MonomialIdeal:
-    solutions = minimal_inhomogeneous_solutions(a, f, limits, kernel)
-    return MonomialIdeal.from_generators(a.cols, solutions.lam_parts())
+def _solutions_of(a: IntMatrix, f: IntVector, kernel, limits: Limits) -> MinimalSolutionSet:
+    # the task of a worker process: a name of this module, so that it pickles
+    return minimal_inhomogeneous_solutions(a, f, limits, kernel)
 
 
 def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
                  jobs: int) -> list[MonomialIdeal]:
-    """The hole ideal of each hole; with jobs > 1 the ones not yet stored
-    are computed in worker processes."""
+    """The hole ideal of each hole; with jobs > 1 the solution sets not
+    yet stored are searched in worker processes."""
     if jobs > 1:
-        missing = [f for f in holes if ("ideal", f) not in problem._derived]
+        missing = [f for f in holes if ("solutions", f) not in problem._derived]
         tasks = [(problem.matrix, f, _kernel(problem, limits), limits) for f in missing]
-        ideals = pool_map(_ideal_of, tasks, jobs)
-        problem._derived.update(zip([("ideal", f) for f in missing], ideals))
+        solved = pool_map(_solutions_of, tasks, jobs)
+        problem._derived.update(zip([("solutions", f) for f in missing], solved))
     return [hole_ideal(problem, f, limits) for f in holes]
 
 
@@ -219,8 +220,8 @@ def _cells(problem: SemigroupProblem, limits: Limits, jobs: int) -> HoleRepresen
     for f, ideal in zip(fund.holes, _hole_ideals(problem, fund.holes, limits, jobs)):
         for pair in standard_pairs(ideal, limits):
             shift = vec_add(f, a.mul_vector(pair.root))
-            gens = tuple(sorted({a.col(j) for j in pair.free_vars
-                                 if not vec_is_zero(a.col(j))}))
+            free = {a.col(j) for j in pair.free_vars}
+            gens = tuple(sorted(g for g in problem.generators if g in free))
             cells.append(HoleCell(shift, gens, f, pair))
     cells.sort(key=lambda c: (c.shift, c.generators, c.fundamental_hole, c.pair.root))
     return HoleRepresentation(tuple(cells), fund)

@@ -90,9 +90,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> IntVector:
-        return self.entries[i]
-
     def col(self, j: int) -> IntVector:
         return tuple(row[j] for row in self.entries)
 

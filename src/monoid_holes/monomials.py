@@ -52,10 +52,6 @@ class MonomialIdeal:
         return cls(num_vars, _minimal_antichain(tuple(g) for g in gens))
 
     @classmethod
-    def zero(cls, num_vars: int) -> "MonomialIdeal":
-        return cls(num_vars, ())
-
-    @classmethod
     def unit(cls, num_vars: int) -> "MonomialIdeal":
         return cls(num_vars, ((0,) * num_vars,))
 
@@ -75,23 +71,6 @@ class StandardPair:
 
     root: Monomial
     free_vars: tuple[int, ...]
-
-    def member(self, m: Monomial) -> bool:
-        free = set(self.free_vars)
-        for v, (e, r) in enumerate(zip(m, self.root)):
-            if v in free:
-                if e < r:
-                    return False
-            elif e != r:
-                return False
-        return True
-
-
-def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    """Whether m lies in the ideal, i.e. some generator divides it."""
-    if len(m) != ideal.num_vars:
-        raise ValueError("monomial arity does not match the ideal")
-    return any(divides(g, m) for g in ideal.generators)
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:

@@ -27,64 +27,27 @@ from .intlinalg import (
     RatVector,
     primitive_vector,
     unit_vector,
-    vec_add,
     vec_dot,
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
 
-GE = "ge"
-EQ = "eq"
-
 
 @dataclass(frozen=True)
-class InequalitySystem:
-    """Rows a.x >= rhs or a.x = rhs over free rational variables."""
+class Cone:
+    """{z : e.z = 0 for every e in equations, w.z >= 0 for every w in
+    facets}, each row a primitive integer vector."""
 
-    matrix: tuple[tuple, ...]
-    senses: tuple[str, ...]
-    rhs: tuple
+    equations: tuple[IntVector, ...]
+    facets: tuple[IntVector, ...]
 
-    def __post_init__(self):
-        if not (len(self.matrix) == len(self.senses) == len(self.rhs)):
-            raise ValueError("row count mismatch between matrix, senses and rhs")
-        width = len(self.matrix[0]) if self.matrix else 0
-        for row in self.matrix:
-            if len(row) != width:
-                raise ValueError("ragged constraint rows")
-            for x in row:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError("constraint coefficients must be int or Fraction")
-        for s in self.senses:
-            if s not in (GE, EQ):
-                raise ValueError(f"unknown sense {s!r}")
-        for x in self.rhs:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError("rhs entries must be int or Fraction")
-
-    @classmethod
-    def from_rows(cls, rows) -> "InequalitySystem":
-        mat, senses, rhs = [], [], []
-        for coeffs, sense, b in rows:
-            mat.append(tuple(coeffs))
-            senses.append(sense)
-            rhs.append(b)
-        return cls(tuple(mat), tuple(senses), tuple(rhs))
-
-    def satisfied_by(self, x) -> bool:
-        if self.matrix and len(x) != len(self.matrix[0]):
-            raise ValueError("vector dimension does not match the system")
-        # clear the denominators of x once, so integer rows check in integers
-        scale = lcm(*(c.denominator for c in x))
-        x = [c.numerator * (scale // c.denominator) for c in x]
-        for row, sense, b in zip(self.matrix, self.senses, self.rhs):
-            v = vec_dot(row, x)
-            b *= scale
-            if sense == EQ and v != b:
-                return False
-            if sense == GE and v < b:
-                return False
-        return True
+    def contains(self, z) -> bool:
+        """Whether the integer point z satisfies every row."""
+        first = self.equations[:1] or self.facets[:1]
+        if first and len(z) != len(first[0]):
+            raise ValueError("vector dimension does not match the cone")
+        return (all(vec_dot(e, z) == 0 for e in self.equations)
+                and all(vec_dot(w, z) >= 0 for w in self.facets))
 
 
 @dataclass(frozen=True)
@@ -128,11 +91,6 @@ class FeasibilitySystem:
             return False
         return (all(vec_dot(multipliers, column) <= 0 for column in self.matrix.columns())
                 and vec_dot(multipliers, self.rhs) > 0)
-
-
-def feasibility_system(a: IntMatrix, b) -> FeasibilitySystem:
-    """The system a x = b over x >= 0."""
-    return FeasibilitySystem(a, tuple(b))
 
 
 @dataclass(frozen=True)
@@ -342,7 +300,7 @@ def _tight_set(vector, cols, upto) -> frozenset[int]:
     return frozenset(p for p in range(upto) if vec_dot(vector, cols[p]) == 0)
 
 
-def _extreme_rays_dual(cols: list[IntVector], dim: int,
+def _extreme_rays_dual(cols, dim: int,
                        limits: Limits) -> tuple[list[IntVector], list[IntVector]]:
     """The lineality basis and the extreme rays of {y : y.c >= 0 for all c
     in cols}, every vector primitive.
@@ -413,50 +371,39 @@ def _extreme_rays_dual(cols: list[IntVector], dim: int,
 # ---------------------------------------------------------------------------
 # cone descriptions
 
-def _nonzero_columns(a: IntMatrix) -> list[IntVector]:
-    # zero columns generate nothing; dropping them avoids degenerate rays
-    seen = set()
-    out = []
-    for column in a.columns():
-        if vec_is_zero(column) or column in seen:
-            continue
-        seen.add(column)
-        out.append(column)
-    return out
+def cone_generators(a: IntMatrix) -> tuple[IntVector, ...]:
+    """The distinct nonzero columns of a, in column order: the generators
+    of its cone.  Zero columns generate nothing, and dropping them and
+    repeats keeps degenerate rays out of the double description."""
+    return tuple(dict.fromkeys(c for c in a.columns() if not vec_is_zero(c)))
 
 
-def cone_facets(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> InequalitySystem:
-    """Inequality description of the cone generated by the columns of a.
+def cone_facets(generators, dim: int, limits: Limits = DEFAULT_LIMITS) -> Cone:
+    """The cone in Z^dim generated by generators, by its rows.
 
-    Equality rows pin the linear span, inequality rows are the facets of
-    the cone inside its span; together {z : rows hold} equals cone(a).
-    Both come from one double description of the dual cone: its lineality
-    is the left kernel of a, and its extreme rays are the facets.  Every
-    row is a primitive integer vector with zero right-hand side; an
-    equality row has a positive first nonzero entry.
+    Equations pin the linear span, facets are the facets of the cone inside
+    its span; together they cut out exactly the cone.  Both come from one
+    double description of the dual cone: its lineality is the left kernel
+    of the generators, and its extreme rays are the facets.  An equation
+    has a positive first nonzero entry; equations and facets are each
+    sorted.
     """
-    lin, rays = _extreme_rays_dual(_nonzero_columns(a), a.rows, limits)
-    eq_rows = [row if next(x for x in row if x) > 0 else tuple(-x for x in row)
-               for row in lin]
-    rows = [(row, EQ, 0) for row in sorted(eq_rows)]
-    rows += [(row, GE, 0) for row in sorted(rays)]
-    return InequalitySystem.from_rows(rows)
+    lin, rays = _extreme_rays_dual(generators, dim, limits)
+    equations = [row if next(x for x in row if x) > 0 else tuple(-x for x in row)
+                 for row in lin]
+    return Cone(tuple(sorted(equations)), tuple(sorted(rays)))
 
 
-def positive_functional(a: IntMatrix, facets: InequalitySystem) -> IntVector:
-    """A primitive integer y with y.col >= 1 for every nonzero column of a:
-    the sum of the inequality rows of cone(a)'s facets.
+def positive_functional(cone: Cone, generators) -> IntVector:
+    """A primitive integer y with y.g >= 1 for every generator g of the
+    cone: the sum of its facet rows.
 
     That sum vanishes on a point of the cone only when the point lies in
-    the cone's lineality space, which the columns in it span; so it is
-    positive on every nonzero column exactly when the cone is pointed.
-    Used as a termination grading.
+    the cone's lineality space, which the generators in it span; so it is
+    positive on every generator exactly when the cone is pointed.  Used as
+    a termination grading.
     """
-    total = (0,) * a.rows
-    for row, sense in zip(facets.matrix, facets.senses):
-        if sense == GE:
-            total = vec_add(total, row)
-    grading = primitive_vector(total)
-    if any(vec_dot(grading, column) <= 0 for column in _nonzero_columns(a)):
+    grading = primitive_vector(tuple(map(sum, zip(*cone.facets))))
+    if any(vec_dot(grading, g) <= 0 for g in generators):
         raise NotPointedError("cone contains a line; no strictly positive functional")
     return grading

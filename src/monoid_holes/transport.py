@@ -23,7 +23,7 @@ from .intlinalg import (
     vec_add,
 )
 from .limits import DEFAULT_LIMITS, Limits, pool_map
-from .polyhedra import feasibility_system, lp_exact, maximize_each
+from .polyhedra import FeasibilitySystem, lp_exact, maximize_each
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,6 @@ def vector_to_margins(dims: TransportDims, f) -> MarginTriple:
     return MarginTriple.from_lists(u, v, w)
 
 
-def table_margins(dims: TransportDims, table) -> MarginTriple:
-    u = [[sum(table[i][j][k] for i in range(dims.r)) for k in range(dims.t)]
-         for j in range(dims.s)]
-    v = [[sum(table[i][j][k] for j in range(dims.s)) for k in range(dims.t)]
-         for i in range(dims.r)]
-    w = [[sum(table[i][j][k] for k in range(dims.t)) for j in range(dims.s)]
-         for i in range(dims.r)]
-    return MarginTriple.from_lists(u, v, w)
-
-
 # ---------------------------------------------------------------------------
 # the 3 x 4 x 6 instance with a fundamental hole
 
@@ -238,7 +228,7 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     a, f = vlach_instance()
     diagnostics: list[str] = []
 
-    system = feasibility_system(a, f)
+    system = FeasibilitySystem(a, f)
     feas = lp_exact(system, (0,) * a.cols, "min")
     if feas.status != "optimal":
         return VlachReport(f, None, (), None, (),

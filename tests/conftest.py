@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from monoid_holes import IntMatrix, feasibility_system, lp_exact
+from monoid_holes import FeasibilitySystem, IntMatrix, lp_exact
 
 
 def gauss_determinant(rows):
@@ -107,6 +107,27 @@ def brute_member(rows, b):
                    for k in range(top + 1))
 
     return all(x >= 0 for x in b) and reach(0, list(b))
+
+
+def in_monomial_ideal(generators, m):
+    """Whether some generator divides the monomial m."""
+    return any(all(x <= y for x, y in zip(g, m)) for g in generators)
+
+
+def in_standard_cell(root, free_vars, m):
+    """Whether m lies in root + Z_+ moves on free_vars: equal to root off
+    free_vars, at least root on them."""
+    return all(x >= r if v in free_vars else x == r
+               for v, (x, r) in enumerate(zip(m, root)))
+
+
+def margin_lists(r, s, t, table):
+    """The (u, v, w) margins of an r x s x t table: u sums out i, v sums
+    out j and w sums out k."""
+    u = [[sum(table[i][j][k] for i in range(r)) for k in range(t)] for j in range(s)]
+    v = [[sum(table[i][j][k] for j in range(s)) for k in range(t)] for i in range(r)]
+    w = [[sum(table[i][j][k] for k in range(t)) for j in range(s)] for i in range(r)]
+    return u, v, w
 
 
 def brute_minimal_inhomogeneous(rows, f, box):
@@ -337,7 +358,7 @@ def in_half_open_zonotope(a, z):
         rows.append([int(k == j) for k in range(n)] + [-1] + slack)
     rhs = tuple(z) + (0,) * n
     objective = (0,) * n + (1,) + (0,) * n
-    result = lp_exact(feasibility_system(IntMatrix.from_rows(rows), rhs), objective, "min")
+    result = lp_exact(FeasibilitySystem(IntMatrix.from_rows(rows), rhs), objective, "min")
     return result.status == "optimal" and result.optimum < 1
 
 

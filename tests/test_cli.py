@@ -213,6 +213,17 @@ class TestMember:
         assert code == 0
         assert "status: outside-lattice" in out
 
+    def test_outside_lattice_is_not_searched(self, capsys, tmp_path):
+        # every column is even, so the odd point is off the lattice but in
+        # the cone; a search for it explores the whole box below it
+        path = tmp_path / "even.txt"
+        path.write_text("2 4\n2 4 6 10\n0 2 4 10\n")
+        start = time.process_time()
+        code, out = run(capsys, "member", str(path), "1001 501")
+        assert time.process_time() - start < 2
+        assert code == 0
+        assert "status: outside-lattice\n" in out
+
     def test_outside_cone_is_not_searched(self, capsys, tmp_path):
         # 5001 / 1000 is beyond the steepest column (1, 5), but the point is
         # nonnegative, so only the cone test keeps the search from running

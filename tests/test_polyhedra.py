@@ -9,11 +9,10 @@ from monoid_holes import (
     IntMatrix,
     NotPointedError,
     cone_facets,
-    feasibility_system,
     lp_exact,
 )
 from monoid_holes import polyhedra
-from monoid_holes.polyhedra import EQ, GE, _Phase1, maximize_each, positive_functional
+from monoid_holes.polyhedra import _Phase1, cone_generators, maximize_each, positive_functional
 from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero, vec_sub
 from monoid_holes.transport import TransportDims, transportation_matrix, vlach_instance
 
@@ -25,7 +24,11 @@ coefficients = st.one_of(
 
 
 def system_of(rows, rhs):
-    return feasibility_system(IntMatrix.from_rows(rows), rhs)
+    return FeasibilitySystem(IntMatrix.from_rows(rows), tuple(rhs))
+
+
+def cone_of(a):
+    return cone_facets(cone_generators(a), a.rows)
 
 
 @st.composite
@@ -51,48 +54,47 @@ def assert_matches_oracle(rows, rhs, result, objective, sense):
 
 class TestConeFacets:
     def test_example_matrix(self, example_matrix):
-        fc = cone_facets(example_matrix)
-        assert fc.senses == (GE, GE)
-        assert set(fc.matrix) == {(0, 1), (4, -1)}
+        fc = cone_of(example_matrix)
+        assert fc.equations == ()
+        assert fc.facets == ((0, 1), (4, -1))
 
     def test_orthant(self):
-        fc = cone_facets(IntMatrix.from_rows([[1, 0], [0, 1]]))
-        assert set(fc.matrix) == {(1, 0), (0, 1)}
-        assert all(s == GE for s in fc.senses)
+        fc = cone_of(IntMatrix.from_rows([[1, 0], [0, 1]]))
+        assert fc.equations == ()
+        assert fc.facets == ((0, 1), (1, 0))
 
     def test_full_line_has_no_facets(self):
-        fc = cone_facets(IntMatrix.from_rows([[1, -1]]))
-        assert fc.matrix == ()
+        fc = cone_of(IntMatrix.from_rows([[1, -1]]))
+        assert fc.equations == fc.facets == ()
 
     def test_lower_dimensional_cone_gets_equalities(self):
         # single ray (1, 1): span is a line, one equality plus one facet
-        fc = cone_facets(IntMatrix.from_rows([[1], [1]]))
-        senses = fc.senses
-        assert EQ in senses and GE in senses
-        assert fc.satisfied_by((2, 2))
-        assert not fc.satisfied_by((2, 3))
-        assert not fc.satisfied_by((-1, -1))
+        fc = cone_of(IntMatrix.from_rows([[1], [1]]))
+        assert len(fc.equations) == 1 and len(fc.facets) == 1
+        assert fc.contains((2, 2))
+        assert not fc.contains((2, 3))
+        assert not fc.contains((-1, -1))
         with pytest.raises(ValueError):
-            fc.satisfied_by((2, 2, 0))
+            fc.contains((2, 2, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
                     min_size=1, max_size=5), st.data())
     def test_membership_duality(self, cols, data):
         a = IntMatrix.from_rows([list(x) for x in zip(*cols)])
-        fc = cone_facets(a)
+        fc = cone_of(a)
         lam = data.draw(st.lists(st.integers(0, 4), min_size=a.cols, max_size=a.cols))
         point = a.mul_vector(lam)
-        assert fc.satisfied_by(point)
+        assert fc.contains(point)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
                     min_size=1, max_size=4), st.data())
     def test_facet_violation_means_real_infeasible(self, cols, data):
         a = IntMatrix.from_rows([list(x) for x in zip(*cols)])
-        fc = cone_facets(a)
+        fc = cone_of(a)
         z = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
-        if fc.satisfied_by(z):
+        if fc.contains(z):
             return
         oracle_rows = standard_form_rows(a.entries, z)
         assert brute_lp(oracle_rows, (0,) * a.cols, "min")[0] == "infeasible"
@@ -105,7 +107,7 @@ class TestIsPointed:
 
     @staticmethod
     def assert_pointed(a):
-        phi = positive_functional(a, cone_facets(a))
+        phi = positive_functional(cone_of(a), cone_generators(a))
         assert all(vec_dot(phi, col) >= 1 for col in a.columns() if not vec_is_zero(col))
 
     def test_example_matrix(self, example_matrix):
@@ -114,7 +116,7 @@ class TestIsPointed:
     def test_line(self):
         a = IntMatrix.from_rows([[1, -1]])
         with pytest.raises(NotPointedError):
-            positive_functional(a, cone_facets(a))
+            positive_functional(cone_of(a), cone_generators(a))
 
     def test_transportation_cone(self):
         self.assert_pointed(transportation_matrix(TransportDims(3, 3, 3)))
@@ -124,7 +126,7 @@ class TestIsPointed:
 
     def test_positive_functional_certifies(self):
         a = IntMatrix.from_rows([[2, -1], [0, 1]])
-        phi = positive_functional(a, cone_facets(a))
+        phi = positive_functional(cone_of(a), cone_generators(a))
         for col in a.columns():
             assert vec_dot(phi, col) >= 1
 
@@ -211,7 +213,7 @@ class TestPinnedAnswers:
     def test_vlach_margin_witness(self):
         # the unique real point of the 3x4x6 margin polytope, half-integral
         a, f = vlach_instance()
-        result = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min")
+        result = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min")
         support = [0, 2, 7, 8, 13, 15, 18, 21, 24, 28, 31, 35, 37, 40, 42, 47,
                    50, 52, 56, 59, 63, 64, 69, 71]
         assert (result.status, result.optimum) == ("optimal", 0)
@@ -221,7 +223,7 @@ class TestPinnedAnswers:
     def test_vlach_fundamentality_farkas(self):
         # the margins minus the first column are not real feasible
         a, f = vlach_instance()
-        system = feasibility_system(a, vec_sub(f, a.col(0)))
+        system = FeasibilitySystem(a, vec_sub(f, a.col(0)))
         result = lp_exact(system, (0,) * a.cols, "min")
         assert result.status == "infeasible"
         assert result.farkas == (
@@ -289,7 +291,7 @@ class TestLpOracle:
 class TestCertificates:
     # x + y - s = 3 with x + t = 1 and y + u = 1: the multipliers
     # (1, -1, -1) give -s - t - u = 1
-    BOX = feasibility_system(IntMatrix.from_rows(
+    BOX = FeasibilitySystem(IntMatrix.from_rows(
         [[1, 1, -1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]), (3, 1, 1))
 
     def test_infeasible_box_is_refuted(self):
@@ -350,8 +352,8 @@ class TestHalfOpenZonotope:
         assert not in_half_open_zonotope(example_matrix, (-1, 0))
 
     def test_zonotope_points_lie_in_cone(self, example_matrix):
-        fc = cone_facets(example_matrix)
+        fc = cone_of(example_matrix)
         for x in range(-1, 5):
             for y in range(-1, 10):
                 if in_half_open_zonotope(example_matrix, (x, y)):
-                    assert fc.satisfied_by((x, y))
+                    assert fc.contains((x, y))

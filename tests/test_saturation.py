@@ -1,7 +1,10 @@
+import runpy
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
@@ -20,7 +23,16 @@ from monoid_holes import (
 from monoid_holes import dioph, holes, intlinalg, polyhedra, saturation
 from monoid_holes.limits import Limits
 
-from conftest import numerical_gaps, numerical_member
+from conftest import (
+    brute_in_cone,
+    brute_in_lattice,
+    brute_max_subdet,
+    numerical_gaps,
+    numerical_member,
+    sieve_member,
+)
+
+WALKTHROUGH = Path(__file__).resolve().parents[1] / "scripts" / "example1_walkthrough.py"
 
 
 def numerical_problem(a, b):
@@ -79,6 +91,29 @@ class TestCertifyInfinite:
         for (a, b) in [(2, 3), (3, 5), (4, 7)]:
             bound = hole_bound(IntMatrix.from_rows([[a, b]])).bound
             assert all(g <= bound for g in numerical_gaps(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 4]).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+    def test_certificate_matches_oracles(self, rows):
+        # 2-row matrices with a positive first row, which sieve_member decides
+        rows = [list(row) for row in rows]
+        d = brute_max_subdet(rows)
+        assume(d != 0)
+        problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+        try:
+            certificate = certify_infinite(problem, Limits(max_nodes=20000))
+        except ResourceLimitError:
+            assume(False)
+        if holes_representation(problem).is_finite:
+            assert certificate is None
+            return
+        m = max(sum(map(abs, row)) for row in rows)
+        assert max(map(abs, certificate)) > (len(rows) + 1) * m * m * d
+        assert brute_in_cone(rows, certificate)
+        assert brute_in_lattice(rows, certificate)
+        assert not sieve_member(rows, certificate)
 
 
 class TestSaturationPoints:
@@ -166,6 +201,24 @@ def counted(calls, key, inner):
         calls[key] += 1
         return inner(*args, **kwargs)
     return wrapper
+
+
+class TestWalkthrough:
+    def test_each_search_runs_once(self, monkeypatch, capsys):
+        # the kernel of [A | -A] and the u = 1 search for the hole (1, 1)
+        calls = Counter()
+        kernel = counted(calls, "kernel", dioph.difference_kernel)
+        monkeypatch.setattr(dioph, "difference_kernel", kernel)
+        monkeypatch.setattr(holes, "difference_kernel", kernel)
+        inner = dioph._minimal_kernel_solutions
+
+        def searched(*args, **kwargs):
+            calls["u = 1"] += kwargs.get("starts") == (0,)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(dioph, "_minimal_kernel_solutions", searched)
+        runpy.run_path(str(WALKTHROUGH), run_name="__main__")
+        assert "fundamental holes: [(1, 1)]\n" in capsys.readouterr().out
+        assert calls == {"kernel": 1, "u = 1": 1}
 
 
 class TestComputedOnce:

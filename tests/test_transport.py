@@ -10,7 +10,6 @@ from monoid_holes import (
     ResourceLimitError,
     TransportDims,
     table_feasible,
-    table_margins,
     transportation_matrix,
     verify_vlach,
     vlach_instance,
@@ -23,7 +22,14 @@ from monoid_holes.transport import (
     margins_to_vector,
     vector_to_margins,
 )
-from monoid_holes.polyhedra import feasibility_system, lp_exact
+from monoid_holes.polyhedra import FeasibilitySystem, lp_exact
+
+from conftest import margin_lists
+
+
+def table_margins(dims, table):
+    return MarginTriple.from_lists(*margin_lists(dims.r, dims.s, dims.t, table))
+
 
 # the unique real point of the 3x4x6 margin polytope, entered as twice its
 # value: blocks are indexed by k, rows by j, columns by i
@@ -60,13 +66,13 @@ class TestTransportationMatrix:
         # each row's support size is the summed-out dimension
         for j in range(dims.s):
             for k in range(dims.t):
-                assert sum(a.row(dims.u_row(j, k))) == dims.r
+                assert sum(a.entries[dims.u_row(j, k)]) == dims.r
         for i in range(dims.r):
             for k in range(dims.t):
-                assert sum(a.row(dims.v_row(i, k))) == dims.s
+                assert sum(a.entries[dims.v_row(i, k)]) == dims.s
         for i in range(dims.r):
             for j in range(dims.s):
-                assert sum(a.row(dims.w_row(i, j))) == dims.t
+                assert sum(a.entries[dims.w_row(i, j)]) == dims.t
 
     def test_222_shape(self):
         a = transportation_matrix(TransportDims(2, 2, 2))
@@ -96,7 +102,7 @@ class TestVlachInstance:
 
     def test_lp_reproduces_the_point(self):
         a, f = vlach_instance()
-        res = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min")
+        res = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min")
         assert res.status == "optimal"
         assert res.witness == known_half_integral_point()
 
@@ -193,7 +199,7 @@ class TestTableFeasible:
             if not margins.is_consistent():
                 assert table_feasible(dims, margins) is None
                 continue
-            real = lp_exact(feasibility_system(a, f), (0,) * a.cols, "min")
+            real = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min")
             table = table_feasible(dims, margins)
             if table is not None:
                 assert real.status == "optimal"
