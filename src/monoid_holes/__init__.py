@@ -68,7 +68,6 @@ from .saturation import (
     hole_bound,
     problem_bound,
     saturation_points,
-    verify_saturation,
 )
 from .transport import (
     MarginTriple,

@@ -11,7 +11,6 @@ the hole ideal of f.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .dioph import (
@@ -28,7 +27,6 @@ from .intlinalg import (
     LatticeBasis,
     lattice_basis,
     vec_add,
-    vec_dot,
     vec_sub,
 )
 from .limits import DEFAULT_LIMITS, Limits, pool_map
@@ -51,15 +49,14 @@ class SemigroupProblem:
     lattice: LatticeBasis
     cone: Cone
     generators: tuple[IntVector, ...]  # the distinct nonzero columns
-    grading: IntVector  # at least 1 on every generator
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> "SemigroupProblem":
         generators = cone_generators(a)
         cone = cone_facets(generators, a.rows, limits)
-        grading = positive_functional(cone, generators)  # raises NotPointedError on lines
-        return cls(a, lattice_basis(a), cone, generators, grading)
+        positive_functional(cone, generators)  # raises NotPointedError on lines
+        return cls(a, lattice_basis(a), cone, generators)
 
     def in_cone(self, z) -> bool:
         return self.cone.contains(z)
@@ -114,58 +111,39 @@ def is_hole(problem: SemigroupProblem, z, limits: Limits = DEFAULT_LIMITS) -> bo
     return problem.in_saturation(z) and semigroup_contains(problem, z, limits) is None
 
 
-def _is_fundamental(problem: SemigroupProblem, z, limits: Limits) -> bool:
-    # z (a hole) fails to be fundamental exactly when z minus some column
-    # is again a hole: peeling one generator off a semigroup element of the
-    # difference lands on a hole.
-    for column in problem.generators:
-        v = vec_sub(z, column)
-        if not problem.in_cone(v):
-            continue
-        if semigroup_contains(problem, v, limits) is None:
-            return False
-    return True
-
-
 def fundamental_holes(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS) -> FundamentalHoleSet:
-    """The finite set of fundamental holes.
+    """The finite set of fundamental holes, from the cone, the lattice and
+    the Hilbert basis B of the saturation alone.
 
-    Sped-up enumeration through the Hilbert basis B of the saturation:
-    holes in B are fundamental, and every fundamental hole is a sum of
-    them whose partial sums are themselves holes.  The layered sum search
-    prunes non-holes and anything at or beyond the grading cap of the
-    half-open zonotope, then keeps the sums passing the exact
-    fundamentality test.
+    The basis holes are B minus the generators: a basis element in the
+    semigroup is a single column, since b = a_j + (b - a_j) would split it.
+    The fundamental holes are the nonzero saturation points z with z - g
+    off the cone for every generator g: a nonzero point of the semigroup
+    keeps z - a_j in it for a column of its support, and for a hole z with
+    z - g in the cone, z - g is again a hole.  With 0 they are closed under
+    divisors in the saturation, so a breadth-first search over sums of the
+    fundamental basis holes that keeps only fundamental sums finds them all.
     """
     return problem._derive("fundamental", lambda: _search_fundamental(problem, limits))
 
 
 def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> FundamentalHoleSet:
-    a = problem.matrix
     basis = hilbert_basis_cone_lattice(problem, limits)
-    basis_holes = tuple(sorted(
-        b for b in basis.elements if semigroup_contains(problem, b, limits) is None))
-    if not basis_holes:
-        return FundamentalHoleSet((), basis, ())
-    grading = problem.grading
-    cap = sum(vec_dot(grading, column) for column in a.columns())
-    queue = deque(basis_holes)
-    visited = set(basis_holes)
-    holes_found = list(basis_holes)
-    while queue:
-        z = queue.popleft()
-        for b in basis_holes:
+    basis_holes = tuple(sorted(set(basis.elements) - set(problem.generators)))
+
+    def fundamental(z):
+        return not any(problem.in_cone(vec_sub(z, g)) for g in problem.generators)
+
+    seeds = [b for b in basis_holes if fundamental(b)]
+    found, seen = list(seeds), set(seeds)
+    for z in found:  # breadth first: found grows while it is walked
+        for b in seeds:
             y = vec_add(z, b)
-            if y in visited:
-                continue
-            visited.add(y)
-            if vec_dot(grading, y) >= cap:
-                continue
-            if semigroup_contains(problem, y, limits) is None:
-                holes_found.append(y)
-                queue.append(y)
-    fund = tuple(sorted(z for z in holes_found if _is_fundamental(problem, z, limits)))
-    return FundamentalHoleSet(fund, basis, basis_holes)
+            if y not in seen:
+                seen.add(y)
+                if fundamental(y):
+                    found.append(y)
+    return FundamentalHoleSet(tuple(sorted(found)), basis, basis_holes)
 
 
 def hole_solutions(problem: SemigroupProblem, f,

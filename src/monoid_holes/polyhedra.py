@@ -400,8 +400,8 @@ def positive_functional(cone: Cone, generators) -> IntVector:
 
     That sum vanishes on a point of the cone only when the point lies in
     the cone's lineality space, which the generators in it span; so it is
-    positive on every generator exactly when the cone is pointed.  Used as
-    a termination grading.
+    positive on every generator exactly when the cone is pointed, and
+    NotPointedError is raised otherwise.  It only certifies pointedness.
     """
     grading = primitive_vector(tuple(map(sum, zip(*cone.facets))))
     if any(vec_dot(grading, g) <= 0 for g in generators):

@@ -5,7 +5,6 @@ inside the semigroup)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .dioph import semigroup_contains
 from .errors import InternalInconsistencyError
@@ -116,25 +115,3 @@ def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
             kept.append(s)
     return SaturationResult(ideal, tuple(kept), generator_map, tuple(removed))
 
-
-def verify_saturation(problem: SemigroupProblem, s, box_radius: int = 0,
-                      limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Desk-scale check that s + saturation stays inside the semigroup.
-
-    Checks s itself, s plus every fundamental hole (sufficient in theory),
-    and optionally every saturation point z with |z_i| <= box_radius.
-    """
-    s = tuple(int(x) for x in s)
-    if semigroup_contains(problem, s, limits) is None:
-        return False
-    fund = fundamental_holes(problem, limits)
-    for f in fund.holes:
-        if semigroup_contains(problem, vec_add(s, f), limits) is None:
-            return False
-    if box_radius > 0:
-        for z in product(range(-box_radius, box_radius + 1), repeat=problem.matrix.rows):
-            if not problem.in_saturation(z):
-                continue
-            if semigroup_contains(problem, vec_add(s, z), limits) is None:
-                return False
-    return True

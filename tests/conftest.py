@@ -1,5 +1,6 @@
-"""Shared brute-force oracles, kept independent of the library internals,
-and in_half_open_zonotope, a test helper built on the library's exact LP."""
+"""Shared brute-force oracles, kept independent of the library internals;
+in_half_open_zonotope, a test helper built on the library's exact LP; and
+verify_saturation, a desk-scale check built on its membership search."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,7 +8,13 @@ from math import gcd
 
 import pytest
 
-from monoid_holes import FeasibilitySystem, IntMatrix, lp_exact
+from monoid_holes import (
+    FeasibilitySystem,
+    IntMatrix,
+    fundamental_holes,
+    lp_exact,
+    semigroup_contains,
+)
 
 
 def gauss_determinant(rows):
@@ -237,22 +244,18 @@ def brute_saturation_hilbert(rows):
     Every basis element is sum lam_j a_j with 0 <= lam_j <= 1, so it lies in
     the box between the sums of the negative and of the positive entries of
     each row.  A point z is in the lattice when adding it as a column keeps
-    the gcd of the maximal minors, and in the cone when brute_lp finds
-    min y.z = 0 over {y : y A >= 0} (Farkas: unbounded exactly when z is
-    outside).  A saturation point x of the box is reducible when x - y is
-    in the cone for a saturation point y of the box other than 0 and x:
-    some basis element is such a y.
+    the gcd of the maximal minors, and in the cone when it satisfies every
+    row of brute_facets.  A saturation point x of the box is reducible when
+    x - y is in the cone for a saturation point y of the box other than 0
+    and x: some basis element is such a y.
     """
     index = _maximal_minor_gcd(rows)
     lo = [sum(min(x, 0) for x in row) for row in rows]
     hi = [sum(max(x, 0) for x in row) for row in rows]
-    dual = [(column, "ge", 0) for column in zip(*rows)]
-    cone = {}
+    facets = brute_facets(rows)
 
     def in_cone(z):
-        if z not in cone:
-            cone[z] = brute_lp(dual, z, "min")[0] == "optimal"
-        return cone[z]
+        return all(sum(p * q for p, q in zip(w, z)) >= 0 for w in facets)
 
     points = [z for z in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
               if any(z)
@@ -311,6 +314,28 @@ def brute_grading(rows, bound=3):
                  if all(sum(p * q for p, q in zip(y, c)) >= 1 for c in columns)), None)
 
 
+def brute_facets(rows):
+    """The facet rows of the cone of a full-row-rank A, which is then
+    full-dimensional: each facet is spanned by d - 1 independent columns,
+    so its row is their normal, read off the signed minors, oriented to be
+    nonnegative on every column.  A normal with columns on both sides is
+    not a facet."""
+    d = len(rows)
+    columns = [c for c in zip(*rows) if any(c)]
+    facets = set()
+    for sub in combinations(columns, d - 1):
+        normal = tuple((-1) ** j * int(gauss_determinant(
+            [[c[k] for k in range(d) if k != j] for c in sub])) for j in range(d))
+        if not any(normal):
+            continue
+        values = [sum(p * q for p, q in zip(normal, c)) for c in columns]
+        if all(v >= 0 for v in values):
+            facets.add(normal)
+        elif all(v <= 0 for v in values):
+            facets.add(tuple(-x for x in normal))
+    return facets
+
+
 def brute_holes(rows, grading, top):
     """The holes z of a full-row-rank A with grading.z <= top, where the
     grading is at least 1 on every nonzero column.
@@ -319,8 +344,9 @@ def brute_holes(rows, grading, top):
     grading g, and is the union over columns a of layer g - grading.a
     shifted by a.  Every point of the cone with grading at most top is
     sum t_a a with sum t_a grading.a <= top, so it lies in the box spanned
-    by 0 and the points top * a / grading.a.  Lattice and cone come from
-    brute_in_lattice and brute_in_cone.
+    by 0 and the points top * a / grading.a.  The cone is cut out by the
+    rows of brute_facets, and the lattice test is brute_in_lattice's, with
+    the index of A computed once.
     """
     columns = sorted({c for c in zip(*rows) if any(c)})
     grade = {c: sum(p * q for p, q in zip(grading, c)) for c in columns}
@@ -329,13 +355,16 @@ def brute_holes(rows, grading, top):
         layers.append({tuple(x + y for x, y in zip(z, c))
                        for c in columns if grade[c] <= g for z in layers[g - grade[c]]})
     semigroup = set().union(*layers)
+    facets = brute_facets(rows)
+    index = _maximal_minor_gcd(rows)
     box = [range(min([0] + [top * c[r] // grade[c] for c in columns]),
                  max([0] + [top * c[r] // grade[c] for c in columns]) + 1)
            for r in range(len(rows))]
     return sorted(
         z for z in product(*box)
         if 0 <= sum(p * q for p, q in zip(grading, z)) <= top and z not in semigroup
-        and brute_in_lattice(rows, z) and brute_in_cone(rows, z))
+        and all(sum(p * q for p, q in zip(w, z)) >= 0 for w in facets)
+        and _maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)]) == index)
 
 
 def in_half_open_zonotope(a, z):
@@ -360,6 +389,25 @@ def in_half_open_zonotope(a, z):
     objective = (0,) * n + (1,) + (0,) * n
     result = lp_exact(FeasibilitySystem(IntMatrix.from_rows(rows), rhs), objective, "min")
     return result.status == "optimal" and result.optimum < 1
+
+
+def verify_saturation(problem, s, box_radius=0):
+    """Desk-scale check that s + saturation stays inside the semigroup.
+
+    Checks s itself, s plus every fundamental hole (sufficient in theory),
+    and s plus every saturation point z with |z_i| <= box_radius.
+    """
+    s = tuple(int(x) for x in s)
+    if semigroup_contains(problem, s) is None:
+        return False
+    for f in fundamental_holes(problem).holes:
+        if semigroup_contains(problem, tuple(x + y for x, y in zip(s, f))) is None:
+            return False
+    for z in product(range(-box_radius, box_radius + 1), repeat=problem.matrix.rows):
+        if problem.in_saturation(z) and \
+                semigroup_contains(problem, tuple(x + y for x, y in zip(s, z))) is None:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -169,6 +169,15 @@ class TestBound:
         assert brute_in_lattice(rows, certificate)
         assert not sieve_member(rows, certificate)
 
+    def test_rank_deficient_matrix_is_an_error(self, capsys, tmp_path):
+        # the bound's maximal subdeterminants need a matrix of full row rank
+        path = tmp_path / "zero_row.txt"
+        path.write_text("2 2\n2 3\n0 0\n")
+        assert main(["bound", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix must have full row rank\n"
+
     def test_two_three(self, capsys, tmp_path):
         path = tmp_path / "ns23.txt"
         path.write_text("1 2\n2 3\n")

@@ -16,14 +16,19 @@ from monoid_holes import (
     row_sum_bound,
     semigroup_contains,
 )
-from monoid_holes.intlinalg import rational_rank, vec_add, vec_dot
+from monoid_holes.intlinalg import rational_rank, vec_add, vec_dot, vec_sub
 from monoid_holes.limits import Limits
+from monoid_holes.polyhedra import positive_functional
 
 from conftest import (
+    brute_facets,
     brute_grading,
     brute_holes,
+    brute_in_cone,
     brute_lp,
     brute_max_subdet,
+    brute_member,
+    brute_saturation_hilbert,
     in_half_open_zonotope,
     numerical_gaps,
     numerical_member,
@@ -51,6 +56,28 @@ def pointed_two_row(draw):
                 draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
     return draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                          min_size=2, max_size=2))
+
+
+@st.composite
+def pointed_full_rank(draw, d):
+    """d x (d + 1) to d x 4 matrices of full row rank, nonnegative with a
+    positive first row or mixed-sign, some with a zero column or a repeated
+    column; brute_grading shows the cone pointed.  The 3-row entries are
+    kept small so that the box oracles stay fast."""
+    size = 3 if d == 2 else 2
+    n = draw(st.integers(d + 1, 4))
+    if draw(st.booleans()):
+        column = st.tuples(st.integers(1, size), *[st.integers(0, size)] * (d - 1))
+    else:
+        column = st.tuples(*[st.integers(1 - size, size - 1)] * d)
+    columns = draw(st.lists(column, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, n)), (0,) * d)
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), draw(st.sampled_from(columns)))
+    rows = [list(row) for row in zip(*columns)]
+    assume(brute_grading(rows) is not None and brute_max_subdet(rows) != 0)
+    return rows
 
 
 @st.composite
@@ -88,11 +115,25 @@ class TestConeOracle:
             assert has_line
             return
         assert not has_line
-        assert all(vec_dot(problem.grading, column) >= 1 for column in nonzero)
+        grading = positive_functional(problem.cone, problem.generators)
+        assert all(vec_dot(grading, column) >= 1 for column in nonzero)
         for z in product(range(-2, 3), repeat=a.rows):
             feasible = brute_lp(standard_form_rows(a.entries, z),
                                 (0,) * a.cols, "min")[0] != "infeasible"
             assert problem.in_cone(z) == feasible
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_brute_facets_match_brute_in_cone(self, d, data):
+        # the box oracles of the fundamental-hole test read the cone off
+        # brute_facets; Farkas decides the same points
+        rows = data.draw(pointed_full_rank(d))
+        facets = brute_facets(rows)
+        problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+        for z in product(range(-2, 3), repeat=d):
+            inside = all(vec_dot(w, z) >= 0 for w in facets)
+            assert inside == brute_in_cone(rows, z) == problem.in_cone(z)
 
 
 class TestIsHole:
@@ -153,6 +194,28 @@ class TestFundamentalHoles:
     def test_fundamental_holes_lie_in_zonotope(self, example_problem):
         for h in fundamental_holes(example_problem).holes:
             assert in_half_open_zonotope(example_problem.matrix, h)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_match_definition_on_box_oracle(self, d, data):
+        rows = data.draw(pointed_full_rank(d))
+        # fundamental: a hole h with no hole h - a for a nonzero column a.
+        # Such an h lies in the half-open zonotope of the distinct columns,
+        # so its grading is below top, and every h - a has a smaller one.
+        grading = brute_grading(rows)
+        columns = {c for c in zip(*rows) if any(c)}
+        top = sum(vec_dot(grading, c) for c in columns)
+        try:
+            fund = fundamental_holes(SemigroupProblem.build(IntMatrix.from_rows(rows)),
+                                     Limits(max_nodes=20000))
+        except ResourceLimitError:
+            assume(False)
+        holes = set(brute_holes(rows, grading, top))
+        assert list(fund.holes) == sorted(
+            h for h in holes if not any(vec_sub(h, a) in holes for a in columns))
+        assert list(fund.basis_holes) == [
+            b for b in brute_saturation_hilbert(rows) if not brute_member(rows, b)]
 
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 4), (3, 5), (4, 7), (5, 6)])
     def test_against_gap_oracle(self, a, b):
@@ -218,7 +281,7 @@ class TestHolesRepresentation:
         # every hole with entries up to three row sums appears in some cell
         rep = holes_representation(example_problem)
         radius = 3 * row_sum_bound(example_problem.matrix)
-        grading = example_problem.grading
+        grading = positive_functional(example_problem.cone, example_problem.generators)
         cap = 1 + max(vec_dot(grading, corner)
                       for corner in [(0, 0), (radius, 0), (0, radius), (radius, radius)])
         # every point of every cell with grading value below cap

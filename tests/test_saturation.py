@@ -18,11 +18,11 @@ from monoid_holes import (
     holes_representation,
     is_hole,
     saturation_points,
-    verify_saturation,
 )
 from monoid_holes import dioph, holes, intlinalg, polyhedra, saturation
 from monoid_holes.limits import Limits
 
+import conftest
 from conftest import (
     brute_in_cone,
     brute_in_lattice,
@@ -30,6 +30,7 @@ from conftest import (
     numerical_gaps,
     numerical_member,
     sieve_member,
+    verify_saturation,
 )
 
 WALKTHROUGH = Path(__file__).resolve().parents[1] / "scripts" / "example1_walkthrough.py"
@@ -185,13 +186,13 @@ class TestVerifySaturation:
         problem = SemigroupProblem.build(IntMatrix.from_rows([[2, 2, 2, 1], [-2, 3, 1, 0]]))
         s = saturation_points(problem).points[0]
         fundamental = set(fundamental_holes(problem).holes)
-        inner = saturation.semigroup_contains
+        inner = conftest.semigroup_contains
         checked = []
 
         def recording(a, b, *rest):
             checked.append(tuple(x - y for x, y in zip(b, s)))
             return inner(a, b, *rest)
-        monkeypatch.setattr(saturation, "semigroup_contains", recording)
+        monkeypatch.setattr(conftest, "semigroup_contains", recording)
         assert verify_saturation(problem, s, box_radius=2)
         assert any(min(z) < 0 for z in checked if z not in fundamental)
 
@@ -251,6 +252,22 @@ class TestComputedOnce:
         holes_representation(problem)
         saturation_points(problem)
         assert calls["cone_facets"] == 0
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[1, 1, 1, 1], [0, 2, 3, 4]], ((1, 1),)),
+        ([[3, 5]], ((1,), (2,))),
+        ([[2, 2, 2, 1], [-2, 3, 1, 0]], ((1, -1), (1, 1), (2, 2))),
+        ([[2, 1, 1, 2], [1, 2, 1, 2], [2, 1, 2, 0]], ((1, 1, 0), (1, 1, 1), (2, 2, 1))),
+    ])
+    def test_fundamental_stage_searches_no_membership(self, monkeypatch, rows, expected):
+        # the cone, the lattice and the saturation's Hilbert basis decide it
+        calls = Counter()
+        for module in (dioph, holes):
+            monkeypatch.setattr(module, "semigroup_contains",
+                                counted(calls, "member", module.semigroup_contains))
+        problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+        assert fundamental_holes(problem).holes == expected
+        assert not calls
 
     def test_stages_shared_by_every_reader(self, monkeypatch):
         calls = {"hilbert": 0, "ideal": 0}
