@@ -286,28 +286,6 @@ def solve_rational_affine(a: IntMatrix, b) -> tuple[RatVector, tuple[RatVector, 
     return tuple(particular), tuple(kernel)
 
 
-def rational_rank(rows) -> int:
-    """Rank of a list of rational/integer row vectors."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    n = len(work[0])
-    rank = 0
-    for c in range(n):
-        pr = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        pv = work[rank][c]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # determinants and the bound ingredients
 
@@ -340,7 +318,7 @@ def max_abs_subdeterminant(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> int
     Intrinsically exponential; guarded by limits.max_subsets.
     """
     d, n = a.rows, a.cols
-    if d > n or rational_rank(a.entries) < d:
+    if d > n or lattice_basis(a).rank < d:
         raise RankDeficientError("matrix must have full row rank")
     count = comb(n, d)
     if count > limits.max_subsets:

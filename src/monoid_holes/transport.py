@@ -19,11 +19,9 @@ from .intlinalg import (
     RatVector,
     lattice_basis,
     solve_rational_affine,
-    unit_vector,
     vec_add,
 )
 from .limits import DEFAULT_LIMITS, Limits, pool_map
-from .polyhedra import FeasibilitySystem, lp_exact, maximize_each
 
 
 @dataclass(frozen=True)
@@ -214,94 +212,79 @@ class VlachReport:
     diagnostics: tuple[str, ...]
 
 
-def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
-    """Re-derive every claim about the 3 x 4 x 6 hole mechanically.
+def _refuted(f: IntVector, diagnostic: str) -> VlachReport:
+    return VlachReport(f, None, (), None, (), VlachConclusions(False, False, False, False),
+                       (diagnostic,))
 
-    Steps: find the unique real point of the margin polytope and its
-    half-integral support; certify uniqueness by the support rank and the
-    48 off-support coordinate maxima; conclude the margin vector is a hole;
-    derive fundamentality from the unique real point; produce integer
-    witnesses for the 48 incremented-margin systems; and confirm the
-    remaining holes are exactly the support-column translates.
+
+def _table_of(dims: TransportDims, margins: MarginTriple, limits: Limits):
+    # the pool's task: a name of this module, so it pickles however table_feasible is bound
+    return table_feasible(dims, margins, limits)
+
+
+def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
+    """Re-derive every claim about the 3 x 4 x 6 hole mechanically, with no LP.
+
+    Steps: prove the unique real point z* of the margin polytope from the
+    zero margins and the support solve; conclude the margin vector is a
+    hole; derive fundamentality from the unique real point; produce
+    integer witnesses for the 48 incremented-margin systems; and confirm
+    the remaining holes are exactly the support-column translates.
     """
     dims = VLACH_DIMS
     a, f = vlach_instance()
     diagnostics: list[str] = []
 
-    system = FeasibilitySystem(a, f)
-    feas = lp_exact(system, (0,) * a.cols, "min")
-    if feas.status != "optimal":
-        return VlachReport(f, None, (), None, (),
-                           VlachConclusions(False, False, False, False),
-                           ("margin system is not real feasible",))
-    z_star = feas.witness
-    half = Fraction(1, 2)
-    support_cols = tuple(c for c, x in enumerate(z_star) if x != 0)
-    off_support = tuple(c for c, x in enumerate(z_star) if x == 0)
+    # y, the sum of the zero-margin rows, has y.f = 0 and y.a_c >= 0 on
+    # every column, since A is 0/1; so every real x >= 0 with Ax = f is 0 on
+    # each cell that meets a zero margin.  The other cells are the support,
+    # and when their columns are independent, x on them is the support solve
+    zero_rows = [i for i in range(a.rows) if f[i] == 0]
+    support_cols = tuple(c for c in range(a.cols)
+                         if not any(a.entries[i][c] for i in zero_rows))
+    off_support = tuple(c for c in range(a.cols) if c not in support_cols)
     triples = dims.triples()
-    support = tuple(triples[c] for c in support_cols)
-    half_integral = all(x in (0, half) for x in z_star)
-    if len(support_cols) != 24 or not half_integral:
-        diagnostics.append("real witness is not the expected half-integral point")
-
     a_prime = IntMatrix.from_rows([[a.entries[i][c] for c in support_cols]
                                    for i in range(a.rows)])
-
-    # uniqueness: support columns are independent and every off-support
-    # coordinate has maximum zero over the polytope
-    unique = True
     solved = solve_rational_affine(a_prime, f)
-    if solved is None or solved[1]:
-        unique = False
-        diagnostics.append("support columns are rank deficient")
-    else:
-        if tuple(solved[0]) != tuple(z_star[c] for c in support_cols):
-            diagnostics.append("support solve disagrees with the LP witness")
-            unique = False
-    objectives = [unit_vector(a.cols, c) for c in off_support]
-    maxima = maximize_each(system, objectives)
-    for c, res in zip(off_support, maxima):
-        if res.status != "optimal" or res.optimum != 0:
-            unique = False
-            diagnostics.append(f"off-support coordinate {triples[c]} is not fixed to zero")
+    if solved is not None and solved[1]:
+        return _refuted(f, "support columns are rank deficient: "
+                           "the real point is not proved unique")
+    if solved is None or any(x < 0 for x in solved[0]):
+        return _refuted(f, "margin system is not real feasible")
+    on_support = dict(zip(support_cols, solved[0]))
+    z_star = tuple(on_support.get(c, Fraction(0)) for c in range(a.cols))
+    half = Fraction(1, 2)
+    if len(support_cols) != 24 or not all(x in (0, half) for x in z_star):
+        diagnostics.append("real witness is not the expected half-integral point")
 
     in_lattice = lattice_basis(a).contains(f) is not None
     if not in_lattice:
         diagnostics.append("margin vector is not in the matrix lattice")
-    fractional = any(x.denominator != 1 for x in z_star)
-    f_is_hole = unique and fractional and in_lattice
+    f_is_hole = in_lattice and any(x.denominator != 1 for x in z_star)
 
-    # the hole ideal is generated by the off-support variables:
-    # each zero-margin row wipes out the off-support coordinates of any
-    # candidate, and the support block pins the difference to the
-    # half-integral point, so no translate by support columns returns to
-    # the semigroup
-    zero_rows = [i for i in range(a.rows) if f[i] == 0]
-    cover_ok = all(any(a.entries[i][c] for i in zero_rows) for c in off_support)
-    if not cover_ok:
-        diagnostics.append("zero margins do not pin every off-support coordinate")
-    support_clear = all(all(a.entries[i][c] == 0 for i in zero_rows) for c in support_cols)
-    if not support_clear:
-        diagnostics.append("a support column meets a zero margin")
-    all_fractional = all(x == half for x in (z_star[c] for c in support_cols))
-    holes_flag = f_is_hole and cover_ok and support_clear and unique and all_fractional
+    # the hole ideal is generated by the off-support variables: the zero
+    # margins of f + A' mu are those of f, so its real points are 0 off the
+    # support and z* + mu on it, which is not integral, and no translate by
+    # support columns returns to the semigroup
+    holes_flag = f_is_hole and all(z_star[c] == half for c in support_cols)
 
     # fundamentality: f is non-fundamental exactly when f - a_c is a hole
     # for some column c.  If f - a_c = A y with real y >= 0, then y + e_c is
     # a real point of f's polytope; that polytope is {z*} alone, so
     # z*_c >= 1.  Every coordinate of z* is below 1, so no f - a_c is even
     # real feasible, and f is fundamental
-    fundamental = unique and all(x < 1 for x in z_star)
+    fundamental = all(x < 1 for x in z_star)
     if not fundamental:
-        diagnostics.append("fundamentality is not certified: the real point is not unique "
-                           "or has a coordinate of at least 1")
+        diagnostics.append("fundamentality is not certified: the real point "
+                           "has a coordinate of at least 1")
 
     # explicit witnesses: every off-support increment is integer feasible
     witnesses = []
     witnesses_ok = True
     incremented_vectors = [vec_add(f, a.col(c)) for c in off_support]
     tables = pool_map(
-        table_feasible,
+        _table_of,
         [(dims, vector_to_margins(dims, v), limits) for v in incremented_vectors], jobs)
     for c, incremented, table in zip(off_support, incremented_vectors, tables):
         if table is None:
@@ -318,8 +301,8 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
     conclusions = VlachConclusions(
         f_is_hole=f_is_hole,
         f_is_fundamental_checked=f_is_hole and fundamental,
-        unique_real_solution=unique,
+        unique_real_solution=True,
         holes_are_f_plus_monoid_a_prime=holes_flag and witnesses_ok,
     )
-    return VlachReport(f, z_star, support, a_prime, tuple(witnesses),
-                       conclusions, tuple(diagnostics))
+    return VlachReport(f, z_star, tuple(triples[c] for c in support_cols), a_prime,
+                       tuple(witnesses), conclusions, tuple(diagnostics))

@@ -1,6 +1,5 @@
-"""Shared brute-force oracles, kept independent of the library internals;
-in_half_open_zonotope, a test helper built on the library's exact LP; and
-verify_saturation, a desk-scale check built on its membership search."""
+"""Shared brute-force oracles, kept independent of the library internals,
+and verify_saturation, a desk-scale check built on its membership search."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,13 +7,7 @@ from math import gcd
 
 import pytest
 
-from monoid_holes import (
-    FeasibilitySystem,
-    IntMatrix,
-    fundamental_holes,
-    lp_exact,
-    semigroup_contains,
-)
+from monoid_holes import IntMatrix, fundamental_holes, semigroup_contains
 
 
 def gauss_determinant(rows):
@@ -36,6 +29,22 @@ def gauss_determinant(rows):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return det
+
+
+def gauss_rank(rows):
+    """Rank of a list of integer rows via plain fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def brute_max_subdet(rows):
@@ -160,24 +169,52 @@ def brute_kernel_hilbert(rows, box):
     return minimalize_vectors(sols)
 
 
-def _solve_square(rows, rhs):
-    """The unique solution of a square system, or None when it is singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
+def _bareiss(m):
+    """Fraction-free forward elimination, in place, of an integer matrix m
+    with at least as many columns as rows; every division is exact.
+    Returns 0 when the leading square block is singular, and otherwise the
+    sign of the row swaps: the block's determinant is then that sign times
+    the last diagonal entry."""
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c]), None)
         if pr is None:
-            return None
-        m[c], m[pr] = m[pr], m[c]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        p = m[c][c]
+        for i in range(c + 1, len(m)):
+            q = m[i][c]
+            m[i] = [0] * (c + 1) + [(p * x - q * y) // prev
+                                    for x, y in zip(m[i][c + 1:], m[c][c + 1:])]
+        prev = p
+    return sign
+
+
+def _int_determinant(rows):
+    m = [list(row) for row in rows]
+    sign = _bareiss(m)
+    return sign * m[-1][-1] if m else 1
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square integer system, or None when it is
+    singular: _bareiss, then back substitution of the integers det * x
+    (Cramer's rule), in which every division is exact too."""
+    n = len(rows)
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not _bareiss(m):
+        return None
+    det = m[-1][n - 1] if m else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        y[i] = (det * m[i][n] - sum(m[i][j] * y[j] for j in range(i + 1, n))) // m[i][i]
+    return tuple(Fraction(v, det) for v in y)
 
 
 def _dot(u, v):
-    return sum(Fraction(a) * b for a, b in zip(u, v))
+    return sum(a * b for a, b in zip(u, v))
 
 
 def brute_satisfies(rows, x):
@@ -218,7 +255,7 @@ def brute_lp(rows, objective, sense):
         return "infeasible", None
     for sub in combinations(rows, n - 1):
         minors = [[[r[0][k] for k in range(n) if k != j] for r in sub] for j in range(n)]
-        ray = tuple((-1) ** j * gauss_determinant(m) for j, m in enumerate(minors))
+        ray = tuple((-1) ** j * _int_determinant(m) for j, m in enumerate(minors))
         for r in (ray, tuple(-x for x in ray)):
             if not any(r) or _dot(cost, r) >= 0:
                 continue
@@ -370,9 +407,9 @@ def brute_holes(rows, grading, top):
 def in_half_open_zonotope(a, z):
     """Whether z = a @ lam for some 0 <= lam with every lam_i < 1.
 
-    Decided by the exact LP minimizing the largest coefficient t: the
-    strict inequalities hold iff the min-max optimum is < 1.  In standard
-    form the variables are lam, t and a slack s_j with lam_j + s_j = t.
+    Decided by brute_lp minimizing the largest coefficient t subject to
+    a @ lam = z, lam >= 0 and t - lam_j >= 0: the strict inequalities hold
+    iff the min-max optimum is < 1.
     """
     if len(z) != a.rows:
         raise ValueError("vector dimension does not match matrix rows")
@@ -380,15 +417,11 @@ def in_half_open_zonotope(a, z):
         if not isinstance(x, int):
             raise TypeError("half-open zonotope membership is defined for integer points")
     n = a.cols
-    rows = [list(row) + [0] * (n + 1) for row in a.entries]
-    for j in range(n):
-        slack = [0] * n
-        slack[j] = 1
-        rows.append([int(k == j) for k in range(n)] + [-1] + slack)
-    rhs = tuple(z) + (0,) * n
-    objective = (0,) * n + (1,) + (0,) * n
-    result = lp_exact(FeasibilitySystem(IntMatrix.from_rows(rows), rhs), objective, "min")
-    return result.status == "optimal" and result.optimum < 1
+    rows = [(tuple(row) + (0,), "eq", b) for row, b in zip(a.entries, z)]
+    rows += [(tuple(int(k == j) for k in range(n)) + (0,), "ge", 0) for j in range(n)]
+    rows += [(tuple(-int(k == j) for k in range(n)) + (1,), "ge", 0) for j in range(n)]
+    status, optimum = brute_lp(rows, (0,) * n + (1,), "min")
+    return status == "optimal" and optimum < 1
 
 
 def verify_saturation(problem, s, box_radius=0):

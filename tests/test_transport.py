@@ -9,13 +9,16 @@ from monoid_holes import (
     MarginTriple,
     ResourceLimitError,
     TransportDims,
+    VlachConclusions,
+    VlachReport,
     table_feasible,
     transportation_matrix,
     verify_vlach,
     vlach_instance,
     vlach_margins,
 )
-from monoid_holes.intlinalg import solve_rational_affine, vec_add
+from monoid_holes import polyhedra, transport
+from monoid_holes.intlinalg import solve_rational_affine, vec_add, vec_sub
 from monoid_holes.limits import Limits
 from monoid_holes.transport import (
     VLACH_DIMS,
@@ -221,3 +224,41 @@ class TestVerifyVlach:
     def test_parallel_matches_sequential(self):
         # the 48 witness searches are the pool's tasks
         assert verify_vlach(jobs=2) == verify_vlach()
+
+    def test_pool_with_a_wrapped_table_feasible(self, monkeypatch):
+        # a closure bound to the name, as a tracer binds one, does not pickle
+        original = transport.table_feasible
+
+        def wrapped(*args, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "table_feasible", wrapped)
+        assert verify_vlach(jobs=2).conclusions.all_true()
+
+    def test_runs_no_lp(self, monkeypatch):
+        def no_lp(self, *args, **kwargs):
+            raise AssertionError("the exact LP ran")
+
+        monkeypatch.setattr(polyhedra._Phase1, "__init__", no_lp)
+        assert verify_vlach().conclusions.all_true()
+
+    def test_a_point_of_the_semigroup_is_not_a_hole(self, monkeypatch):
+        # f + a_c is in Q for every cell c off the support of z*
+        a, f = vlach_instance()
+        c = next(c for c, x in enumerate(known_half_integral_point()) if x == 0)
+        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, vec_add(f, a.col(c))))
+        report = verify_vlach()
+        assert not report.conclusions.f_is_hole
+        assert not report.conclusions.all_true()
+        assert report.diagnostics
+
+    def test_margins_with_no_real_point(self, monkeypatch):
+        # f - a_c for a cell c of the support lowers three margins of 1 to 0,
+        # and then no nonnegative real table has the margins
+        a, f = vlach_instance()
+        c = next(c for c, x in enumerate(known_half_integral_point()) if x != 0)
+        shifted = vec_sub(f, a.col(c))
+        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, shifted))
+        assert verify_vlach() == VlachReport(
+            shifted, None, (), None, (), VlachConclusions(False, False, False, False),
+            ("margin system is not real feasible",))
