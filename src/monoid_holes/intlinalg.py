@@ -315,10 +315,11 @@ def integer_determinant(rows: list[list[int]]) -> int:
 def max_abs_subdeterminant(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> int:
     """Largest |det| over all maximal (rows x rows) column selections.
 
-    Intrinsically exponential; guarded by limits.max_subsets.
+    Intrinsically exponential; guarded by limits.max_subsets.  A matrix
+    with d <= n has full row rank exactly when some maximal minor is nonzero.
     """
     d, n = a.rows, a.cols
-    if d > n or lattice_basis(a).rank < d:
+    if d > n:
         raise RankDeficientError("matrix must have full row rank")
     count = comb(n, d)
     if count > limits.max_subsets:
@@ -328,6 +329,8 @@ def max_abs_subdeterminant(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> int
         det = integer_determinant([[a.entries[i][j] for j in cols] for i in range(d)])
         if abs(det) > best:
             best = abs(det)
+    if best == 0:
+        raise RankDeficientError("matrix must have full row rank")
     return best
 
 

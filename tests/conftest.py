@@ -175,6 +175,8 @@ def _bareiss(m):
     Returns 0 when the leading square block is singular, and otherwise the
     sign of the row swaps: the block's determinant is then that sign times
     the last diagonal entry."""
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise TypeError("fraction-free elimination needs integer entries")
     sign, prev = 1, 1
     for c in range(len(m)):
         pr = next((i for i in range(c, len(m)) if m[i][c]), None)

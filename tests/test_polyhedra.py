@@ -16,7 +16,15 @@ from monoid_holes.polyhedra import _Phase1, cone_generators, maximize_each, posi
 from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero, vec_sub
 from monoid_holes.transport import TransportDims, transportation_matrix, vlach_instance
 
-from conftest import brute_lp, brute_satisfies, in_half_open_zonotope, standard_form_rows
+from conftest import (
+    _int_determinant,
+    _solve_square,
+    brute_lp,
+    brute_satisfies,
+    gauss_determinant,
+    in_half_open_zonotope,
+    standard_form_rows,
+)
 
 coefficients = st.one_of(
     st.integers(-4, 4),
@@ -286,6 +294,38 @@ class TestLpOracle:
             assert_matches_oracle(rows, rhs, results[sense], objective, sense)
         assert results["max"].status == "unbounded"
         assert results["min"].optimum.denominator > 10**6
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return rows, draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+
+
+class TestEliminationOracle:
+    # brute_lp's fraction-free elimination against plain fraction arithmetic
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_determinant_matches_gauss(self, system):
+        rows, _ = system
+        assert _int_determinant(rows) == gauss_determinant(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_solve_is_the_unique_solution(self, system):
+        rows, rhs = system
+        x = _solve_square(rows, rhs)
+        if gauss_determinant(rows) == 0:
+            assert x is None
+        else:
+            assert [sum(Fraction(a) * v for a, v in zip(row, x)) for row in rows] == rhs
+
+    def test_fraction_entries_are_rejected(self):
+        with pytest.raises(TypeError):
+            _solve_square([[Fraction(1, 2)]], [1])
 
 
 class TestCertificates:

@@ -242,15 +242,30 @@ class TestVerifyVlach:
         monkeypatch.setattr(polyhedra._Phase1, "__init__", no_lp)
         assert verify_vlach().conclusions.all_true()
 
-    def test_a_point_of_the_semigroup_is_not_a_hole(self, monkeypatch):
-        # f + a_c is in Q for every cell c off the support of z*
+    def test_an_integral_real_point_is_not_a_hole(self, monkeypatch):
+        # 2f = A (2 z*) is in Q: the support and its solve are those of f,
+        # and the unique real point 2 z* is integral
+        a, f = vlach_instance()
+        doubled = tuple(2 * x for x in f)
+        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, doubled))
+        report = verify_vlach()
+        assert report.z_star == tuple(2 * x for x in known_half_integral_point())
+        assert report.conclusions == VlachConclusions(False, False, True, False)
+        assert report.diagnostics == (
+            "real witness is not the expected half-integral point",
+            "fundamentality is not certified: the real point has a coordinate of at least 1")
+
+    def test_an_off_support_increment_is_not_proved_unique(self, monkeypatch):
+        # f + a_c is in Q for every cell c off the support of z*; it raises
+        # the zero margins that c meets, and the wider support's columns are
+        # dependent, so the proof stops with no claim
         a, f = vlach_instance()
         c = next(c for c, x in enumerate(known_half_integral_point()) if x == 0)
-        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, vec_add(f, a.col(c))))
-        report = verify_vlach()
-        assert not report.conclusions.f_is_hole
-        assert not report.conclusions.all_true()
-        assert report.diagnostics
+        incremented = vec_add(f, a.col(c))
+        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, incremented))
+        assert verify_vlach() == VlachReport(
+            incremented, None, (), None, (), VlachConclusions(False, False, False, False),
+            ("support columns are rank deficient: the real point is not proved unique",))
 
     def test_margins_with_no_real_point(self, monkeypatch):
         # f - a_c for a cell c of the support lowers three margins of 1 to 0,
