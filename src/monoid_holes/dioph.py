@@ -1,15 +1,18 @@
 """Hilbert bases and minimal solutions of linear Diophantine systems.
 
-The engine is a layered completion search over Z^n_+ (Contejean-Devie
-style): starting from the unit vectors, a state x is extended to x + e_i
-only when the scalar product of its current value A x with the column A_i
-is negative.  Every componentwise-minimal nonnegative solution of A x = 0
-is reachable along such a path, and any state dominating a known solution
-can be pruned, so the search is complete and terminates.  Optional upper
-bounds restrict the search to a box without losing minimal solutions
-inside it.  Inhomogeneous systems f + A lam = A mu are homogenized with an
-auxiliary variable u and searched from u = 1 alone, with the u = 0
-solutions (the Hilbert basis of A lam = A mu) preloaded as known ones.
+One completion search (Contejean-Devie style, with signed coordinates as
+in Hemmecke 2002) finds the minimal x with A x = b in the conformal
+order: y [= x when every y_j has the sign of x_j and |y_j| <= |x_j|.
+Its docstring proves it complete and finite.  It answers three questions:
+
+- the Graver basis of A, the minimal nonzero x with A x = 0;
+- the minimal (lam, mu) in Z^{2n}_+ with f + A lam = A mu.  They have
+  disjoint supports, since (lam - e_j, mu - e_j) would also solve the
+  system, and on disjoint supports (lam, mu) <= (lam', mu') exactly when
+  mu - lam [= mu' - lam'; so they are the (x^-, x^+) of the minimal x
+  with A x = f;
+- the Hilbert basis of a saturation, from the minimal (t, s) with
+  F t - s = 0, t signed and s >= 0.
 
 Integer feasibility A lam = b of a nonnegative A, that is 3-way table
 feasibility and semigroup membership, is decided by one depth-first
@@ -21,7 +24,7 @@ rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, ge, le
+from operator import add, ge, le, mul
 from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistencyError, ResourceLimitError
@@ -31,7 +34,6 @@ from .intlinalg import (
     primitive_vector,
     unit_vector,
     vec_dot,
-    vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -68,62 +70,75 @@ class MinimalSolutionSet:
         return tuple(lam for lam, _ in self.solutions)
 
 
-def _dominates(x, y) -> bool:
-    # x >= y componentwise
-    return all(map(ge, x, y))
+def _conformal_below(s, x) -> bool:
+    # s [= x: s_j x_j >= s_j^2 holds exactly when s_j = 0 or s_j lies
+    # between 0 and x_j
+    return all(map(ge, map(mul, s, x), map(mul, s, s)))
 
 
-def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
-                              preloaded=(), starts=None) -> list[IntVector]:
-    """Minimal nonzero x in Z^n_+ (x <= upper where bounded) with sum x_i cols[i] = 0.
+def _minimal_solutions(cols, free: int, rhs=None, known=(),
+                       limits: Limits = DEFAULT_LIMITS) -> list[IntVector]:
+    """The conformally minimal x with sum x_j cols[j] = rhs, nonzero ones
+    when rhs is None, where x_j is signed for j < free and x_j >= 0 after.
 
-    preloaded solutions prune the search as if it had found them, but are
-    not returned.  starts are the indices of the unit vectors the search
-    begins from (all of them when None): it finds the minimal solutions
-    that are at least one of those unit vectors and dominate no preloaded
-    solution.  max_nodes and max_basis count this search's own states and
+    A state x moves one unit along a coordinate j, in the direction whose
+    scalar product with the value A x - rhs is negative, and never against
+    the sign of x_j; so each step adds one to |x|_1, and all that is
+    reached from x lies above x.  With rhs None the search starts at each
+    +-e_j; otherwise it starts at 0, and known must hold the answer for
+    rhs None.  Solutions in known prune like found ones, but are not
+    returned.  max_nodes and max_basis count this search's own states and
     solutions.
 
-    A state x carries the scalar products (A x).cols[j] for every j and
-    |A x|^2; extending it by e_i adds row i of the Gram matrix
+    Complete: for x [= s with A s = rhs and A x != rhs, s - x is
+    conformal to s, and the scalar products of its unit steps with
+    A x - rhs sum to -|A x - rhs|^2 < 0, so one of them leads to a state
+    still below s.  A state above a known solution is pruned, since all
+    that is reached from it lies above that solution too.
+
+    Finite: the values on a path stay bounded (Contejean & Devie 1994), so
+    an endless path would hold states x [= y with equal values.  Then
+    y - x is a homogeneous solution conformal to y, above a minimal one g.
+    With rhs given, g is known and y is pruned; with rhs None, g is found
+    in an earlier layer (|g|_1 < |y|_1), so y or its extensions are pruned.
+
+    A state x carries the scalar products (A x - rhs).cols[j] for every j
+    and |A x - rhs|^2; a step +-e_i adds +-row i of the Gram matrix
     gram[i][j] = cols[i].cols[j], so no state recomputes A x.  Dominance
-    is indexed: a state dominated none of the solutions known when it was
-    created, so its extension y = x + e_i can only dominate one of those
-    with s[i] == y[i], which the bucket (i, y[i]) lists.  Solutions found
-    after x was created are checked in full.
+    is indexed: a state was above none of the solutions known when it
+    was created, so its extension y = x +- e_i can only be above one of
+    those with s_i == y_i, which the bucket (i, y_i) lists.  Solutions
+    found after x was created are checked in full.
     """
     n = len(cols)
-    if n == 0:
-        return []
     gram = [tuple(vec_dot(c, d) for d in cols) for c in cols]
-    caps = [None] * n if upper is None else upper
+    neg = [tuple(-g for g in row) for row in gram]
     max_nodes = limits.max_nodes
-    sols: list[IntVector] = list(preloaded)
+    sols: list[IntVector] = list(known)
     skip = len(sols)
     buckets: dict[tuple[int, int], list[IntVector]] = {}
     for s in sols:
         for i, v in enumerate(s):
             if v:
                 buckets.setdefault((i, v), []).append(s)
-    # (state, its scalar products, |A x|^2, len(sols) when it was created);
-    # the unit vectors are checked against every solution
-    frontier: list[tuple[IntVector, tuple, int, int]] = []
-    seen: set[IntVector] = set()
-    for i in range(n) if starts is None else starts:
-        if caps[i] is not None and caps[i] < 1:
-            continue
-        x = unit_vector(n, i)
-        frontier.append((x, gram[i], gram[i][i], 0))
-        seen.add(x)
+    # (state, its scalar products, |A x - rhs|^2, len(sols) when it was
+    # created); the starts are above no solution
+    if rhs is None:
+        frontier = [(unit_vector(n, i), gram[i], gram[i][i], 0) for i in range(n)]
+        frontier += [(tuple(-x for x in unit_vector(n, i)), neg[i], gram[i][i], 0)
+                     for i in range(free)]
+    else:
+        frontier = [((0,) * n, tuple(-vec_dot(rhs, c) for c in cols), vec_dot(rhs, rhs), skip)]
+    seen = {x for x, *_ in frontier}
     nodes = 0
     while frontier:
         next_frontier: list[tuple[IntVector, tuple, int, int]] = []
-        for x, dots, norm, known in frontier:
+        for x, dots, norm, checked in frontier:
             nodes += 1
             if nodes > max_nodes:
                 raise ResourceLimitError("completion search states", max_nodes)
             if norm == 0:
-                if not any(_dominates(x, s) for s in sols[known:]):
+                if not any(_conformal_below(s, x) for s in sols[checked:]):
                     sols.append(x)
                     if len(sols) - skip > limits.max_basis:
                         raise ResourceLimitError("minimal solution count", limits.max_basis)
@@ -132,65 +147,54 @@ def _minimal_kernel_solutions(cols, upper=None, limits: Limits = DEFAULT_LIMITS,
                             buckets.setdefault((i, v), []).append(x)
                 continue
             # no solution is added while x is extended
-            later, count = sols[known:], len(sols)
+            later, count = sols[checked:], len(sols)
             for i, d in enumerate(dots):
-                if d >= 0 or (caps[i] is not None and x[i] >= caps[i]):
+                if d < 0 <= x[i]:
+                    v, row = x[i] + 1, gram[i]
+                elif d > 0 >= x[i] and i < free:
+                    v, row = x[i] - 1, neg[i]
+                else:
                     continue
-                v = x[i] + 1
                 y = x[:i] + (v,) + x[i + 1:]
                 if y in seen:
                     continue
                 seen.add(y)
-                # _dominates inlined: this test runs once per new state
-                if (any(all(map(ge, y, s)) for s in buckets.get((i, v), ()))
-                        or any(all(map(ge, y, s)) for s in later)):
+                # _conformal_below inlined: this test runs once per new state
+                if (any(all(map(ge, map(mul, s, y), map(mul, s, s)))
+                        for s in buckets.get((i, v), ()))
+                        or any(_conformal_below(s, y) for s in later)):
                     continue
-                row = gram[i]
-                next_frontier.append((y, tuple(map(add, dots, row)), norm + 2 * d + row[i], count))
+                next_frontier.append((y, tuple(map(add, dots, row)),
+                                      norm - 2 * abs(d) + gram[i][i], count))
         frontier = next_frontier
     # defensive minimalization; solutions of equal degree are incomparable,
     # so this is normally a no-op
     found = sols[skip:]
-    minimal = [s for s in found if not any(_dominates(s, t) and s != t for t in found)]
+    minimal = [s for s in found if not any(_conformal_below(t, s) and s != t for t in found)]
     return sorted(minimal)
 
 
-def _difference_columns(a: IntMatrix) -> list[IntVector]:
-    """The columns of [a | -a]."""
-    columns = a.columns()
-    return columns + [tuple(-x for x in col) for col in columns]
-
-
-def difference_kernel(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVector, ...]:
-    """Minimal Hilbert basis of {(lam, mu) in Z^{2n}_+ : a@lam = a@mu}, the
-    kernel of [a | -a] (the Lawrence lifting of a's Graver basis), as plain
-    tuples (lam + mu)."""
-    return tuple(_minimal_kernel_solutions(_difference_columns(a), limits=limits))
+def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVector, ...]:
+    """The conformally minimal nonzero x with a@x = 0.  Its Lawrence lift,
+    the (x^-, x^+) and the (e_j, e_j) of the nonzero columns, is the
+    Hilbert basis of the kernel of [a | -a] (Sturmfels 1996, ch. 7)."""
+    return tuple(_minimal_solutions(a.columns(), a.cols, limits=limits))
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
-                                    kernel=None) -> MinimalSolutionSet:
-    """All minimal (lam, mu) in Z^{2n}_+ with f + a@lam = a@mu.
-
-    Computed on the homogenized system u*f + a@lam - a@mu = 0 with the
-    auxiliary variable capped at one: the minimal solutions with u = 1 are
-    exactly the minimal inhomogeneous pairs.  The search starts at u = 1
-    alone, with the u = 0 solutions, kernel = difference_kernel(a) (computed
-    here when not given), preloaded.  Every minimal u = 1 solution s lies
-    above e_0 and is reached through states below s, which dominate no
-    other solution; and two states x < y on one path with the same value
-    make y - x a u = 0 solution below y, so y is pruned and the search ends.
-    """
+                                    graver=None) -> MinimalSolutionSet:
+    """All minimal (lam, mu) in Z^{2n}_+ with f + a@lam = a@mu: the
+    (x^-, x^+) of the minimal x with a@x = f.  graver = graver_basis(a),
+    computed here when not given, prunes the search: a solution y above
+    one of its elements g is not minimal, since y - g [= y solves it too."""
     f = tuple(int(x) for x in f)
     if len(f) != a.rows:
         raise ValueError("inhomogeneous term has wrong dimension")
-    if kernel is None:
-        kernel = difference_kernel(a, limits)
-    n = a.cols
-    upper = [1] + [None] * (2 * n)
-    sols = _minimal_kernel_solutions([f] + _difference_columns(a), upper=upper, limits=limits,
-                                     preloaded=[(0,) + k for k in kernel], starts=(0,))
-    return MinimalSolutionSet(tuple(sorted((s[1:n + 1], s[n + 1:]) for s in sols)))
+    if graver is None:
+        graver = graver_basis(a, limits)
+    sols = _minimal_solutions(a.columns(), a.cols, rhs=f, known=graver, limits=limits)
+    pairs = ((tuple(max(-x, 0) for x in s), tuple(max(x, 0) for x in s)) for s in sols)
+    return MinimalSolutionSet(tuple(sorted(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +380,12 @@ def hilbert_basis_cone_lattice(problem: SemigroupProblem,
     Works in the coordinates of the problem's lattice basis B, where the
     monoid becomes the integer points t of a full-dimensional pointed cone
     {t : F t >= 0}; row w of the problem's facets gives the row B^T w of F.
-    Writing t = p - q and s = F t turns it into the kernel problem
-    F p - F q - s = 0 over nonnegative variables, whose basis projects
-    through (p, q, s) -> p - q onto a generating set.  The monoid is
-    saturated, so a candidate t is reducible exactly when t - u lies in the
-    cone for another candidate u, that is when F u <= F t componentwise
-    (Bruns & Koch 2001).  Results are mapped back to ambient coordinates.
+    Each basis element t gives a minimal (t, F t) among the solutions of
+    F t - s = 0 with t signed and s >= 0, since a solution (t', F t') [=
+    (t, F t) splits t into t' and t - t' of the cone.  The monoid is
+    saturated, so a candidate t is reducible exactly when F u <= F t
+    componentwise for another candidate u (Bruns & Koch 2001).  Results
+    are mapped back to ambient coordinates.
     """
     basis = problem.lattice
     r = basis.rank
@@ -393,16 +397,9 @@ def hilbert_basis_cone_lattice(problem: SemigroupProblem,
                   for w in problem.cone.facets)
     assert rows  # a full-dimensional pointed cone has facets
     m = len(rows)
-    kernel_cols = [tuple(row[j] for row in rows) for j in range(r)]
-    kernel_cols += [tuple(-x for x in column) for column in kernel_cols]
-    kernel_cols += [tuple(-1 if i == k else 0 for i in range(m)) for k in range(m)]
-    sols = _minimal_kernel_solutions(kernel_cols, limits=limits)
-    # each candidate t with its facet values s = F t
-    values = {}
-    for s in sols:
-        t = tuple(s[j] - s[r + j] for j in range(r))
-        if not vec_is_zero(t):
-            values[t] = s[2 * r:]
-    minimal = [t for t, v in values.items()
-               if not any(u != t and all(map(le, w, v)) for u, w in values.items())]
+    cols = [tuple(row[j] for row in rows) for j in range(r)]
+    cols += [tuple(-1 if i == k else 0 for i in range(m)) for k in range(m)]
+    sols = _minimal_solutions(cols, r, limits=limits)
+    minimal = [s[:r] for s in sols
+               if not any(u != s and all(map(le, u[r:], s[r:])) for u in sols)]
     return HilbertBasis(tuple(sorted(basis.from_coordinates(t) for t in minimal)))

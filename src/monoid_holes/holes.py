@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .dioph import (
     HilbertBasis,
     MinimalSolutionSet,
-    difference_kernel,
+    graver_basis,
     hilbert_basis_cone_lattice,
     minimal_inhomogeneous_solutions,
     semigroup_contains,
@@ -151,7 +151,7 @@ def hole_solutions(problem: SemigroupProblem, f,
     """The minimal (lam, mu) with f + A lam = A mu, searched once per hole."""
     f = tuple(int(x) for x in f)
     return problem._derive(("solutions", f),
-                           lambda: _solutions_of(problem.matrix, f, _kernel(problem, limits), limits))
+                           lambda: _solutions_of(problem.matrix, f, _graver(problem, limits), limits))
 
 
 def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
@@ -163,14 +163,14 @@ def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) ->
         problem.matrix.cols, hole_solutions(problem, f, limits).lam_parts()))
 
 
-def _kernel(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:
-    """The Hilbert basis of A lam = A mu, shared by every hole ideal's search."""
-    return problem._derive("kernel", lambda: difference_kernel(problem.matrix, limits))
+def _graver(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:
+    """The Graver basis of A, shared by every hole ideal's search."""
+    return problem._derive("graver", lambda: graver_basis(problem.matrix, limits))
 
 
-def _solutions_of(a: IntMatrix, f: IntVector, kernel, limits: Limits) -> MinimalSolutionSet:
+def _solutions_of(a: IntMatrix, f: IntVector, graver, limits: Limits) -> MinimalSolutionSet:
     # the task of a worker process: a name of this module, so that it pickles
-    return minimal_inhomogeneous_solutions(a, f, limits, kernel)
+    return minimal_inhomogeneous_solutions(a, f, limits, graver)
 
 
 def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
@@ -179,7 +179,7 @@ def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
     yet stored are searched in worker processes."""
     if jobs > 1:
         missing = [f for f in holes if ("solutions", f) not in problem._derived]
-        tasks = [(problem.matrix, f, _kernel(problem, limits), limits) for f in missing]
+        tasks = [(problem.matrix, f, _graver(problem, limits), limits) for f in missing]
         solved = pool_map(_solutions_of, tasks, jobs)
         problem._derived.update(zip([("solutions", f) for f in missing], solved))
     return [hole_ideal(problem, f, limits) for f in holes]

@@ -322,16 +322,25 @@ class TestErrorPaths:
         assert main(["--max-nodes", "1", "holes", example_file]) == 4
 
     @pytest.mark.parametrize("argv, code", [
-        (("--max-nodes", "2733", "holes"), 4),
-        (("--max-nodes", "2734", "holes"), 10),
-        (("--max-nodes", "41", "fundamental"), 4),
-        (("--max-nodes", "42", "fundamental"), 10),
+        (("--max-nodes", "2717", "holes"), 4),
+        (("--max-nodes", "2718", "holes"), 10),
+        (("--max-nodes", "38", "fundamental"), 4),
+        (("--max-nodes", "39", "fundamental"), 10),
     ])
     def test_node_ceiling_is_exact(self, capsys, example_file, argv, code):
-        # the Hilbert basis of A lam = A mu visits 2734 completion states
-        # (the hole ideal of (1,1) then needs 633 of its own) and the
-        # fundamental holes need 42: one state fewer is a resource limit,
-        # never a wrong verdict
+        # the Graver basis of A visits 2718 completion states (the hole
+        # ideal of (1,1) then needs 633 of its own) and the fundamental
+        # holes need 39: one state fewer is a resource limit, never a
+        # wrong verdict
+        assert main([*argv, example_file]) == code
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--max-basis", "9", "holes"), 4),
+        (("--max-basis", "10", "holes"), 10),
+    ])
+    def test_basis_ceiling_is_exact(self, capsys, example_file, argv, code):
+        # the Graver basis of A has 10 elements, more than any other
+        # search of the run finds
         assert main([*argv, example_file]) == code
 
     def test_usage_error_repeats_with_one_parser(self, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from monoid_holes import (
     minimal_inhomogeneous_solutions,
     semigroup_contains,
 )
-from monoid_holes.dioph import _minimal_kernel_solutions
+from monoid_holes.dioph import _minimal_solutions, graver_basis
 
 from conftest import (
     brute_grading,
@@ -31,7 +31,7 @@ def contains(a, b):
 
 def kernel_basis(rows):
     """Minimal Hilbert basis of {x in Z^n_+ : A x = 0}."""
-    return tuple(_minimal_kernel_solutions(IntMatrix.from_rows(rows).columns()))
+    return tuple(_minimal_solutions(IntMatrix.from_rows(rows).columns(), 0))
 
 
 class TestHilbertBasisKernel:
@@ -69,6 +69,45 @@ class TestHilbertBasisKernel:
     def test_two_rows_match_box_enumeration(self, rows):
         box = 5
         assert {e for e in kernel_basis(rows) if max(e) <= box} == set(brute_kernel_hilbert(rows, box))
+
+
+@st.composite
+def graver_matrices(draw):
+    """1-2 rows, 2-3 columns with entries -3..3; one column may be
+    replaced by zero or by a copy of another."""
+    d = draw(st.integers(1, 2))
+    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=2, max_size=3))
+    j = draw(st.integers(0, len(cols) - 1))
+    cols[j] = draw(st.sampled_from([cols[j], (0,) * d, cols[j - 1]]))
+    return [list(row) for row in zip(*cols)]
+
+
+class TestGraverBasis:
+    def test_running_example(self, example_matrix):
+        # 10 elements where the kernel of [A | -A] has 14: the 4 (e_j, e_j)
+        basis = graver_basis(example_matrix)
+        assert len(basis) == 10
+        assert {tuple(-x for x in g) for g in basis} == set(basis)
+        assert (1, -2, 0, 1) in basis
+
+    def test_zero_column(self):
+        assert graver_basis(IntMatrix.from_rows([[0, 2, -3]])) == \
+            ((-1, 0, 0), (0, -3, -2), (0, 3, 2), (1, 0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graver_matrices())
+    def test_lawrence_lift_matches_box_enumeration(self, rows):
+        # the kernel of [A | -A] is the Lawrence lift of A's Graver basis:
+        # the (x^-, x^+) of its elements and the (e_j, e_j) of the nonzero
+        # columns
+        n, box = len(rows[0]), 4
+        a = IntMatrix.from_rows(rows)
+        lift = {tuple(max(-x, 0) for x in g) + tuple(max(x, 0) for x in g)
+                for g in graver_basis(a)}
+        lift |= {tuple(int(k in (j, n + j)) for k in range(2 * n))
+                 for j, column in enumerate(a.columns()) if any(column)}
+        doubled = [row + [-x for x in row] for row in rows]
+        assert {e for e in lift if max(e) <= box} == set(brute_kernel_hilbert(doubled, box))
 
 
 class TestHilbertBasisConeLattice:

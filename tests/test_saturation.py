@@ -206,20 +206,20 @@ def counted(calls, key, inner):
 
 class TestWalkthrough:
     def test_each_search_runs_once(self, monkeypatch, capsys):
-        # the kernel of [A | -A] and the u = 1 search for the hole (1, 1)
+        # the Graver basis of A and the fiber search for the hole (1, 1)
         calls = Counter()
-        kernel = counted(calls, "kernel", dioph.difference_kernel)
-        monkeypatch.setattr(dioph, "difference_kernel", kernel)
-        monkeypatch.setattr(holes, "difference_kernel", kernel)
-        inner = dioph._minimal_kernel_solutions
+        graver = counted(calls, "graver", dioph.graver_basis)
+        monkeypatch.setattr(dioph, "graver_basis", graver)
+        monkeypatch.setattr(holes, "graver_basis", graver)
+        inner = dioph._minimal_solutions
 
         def searched(*args, **kwargs):
-            calls["u = 1"] += kwargs.get("starts") == (0,)
+            calls["fiber"] += kwargs.get("rhs") is not None
             return inner(*args, **kwargs)
-        monkeypatch.setattr(dioph, "_minimal_kernel_solutions", searched)
+        monkeypatch.setattr(dioph, "_minimal_solutions", searched)
         runpy.run_path(str(WALKTHROUGH), run_name="__main__")
         assert "fundamental holes: [(1, 1)]\n" in capsys.readouterr().out
-        assert calls == {"kernel": 1, "u = 1": 1}
+        assert calls == {"graver": 1, "fiber": 1}
 
 
 class TestComputedOnce:
@@ -286,8 +286,8 @@ class TestComputedOnce:
 
     def test_kernel_searched_once_per_problem(self, monkeypatch):
         calls = Counter()
-        monkeypatch.setattr(holes, "difference_kernel",
-                            counted(calls, "kernel", holes.difference_kernel))
+        monkeypatch.setattr(holes, "graver_basis",
+                            counted(calls, "kernel", holes.graver_basis))
         monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions",
                             counted(calls, "ideal", holes.minimal_inhomogeneous_solutions))
         problem = numerical_problem(3, 5)
@@ -295,12 +295,12 @@ class TestComputedOnce:
         saturation_points(problem)
         assert certify_infinite(problem) is None
         assert calls == {"kernel": 1, "ideal": 2}
-        assert problem._derived["kernel"] == ((0, 1, 0, 1), (0, 3, 5, 0), (1, 0, 1, 0), (5, 0, 0, 3))
+        assert problem._derived["graver"] == ((-5, 3), (5, -3))
 
     def test_normal_semigroup_searches_no_kernel(self, monkeypatch):
         calls = Counter()
-        monkeypatch.setattr(holes, "difference_kernel",
-                            counted(calls, "kernel", holes.difference_kernel))
+        monkeypatch.setattr(holes, "graver_basis",
+                            counted(calls, "kernel", holes.graver_basis))
         problem = numerical_problem(1, 2)
         assert holes_representation(problem).cells == ()
         assert saturation_points(problem, jobs=2).ideal.is_unit
@@ -311,23 +311,23 @@ class TestComputedOnce:
         fundamental_holes(problem)
         with pytest.raises(ResourceLimitError):
             holes_representation(problem, Limits(max_nodes=1))
-        assert "kernel" not in problem._derived
+        assert "graver" not in problem._derived
 
     def test_parallel_ideals_share_the_kernel(self, monkeypatch):
         calls = Counter()
-        monkeypatch.setattr(holes, "difference_kernel",
-                            counted(calls, "kernel", holes.difference_kernel))
+        monkeypatch.setattr(holes, "graver_basis",
+                            counted(calls, "kernel", holes.graver_basis))
         problem = numerical_problem(3, 5)
         assert (holes_representation(problem, jobs=2)
                 == holes_representation(numerical_problem(3, 5)))
         assert calls == {"kernel": 2}  # once here, once for the sequential problem
 
     def test_resource_limit_in_a_worker_stores_no_ideal(self):
-        # with the kernel stored, the hole ideals of 3 5 need 9 states each
+        # with the Graver basis stored, the hole ideals of 3 5 need 9 states each
         # and run in two worker processes
         problem = numerical_problem(3, 5)
         fundamental_holes(problem)
-        holes._kernel(problem, Limits())
+        holes._graver(problem, Limits())
         with pytest.raises(ResourceLimitError):
             holes_representation(problem, Limits(max_nodes=8), jobs=2)
         assert not any(key[0] == "ideal" for key in problem._derived if isinstance(key, tuple))
