@@ -175,13 +175,12 @@ def _solutions_of(a: IntMatrix, f: IntVector, graver, limits: Limits) -> Minimal
 
 def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
                  jobs: int) -> list[MonomialIdeal]:
-    """The hole ideal of each hole; with jobs > 1 the solution sets not
-    yet stored are searched in worker processes."""
-    if jobs > 1:
-        missing = [f for f in holes if ("solutions", f) not in problem._derived]
-        tasks = [(problem.matrix, f, _graver(problem, limits), limits) for f in missing]
-        solved = pool_map(_solutions_of, tasks, jobs)
-        problem._derived.update(zip([("solutions", f) for f in missing], solved))
+    """The hole ideal of each hole; the solution sets not yet stored are
+    searched by pool_map, in worker processes when jobs > 1."""
+    missing = [f for f in holes if ("solutions", f) not in problem._derived]
+    tasks = [(problem.matrix, f, _graver(problem, limits), limits) for f in missing]
+    solved = pool_map(_solutions_of, tasks, jobs)
+    problem._derived.update(zip([("solutions", f) for f in missing], solved))
     return [hole_ideal(problem, f, limits) for f in holes]
 
 

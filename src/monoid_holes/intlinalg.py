@@ -102,9 +102,6 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(vec_dot(row, x) for row in self.entries)
 
-    def is_nonnegative(self) -> bool:
-        return all(x >= 0 for row in self.entries for x in row)
-
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 

@@ -169,6 +169,20 @@ class TestBound:
         assert brute_in_lattice(rows, certificate)
         assert not sieve_member(rows, certificate)
 
+    def test_nonnegative_certificate(self, capsys, tmp_path):
+        # the certificate lies near the ray (1, 5), where the facet
+        # 5x - y leaves a budget of 2; the search on the rows of A alone
+        # ran past 10**7 nodes on it
+        path = tmp_path / "n2c.txt"
+        path.write_text("2 4\n1 1 1 1\n0 1 2 5\n")
+        code, out = run(capsys, "--max-nodes", "100000", "bound", str(path))
+        assert code == 10
+        assert "certificate-hole: 963 4813\n" in out
+        rows, certificate = [[1, 1, 1, 1], [0, 1, 2, 5]], (963, 4813)
+        assert brute_in_cone(rows, certificate)
+        assert brute_in_lattice(rows, certificate)
+        assert not sieve_member(rows, certificate)
+
     def test_rank_deficient_matrix_is_an_error(self, capsys, tmp_path):
         # the bound's maximal subdeterminants need a matrix of full row rank
         path = tmp_path / "zero_row.txt"
@@ -232,6 +246,15 @@ class TestMember:
         assert time.process_time() - start < 2
         assert code == 0
         assert "status: outside-lattice\n" in out
+
+    def test_member_near_a_ray(self, capsys, tmp_path):
+        # (1000, 4990) = 2 (1, 0) + 998 (1, 5): the facet 5x - y leaves a
+        # budget of 10, which caps each column off the ray (1, 5) at 3 or less
+        path = tmp_path / "n2c.txt"
+        path.write_text("2 4\n1 1 1 1\n0 1 2 5\n")
+        code, out = run(capsys, "--max-nodes", "1000", "member", str(path), "1000 4990")
+        assert code == 0
+        assert "witness: 2 0 0 998\n" in out
 
     def test_outside_cone_is_not_searched(self, capsys, tmp_path):
         # 5001 / 1000 is beyond the steepest column (1, 5), but the point is

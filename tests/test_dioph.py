@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
+    Limits,
     NotPointedError,
     SemigroupProblem,
     hilbert_basis_cone_lattice,
@@ -18,6 +19,7 @@ from conftest import (
     brute_member,
     brute_minimal_inhomogeneous,
     brute_saturation_hilbert,
+    sieve_member,
 )
 
 
@@ -339,6 +341,23 @@ class TestSemigroupContains:
         if witness is not None:
             assert min(witness) >= 0
             assert tuple(sum(x * y for x, y in zip(row, witness)) for row in rows) == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_far_points_near_a_ray_match_sieve(self, n, data):
+        # where the column lam leans on spans an extreme ray, the facet
+        # through it leaves b a budget of a few units, which caps every
+        # column off that ray; the rows of A alone leave budgets in the
+        # hundreds, and the search on them ran past 10**4 nodes here
+        top = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        rows = [top, data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))]
+        lam = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        lam[data.draw(st.integers(0, n - 1))] += data.draw(st.integers(20, 60))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=2, max_size=2))
+        b = tuple(sum(x * y for x, y in zip(row, lam)) + s for row, s in zip(rows, shift))
+        problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+        witness = semigroup_contains(problem, b, Limits(max_nodes=10**4))
+        assert (witness is not None) == sieve_member(rows, b)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(-3, 4), min_size=2, max_size=2),
