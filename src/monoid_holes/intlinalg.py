@@ -132,8 +132,9 @@ def _combine_columns(m: list[list[int]], c1: int, c2: int, a, b, c, d):
         row[c2] = c * e1 + d * e2
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column Hermite normal form H of m with unimodular U, m @ U = H.
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Column Hermite normal form H of m: H = m @ U for some unimodular U,
+    so the columns of H generate the lattice of the columns of m.
 
     Convention: pivot columns come first with strictly increasing pivot
     rows, pivots are positive, and in each pivot row the entries of earlier
@@ -141,7 +142,6 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     d, n = m.rows, m.cols
     w = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     col = 0
     for row in range(d):
         if col == n:
@@ -154,30 +154,25 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if pivot_col is None:
             continue
         if pivot_col != col:
-            for mat in (w, u):
-                for r in mat:
-                    r[col], r[pivot_col] = r[pivot_col], r[col]
+            for r in w:
+                r[col], r[pivot_col] = r[pivot_col], r[col]
         for j in range(col + 1, n):
             if w[row][j] == 0:
                 continue
             a, b = w[row][col], w[row][j]
             g, x, y = _xgcd(a, b)
             _combine_columns(w, col, j, x, y, -(b // g), a // g)
-            _combine_columns(u, col, j, x, y, -(b // g), a // g)
         if w[row][col] < 0:
-            for mat in (w, u):
-                for r in mat:
-                    r[col] = -r[col]
+            for r in w:
+                r[col] = -r[col]
         pivot = w[row][col]
         for j in range(col):
             q = w[row][j] // pivot
             if q:
-                for mat in (w, u):
-                    for r in mat:
-                        r[j] -= q * r[col]
+                for r in w:
+                    r[j] -= q * r[col]
         col += 1
-    h = IntMatrix.from_rows(w)
-    return h, IntMatrix.from_rows(u)
+    return IntMatrix.from_rows(w)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +219,7 @@ class LatticeBasis:
 
 def lattice_basis(a: IntMatrix) -> LatticeBasis:
     """Basis of the lattice generated by the columns of a."""
-    h, _ = hermite_normal_form(a)
+    h = hermite_normal_form(a)
     columns = []
     pivots = []
     for j in range(h.cols):

@@ -296,10 +296,6 @@ def maximize_each(system: FeasibilitySystem, objectives) -> list[LPResult]:
 # ---------------------------------------------------------------------------
 # double description: the dual cone
 
-def _tight_set(vector, cols, upto) -> frozenset[int]:
-    return frozenset(p for p in range(upto) if vec_dot(vector, cols[p]) == 0)
-
-
 def _extreme_rays_dual(cols, dim: int,
                        limits: Limits) -> tuple[list[IntVector], list[IntVector]]:
     """The lineality basis and the extreme rays of {y : y.c >= 0 for all c
@@ -308,64 +304,65 @@ def _extreme_rays_dual(cols, dim: int,
     Incremental double description starting from full space (Fukuda &
     Prodon 1996).  The lineality left at the end is the space orthogonal
     to every column, and the rays are the extreme rays modulo it.
+
+    Each ray maps to its tight set: the processed columns it vanishes on,
+    as the bits of one int, bit i for column i.  When a column is not
+    orthogonal to the lineality, the lineality loses one dimension to a
+    new ray l0, tight at every earlier column; the other rays are
+    projected along l0, which vanishes on every earlier column, so they
+    keep their tight sets and become tight at the new column.
+
+    Otherwise a positive ray p and a negative ray n are combined when they
+    are adjacent.  Modulo the lineality the cone is pointed, in a space of
+    dimension D = dim - len(lin) whose dual the processed columns span.
+    The smallest face containing p and n holds p + n in its relative
+    interior, where exactly the columns of T_p & T_n are tight, so its
+    dimension is D minus the rank of those columns.  Adjacent rays span a
+    2-face, so that rank, and with it the popcount of T_p & T_n, is at
+    least D - 2; a pair below that is skipped before the combinatorial
+    test, which declares p and n adjacent when no third ray is tight at
+    every column of T_p & T_n.  Distinct rays have distinct tight sets,
+    since each ray is the only one in the face its tight set cuts out,
+    so a third ray is one whose mask differs from T_p and T_n.
     """
+    zero = (0,) * dim
     lin: list[IntVector] = [unit_vector(dim, i) for i in range(dim)]
-    rays: list[IntVector] = []
+    rays: dict[IntVector, int] = {}
     for idx, a in enumerate(cols):
+        bit = 1 << idx
         lin_vals = [vec_dot(l, a) for l in lin]
-        if any(lin_vals):
-            k = next(i for i, v in enumerate(lin_vals) if v)
+        k = next((i for i, v in enumerate(lin_vals) if v), None)
+        if k is not None:
             l0, v0 = lin[k], lin_vals[k]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == k:
-                    continue
-                v = vec_dot(l, a)
-                new_lin.append(primitive_vector(tuple(v0 * x - v * y for x, y in zip(l, l0))))
-            new_rays = []
-            for r in rays:
-                v = vec_dot(r, a)
-                new_rays.append(primitive_vector(tuple(v0 * x - v * y for x, y in zip(r, l0))))
-            new_rays.append(primitive_vector(l0))
-            lin, rays = new_lin, new_rays
+
+            def project(x, v):
+                return primitive_vector(tuple(v0 * p - v * q for p, q in zip(x, l0)))
+
+            lin = [project(l, v) for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != k]
+            new = {project(r, vec_dot(r, a)): t | bit for r, t in rays.items()}
+            new[l0] = bit - 1
         else:
-            vals = [vec_dot(r, a) for r in rays]
-            pos = [r for r, v in zip(rays, vals) if v > 0]
-            zer = [r for r, v in zip(rays, vals) if v == 0]
-            neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-            if neg:
-                tights = {r: _tight_set(r, cols, idx) for r in rays}
-                combos = []
-                for rp in pos:
-                    vp = vec_dot(rp, a)
-                    for rn, vn in neg:
-                        common = tights[rp] & tights[rn]
-                        adjacent = True
-                        for other in rays:
-                            if other == rp or other == rn:
-                                continue
-                            if common <= tights[other]:
-                                adjacent = False
-                                break
-                        if adjacent:
-                            combo = tuple(vp * x - vn * y for x, y in zip(rn, rp))
-                            combos.append(primitive_vector(combo))
-                rays = pos + zer + combos
-        # lineality projection and combinations can produce repeats or the
-        # zero vector; both would poison the adjacency test
-        cleaned = []
-        seen_now = set()
-        for r in rays:
-            if vec_is_zero(r) or r in seen_now:
-                continue
-            seen_now.add(r)
-            cleaned.append(r)
-        rays = cleaned
+            vals = [(r, t, vec_dot(r, a)) for r, t in rays.items()]
+            new = {r: t | bit if v == 0 else t for r, t, v in vals if v >= 0}
+            pos = [(r, t, v) for r, t, v in vals if v > 0]
+            neg = [(r, t, v) for r, t, v in vals if v < 0]
+            masks = list(rays.values())
+            need = dim - len(lin) - 2
+            for rp, tp, vp in pos:
+                for rn, tn, vn in neg:
+                    common = tp & tn
+                    if common.bit_count() < need or any(
+                            t & common == common and t != tp and t != tn for t in masks):
+                        continue
+                    combo = tuple(vp * x - vn * y for x, y in zip(rn, rp))
+                    new[primitive_vector(combo)] = common | bit
+        new.pop(zero, None)
+        rays = new
         if len(rays) > limits.max_rays:
             raise ResourceLimitError("intermediate rays in facet enumeration", limits.max_rays)
-    return lin, rays
+    return lin, list(rays)
 
 
 # ---------------------------------------------------------------------------

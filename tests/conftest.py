@@ -41,8 +41,9 @@ def gauss_rank(rows):
             continue
         m[rank], m[pr] = m[pr], m[rank]
         for i in range(rank + 1, len(m)):
-            f = m[i][c] / m[rank][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+            if m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
 
@@ -266,13 +267,14 @@ def brute_lp(rows, objective, sense):
     return "optimal", sign * min(_dot(cost, x) for x in vertices)
 
 
-def _maximal_minor_gcd(rows):
-    """gcd of the maximal minors of a full-row-rank matrix: the index of
-    the lattice its columns generate."""
-    d = len(rows)
+def _minor_gcd(rows, r):
+    """gcd of the r x r minors of A.  For r = rank A it is the index of the
+    lattice the columns generate in the integer points of their span, Z^d
+    for a full-row-rank A."""
     g = 0
-    for cols in combinations(range(len(rows[0])), d):
-        g = gcd(g, int(gauss_determinant([[row[j] for j in cols] for row in rows])))
+    for sub in combinations(rows, r):
+        for cols in combinations(range(len(rows[0])), r):
+            g = gcd(g, int(gauss_determinant([[row[j] for j in cols] for row in sub])))
     return g
 
 
@@ -288,7 +290,7 @@ def brute_saturation_hilbert(rows):
     x - y is in the cone for a saturation point y of the box other than 0
     and x: some basis element is such a y.
     """
-    index = _maximal_minor_gcd(rows)
+    index = _minor_gcd(rows, len(rows))
     lo = [sum(min(x, 0) for x in row) for row in rows]
     hi = [sum(max(x, 0) for x in row) for row in rows]
     facets = brute_facets(rows)
@@ -299,7 +301,8 @@ def brute_saturation_hilbert(rows):
     points = [z for z in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
               if any(z)
               and (index == 1
-                   or _maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)]) == index)
+                   or _minor_gcd([list(row) + [x] for row, x in zip(rows, z)],
+                                 len(rows)) == index)
               and in_cone(z)]
     return sorted(x for x in points
                   if not any(y != x and in_cone(tuple(p - q for p, q in zip(x, y)))
@@ -313,10 +316,14 @@ def brute_in_cone(rows, z):
 
 
 def brute_in_lattice(rows, z):
-    """Whether z is in the lattice of the columns of a full-row-rank A:
-    exactly when adding z as a column keeps the gcd of the maximal minors."""
-    return (_maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)])
-            == _maximal_minor_gcd(rows))
+    """Whether z is in the lattice of the columns of A.  Adding z as a
+    column keeps the rank r of A exactly when z is in their rational span,
+    and then the lattice grows by the ratio of the gcds of the r x r minors
+    before and after; so z is in the lattice exactly when adding it keeps
+    both."""
+    extended = [list(row) + [x] for row, x in zip(rows, z)]
+    r = gauss_rank(rows)
+    return gauss_rank(extended) == r and _minor_gcd(extended, r) == _minor_gcd(rows, r)
 
 
 def sieve_member(rows, b):
@@ -375,27 +382,35 @@ def brute_facets(rows):
     return facets
 
 
-def brute_holes(rows, grading, top):
-    """The holes z of a full-row-rank A with grading.z <= top, where the
-    grading is at least 1 on every nonzero column.
-
-    The points of Q come from a layer sieve: layer g holds the points of
-    grading g, and is the union over columns a of layer g - grading.a
-    shifted by a.  Every point of the cone with grading at most top is
-    sum t_a a with sum t_a grading.a <= top, so it lies in the box spanned
-    by 0 and the points top * a / grading.a.  The cone is cut out by the
-    rows of brute_facets, and the lattice test is brute_in_lattice's, with
-    the index of A computed once.
-    """
-    columns = sorted({c for c in zip(*rows) if any(c)})
+def brute_semigroup(rows, grading, top):
+    """The points of Q with grading.z <= top, where the grading is at least
+    1 on every nonzero column, by a layer sieve: layer g holds the points
+    of grading g, and is the union over columns a of layer g - grading.a
+    shifted by a."""
+    columns = {c for c in zip(*rows) if any(c)}
     grade = {c: sum(p * q for p, q in zip(grading, c)) for c in columns}
     layers = [{(0,) * len(rows)}]
     for g in range(1, top + 1):
         layers.append({tuple(x + y for x, y in zip(z, c))
                        for c in columns if grade[c] <= g for z in layers[g - grade[c]]})
-    semigroup = set().union(*layers)
+    return set().union(*layers)
+
+
+def brute_holes(rows, grading, top):
+    """The holes z of a full-row-rank A with grading.z <= top, where the
+    grading is at least 1 on every nonzero column.
+
+    The points of Q come from brute_semigroup.  Every point of the cone
+    with grading at most top is sum t_a a with sum t_a grading.a <= top,
+    so it lies in the box spanned by 0 and the points top * a / grading.a.
+    The cone is cut out by the rows of brute_facets, and the lattice test
+    is brute_in_lattice's, with the index of A computed once.
+    """
+    columns = sorted({c for c in zip(*rows) if any(c)})
+    grade = {c: sum(p * q for p, q in zip(grading, c)) for c in columns}
+    semigroup = brute_semigroup(rows, grading, top)
     facets = brute_facets(rows)
-    index = _maximal_minor_gcd(rows)
+    index = _minor_gcd(rows, len(rows))
     box = [range(min([0] + [top * c[r] // grade[c] for c in columns]),
                  max([0] + [top * c[r] // grade[c] for c in columns]) + 1)
            for r in range(len(rows))]
@@ -403,7 +418,7 @@ def brute_holes(rows, grading, top):
         z for z in product(*box)
         if 0 <= sum(p * q for p, q in zip(grading, z)) <= top and z not in semigroup
         and all(sum(p * q for p, q in zip(w, z)) >= 0 for w in facets)
-        and _maximal_minor_gcd([list(row) + [x] for row, x in zip(rows, z)]) == index)
+        and _minor_gcd([list(row) + [x] for row, x in zip(rows, z)], len(rows)) == index)
 
 
 def in_half_open_zonotope(a, z):

@@ -8,12 +8,14 @@ from monoid_holes import (
     InternalInconsistencyError,
     IntMatrix,
     NotPointedError,
+    ResourceLimitError,
     cone_facets,
     lp_exact,
 )
 from monoid_holes import polyhedra
 from monoid_holes.polyhedra import _Phase1, cone_generators, maximize_each, positive_functional
 from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero, vec_sub
+from monoid_holes.limits import Limits
 from monoid_holes.transport import TransportDims, transportation_matrix, vlach_instance
 
 from conftest import (
@@ -22,6 +24,7 @@ from conftest import (
     brute_lp,
     brute_satisfies,
     gauss_determinant,
+    gauss_rank,
     in_half_open_zonotope,
     standard_form_rows,
 )
@@ -106,6 +109,39 @@ class TestConeFacets:
             return
         oracle_rows = standard_form_rows(a.entries, z)
         assert brute_lp(oracle_rows, (0,) * a.cols, "min")[0] == "infeasible"
+
+
+class TestTransportationCones:
+    """The cones of the 3-way transportation matrices, which the double
+    description must reach."""
+
+    @pytest.mark.parametrize("dims,equations,facets", [
+        ((2, 2, 2), 5, 16), ((2, 2, 3), 6, 28), ((2, 3, 3), 7, 57),
+        ((3, 3, 3), 8, 207), ((3, 3, 4), 9, 717)],
+        ids=["2x2x2", "2x2x3", "2x3x3", "3x3x3", "3x3x4"])
+    def test_rows_match_the_facet_oracle(self, dims, equations, facets):
+        # a row w is a facet when w >= 0 on every column and the columns
+        # where w vanishes have rank one less than A
+        a = transportation_matrix(TransportDims(*dims))
+        cone = cone_of(a)
+        assert (len(cone.equations), len(cone.facets)) == (equations, facets)
+        columns = a.columns()
+        rank = gauss_rank(a.entries)
+        assert len(cone.equations) == a.rows - rank
+        assert all(vec_dot(e, c) == 0 for e in cone.equations for c in columns)
+        for w in cone.facets:
+            values = [vec_dot(w, c) for c in columns]
+            assert min(values) == 0
+            assert gauss_rank([c for c, v in zip(columns, values) if v == 0]) == rank - 1
+
+    def test_ray_ceiling_is_exact(self):
+        # 207 facets, and no step of the 3x3x3 double description holds more
+        # intermediate rays than that
+        a = transportation_matrix(TransportDims(3, 3, 3))
+        generators = cone_generators(a)
+        with pytest.raises(ResourceLimitError):
+            cone_facets(generators, a.rows, Limits(max_rays=206))
+        assert len(cone_facets(generators, a.rows, Limits(max_rays=207)).facets) == 207
 
 
 class TestIsPointed:

@@ -20,13 +20,16 @@ from monoid_holes import (
     saturation_points,
 )
 from monoid_holes import dioph, holes, intlinalg, polyhedra, saturation
+from monoid_holes.intlinalg import vec_add, vec_sub
 from monoid_holes.limits import Limits
 
 import conftest
 from conftest import (
+    brute_holes,
     brute_in_cone,
     brute_in_lattice,
     brute_max_subdet,
+    brute_semigroup,
     numerical_gaps,
     numerical_member,
     sieve_member,
@@ -161,6 +164,39 @@ class TestSaturationPoints:
         result = saturation_points(numerical_problem(a, b))
         assert [p[0] for p in result.points] == minimal
         assert all(p[0] < window // 2 for p in result.points)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 4]).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+    def test_two_rows_against_oracle(self, rows):
+        # 2-row matrices with a positive first row, which grades Q.  A hole
+        # is a fundamental hole f plus a point of Q, so s in Q is a
+        # saturation point when every s + f is in Q.  Those points are
+        # closed under adding Q, so s is Q-minimal among them when no
+        # s - a is one, for a column a.
+        rows = [list(row) for row in rows]
+        assume(brute_max_subdet(rows) != 0)
+        try:
+            result = saturation_points(SemigroupProblem.build(IntMatrix.from_rows(rows)),
+                                       Limits(max_nodes=20000))
+        except ResourceLimitError:
+            assume(False)
+        grading = (1, 0)
+        columns = {c for c in zip(*rows) if any(c)}
+        # fundamental holes lie in the half-open zonotope of the columns
+        top = sum(c[0] for c in columns)
+        holes = set(brute_holes(rows, grading, top))
+        fundamental = [h for h in holes if not any(vec_sub(h, a) in holes for a in columns)]
+        # a point beyond the window could be missed on both sides; the
+        # window holds twice the zonotope and twice every point found
+        window = 2 * max([top] + [p[0] for p in result.points])
+        semigroup = brute_semigroup(rows, grading, window + top)
+        saturated = {s for s in semigroup if s[0] <= window
+                     and all(vec_add(s, f) in semigroup for f in fundamental)}
+        minimal = sorted(s for s in saturated
+                         if not any(vec_sub(s, a) in saturated for a in columns))
+        assert list(result.points) == minimal
 
 
 class TestVerifySaturation:
