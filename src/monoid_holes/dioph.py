@@ -3,16 +3,19 @@
 One completion search (Contejean-Devie style, with signed coordinates as
 in Hemmecke 2002) finds the minimal x with A x = b in the conformal
 order: y [= x when every y_j has the sign of x_j and |y_j| <= |x_j|.
-Its docstring proves it complete and finite.  It answers three questions:
+Its docstring proves it complete and finite.  It answers two questions:
 
 - the Graver basis of A, the minimal nonzero x with A x = 0;
 - the minimal (lam, mu) in Z^{2n}_+ with f + A lam = A mu.  They have
   disjoint supports, since (lam - e_j, mu - e_j) would also solve the
   system, and on disjoint supports (lam, mu) <= (lam', mu') exactly when
   mu - lam [= mu' - lam'; so they are the (x^-, x^+) of the minimal x
-  with A x = f;
-- the Hilbert basis of a saturation, from the minimal (t, s) with
-  F t - s = 0, t signed and s >= 0.
+  with A x = f.
+
+The Hilbert basis of a saturation needs no search: a placing
+triangulation of the cone, the integer points of each simplex's
+fundamental parallelepiped and the generators hold it, and comparing
+facet values reduces them to it.
 
 Integer feasibility A lam = b of a nonnegative A, that is 3-way table
 feasibility and semigroup membership, is decided by one depth-first
@@ -33,11 +36,11 @@ from .errors import InternalInconsistencyError, ResourceLimitError
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    primitive_vector,
     unit_vector,
     vec_dot,
 )
 from .limits import DEFAULT_LIMITS, Limits
+from .polyhedra import parallelepiped_points, placing_triangulation
 
 if TYPE_CHECKING:
     from .holes import SemigroupProblem
@@ -78,10 +81,10 @@ def _conformal_below(s, x) -> bool:
     return all(map(ge, map(mul, s, x), map(mul, s, s)))
 
 
-def _minimal_solutions(cols, free: int, rhs=None, known=(),
+def _minimal_solutions(cols, rhs=None, known=(),
                        limits: Limits = DEFAULT_LIMITS) -> list[IntVector]:
-    """The conformally minimal x with sum x_j cols[j] = rhs, nonzero ones
-    when rhs is None, where x_j is signed for j < free and x_j >= 0 after.
+    """The conformally minimal integer x with sum x_j cols[j] = rhs,
+    nonzero ones when rhs is None.
 
     A state x moves one unit along a coordinate j, in the direction whose
     scalar product with the value A x - rhs is negative, and never against
@@ -128,7 +131,7 @@ def _minimal_solutions(cols, free: int, rhs=None, known=(),
     if rhs is None:
         frontier = [(unit_vector(n, i), gram[i], gram[i][i], 0) for i in range(n)]
         frontier += [(tuple(-x for x in unit_vector(n, i)), neg[i], gram[i][i], 0)
-                     for i in range(free)]
+                     for i in range(n)]
     else:
         frontier = [((0,) * n, tuple(-vec_dot(rhs, c) for c in cols), vec_dot(rhs, rhs), skip)]
     seen = {x for x, *_ in frontier}
@@ -153,7 +156,7 @@ def _minimal_solutions(cols, free: int, rhs=None, known=(),
             for i, d in enumerate(dots):
                 if d < 0 <= x[i]:
                     v, row = x[i] + 1, gram[i]
-                elif d > 0 >= x[i] and i < free:
+                elif d > 0 >= x[i]:
                     v, row = x[i] - 1, neg[i]
                 else:
                     continue
@@ -180,7 +183,7 @@ def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVect
     """The conformally minimal nonzero x with a@x = 0.  Its Lawrence lift,
     the (x^-, x^+) and the (e_j, e_j) of the nonzero columns, is the
     Hilbert basis of the kernel of [a | -a] (Sturmfels 1996, ch. 7)."""
-    return tuple(_minimal_solutions(a.columns(), a.cols, limits=limits))
+    return tuple(_minimal_solutions(a.columns(), limits=limits))
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
@@ -194,7 +197,7 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
         raise ValueError("inhomogeneous term has wrong dimension")
     if graver is None:
         graver = graver_basis(a, limits)
-    sols = _minimal_solutions(a.columns(), a.cols, rhs=f, known=graver, limits=limits)
+    sols = _minimal_solutions(a.columns(), rhs=f, known=graver, limits=limits)
     pairs = ((tuple(max(-x, 0) for x in s), tuple(max(x, 0) for x in s)) for s in sols)
     return MinimalSolutionSet(tuple(sorted(pairs)))
 
@@ -383,26 +386,42 @@ def hilbert_basis_cone_lattice(problem: SemigroupProblem,
     Works in the coordinates of the problem's lattice basis B, where the
     monoid becomes the integer points t of a full-dimensional pointed cone
     {t : F t >= 0}; row w of the problem's facets gives the row B^T w of F.
-    Each basis element t gives a minimal (t, F t) among the solutions of
-    F t - s = 0 with t signed and s >= 0, since a solution (t', F t') [=
-    (t, F t) splits t into t' and t - t' of the cone.  The monoid is
-    saturated, so a candidate t is reducible exactly when F u <= F t
-    componentwise for another candidate u (Bruns & Koch 2001).  Results
-    are mapped back to ambient coordinates.
+    The cone is triangulated by placing the generators, and each simplex V
+    lists the integer points V q with q in [0, 1)^r of its fundamental
+    parallelepiped (Bruns & Ichim 2010).
+
+    These points and the generators hold the basis.  A point h of the
+    monoid lies in some simplex V, h = V q with q >= 0, and
+    h = V frac(q) + V floor(q), where V frac(q) = h - V floor(q) is an
+    integer point of the parallelepiped.  If h is irreducible, one of the
+    two terms is 0: then h is a parallelepiped point, or h = V floor(q) is
+    a single column of V, a generator.
+
+    The monoid is saturated, so a candidate t is reducible exactly when
+    F u <= F t componentwise for another candidate u (Bruns & Koch 2001).
+    Such a u has a smaller degree, the sum of F, so the candidates are
+    taken by degree and each is compared with the basis elements kept so
+    far.  Each simplex and each parallelepiped point counts one against
+    max_nodes, and max_basis caps the basis.  Results are mapped back to
+    ambient coordinates.
     """
     basis = problem.lattice
-    r = basis.rank
-    if len(problem.generators) == r:
-        # r independent columns are a basis of the lattice they generate,
-        # so the saturation is the semigroup itself
-        return HilbertBasis(tuple(sorted(problem.generators)))
-    rows = sorted(primitive_vector(tuple(vec_dot(w, column) for column in basis.columns))
-                  for w in problem.cone.facets)
-    assert rows  # a full-dimensional pointed cone has facets
-    m = len(rows)
-    cols = [tuple(row[j] for row in rows) for j in range(r)]
-    cols += [tuple(-1 if i == k else 0 for i in range(m)) for k in range(m)]
-    sols = _minimal_solutions(cols, r, limits=limits)
-    minimal = [s[:r] for s in sols
-               if not any(u != s and all(map(le, u[r:], s[r:])) for u in sols)]
-    return HilbertBasis(tuple(sorted(basis.from_coordinates(t) for t in minimal)))
+    generators = [basis.contains(g) for g in problem.generators]
+    simplices = placing_triangulation(generators, basis.rank, limits)
+    if len(simplices) + sum(s.det for s in simplices) > limits.max_nodes:
+        raise ResourceLimitError("triangulation simplices and parallelepiped points",
+                                 limits.max_nodes)
+    candidates = set(generators)
+    for s in simplices:
+        candidates.update(parallelepiped_points(generators, s))
+    candidates.discard((0,) * basis.rank)
+    rows = [tuple(vec_dot(w, column) for column in basis.columns) for w in problem.cone.facets]
+    valued = sorted((sum(v), v, t) for t in candidates
+                    for v in [tuple(vec_dot(w, t) for w in rows)])
+    kept: list[tuple[IntVector, IntVector]] = []
+    for _, v, t in valued:
+        if not any(all(map(le, u, v)) for u, _ in kept):
+            kept.append((v, t))
+            if len(kept) > limits.max_basis:
+                raise ResourceLimitError("Hilbert basis size", limits.max_basis)
+    return HilbertBasis(tuple(sorted(basis.from_coordinates(t) for _, t in kept)))

@@ -304,6 +304,40 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(rows) -> tuple[int, tuple[IntVector, ...]]:
+    """Determinant and adjugate of a nonsingular square integer matrix M,
+    from one fraction-free Gauss-Jordan elimination of [M | I].
+
+    Each pivot step replaces every row x but the pivot row y by
+    (p*x - f*y) // prev, where p is the pivot, f is x's entry in the pivot
+    column and prev the previous pivot; as in Bareiss elimination each
+    division is exact.  The row operations, swaps included, multiply
+    [M | I] on the left by one matrix K with K M = D I, where D is the last
+    pivot; so the right block is K = D M^-1.  The swaps change the sign of
+    D against det M, and that sign turns K into adj M = det M * M^-1.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("adjugate needs a square matrix")
+    w = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if w[i][k]), None)
+        if pr is None:
+            raise ValueError("adjugate needs a nonsingular matrix")
+        if pr != k:
+            w[k], w[pr] = w[pr], w[k]
+            sign = -sign
+        pivot = w[k]
+        p = pivot[k]
+        for i in range(n):
+            f = w[i][k]
+            if i != k and (f or p != prev):
+                w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], pivot)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
+
+
 def max_abs_subdeterminant(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> int:
     """Largest |det| over all maximal (rows x rows) column selections.
 

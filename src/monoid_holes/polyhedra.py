@@ -2,8 +2,10 @@
 
 The equations and facets of a finitely generated cone from one double
 description on its dual, a grading certifying pointedness read off those
-facets, and a two-phase exact simplex with Bland's anti-cycling rule for
-systems A x = b, x >= 0 with integer data.
+facets, a placing triangulation of a full-dimensional cone with the
+integer points of each simplex's fundamental parallelepiped, and a
+two-phase exact simplex with Bland's anti-cycling rule for systems
+A x = b, x >= 0 with integer data.
 
 The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
@@ -19,12 +21,14 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, NotPointedError, ResourceLimitError
 from .intlinalg import (
     IntMatrix,
     IntVector,
     RatVector,
+    adjugate,
     primitive_vector,
     unit_vector,
     vec_dot,
@@ -389,6 +393,117 @@ def cone_facets(generators, dim: int, limits: Limits = DEFAULT_LIMITS) -> Cone:
     equations = [row if next(x for x in row if x) > 0 else tuple(-x for x in row)
                  for row in lin]
     return Cone(tuple(sorted(equations)), tuple(sorted(rays)))
+
+
+class Simplex(NamedTuple):
+    """The simplicial cone spanned by the vectors with indices vertices,
+    whose matrix V holds them as columns.  normals[k] is row k of
+    det * V^-1, where det = |det V|: it vanishes on every vertex but the
+    k-th, where it is det, so it is the inward normal of the facet
+    opposite vertex k.  A named tuple, which a package import builds
+    faster than a dataclass."""
+
+    vertices: tuple[int, ...]
+    det: int
+    normals: tuple[IntVector, ...]
+
+
+def placing_triangulation(vectors, r: int,
+                          limits: Limits = DEFAULT_LIMITS) -> list[Simplex]:
+    """A triangulation of the cone spanned by vectors, which span Q^r.
+
+    The first r independent vectors span the first simplex.  Every other
+    vector v is then placed in turn over the boundary facets that it sees,
+    those whose inward normal is negative at v, each giving the new simplex
+    facet + v; a vector inside the cone so far sees none and is left out.
+    The new simplices cover the part of the cone of the placed vectors and
+    v that the old cone misses, and meet the old ones and each other in
+    common faces (the placing triangulation; De Loera, Rambau & Santos
+    2010, section 4.3).  A facet lies in one simplex or in two, so the
+    boundary is kept by toggling each new simplex's facets.  More than
+    max_nodes simplices raise ResourceLimitError.
+
+    The first simplex's normals are its adjugate.  A new simplex replaces
+    vertex k of the simplex s behind the facet it is placed over by v, and
+    one fraction-free Gauss-Jordan step gives its normals from those of s:
+    with N = s.normals and a = N_k.v < 0, the new det is -a, the new
+    normal opposite v is -N_k, and the one opposite another vertex i is
+    ((N_i.v) N_k - a N_i) / s.det, which vanishes on the facet's other
+    vertices and on v and is -a on vertex i; the division is exact, since
+    the result is a row of an adjugate.
+    """
+    first, echelon = [], []
+    for j, v in enumerate(vectors):
+        if len(first) == r:
+            break
+        w = list(v)
+        for p, row in echelon:
+            if w[p]:
+                w = [row[p] * x - w[p] * y for x, y in zip(w, row)]
+        p = next((i for i, x in enumerate(w) if x), None)
+        if p is not None:
+            echelon.append((p, primitive_vector(w)))
+            first.append(j)
+    if len(first) != r:
+        raise ValueError("the vectors do not span a full-dimensional cone")
+    simplices: list[Simplex] = []
+    boundary: dict[frozenset, tuple[Simplex, int]] = {}
+
+    def add(simplex):
+        simplices.append(simplex)
+        if len(simplices) > limits.max_nodes:
+            raise ResourceLimitError("triangulation simplices and parallelepiped points",
+                                     limits.max_nodes)
+        vertices = simplex.vertices
+        for k in range(r):
+            facet = frozenset(vertices[:k] + vertices[k + 1:])
+            if boundary.pop(facet, None) is None:
+                boundary[facet] = (simplex, k)
+
+    det, adj = adjugate([[vectors[j][i] for j in first] for i in range(r)])
+    add(Simplex(tuple(first), abs(det),
+                adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)))
+    for j, v in enumerate(vectors):
+        # a simplex placed over a facet drops that facet from the boundary
+        # and adds only facets through v, so the boundary as it was before
+        # v lists every facet that v sees
+        for s, k in list(boundary.values()):
+            nk = s.normals[k]
+            a = vec_dot(nk, v)
+            if a < 0:
+                normals = tuple(
+                    tuple(-x for x in nk) if i == k
+                    else tuple((f * y - a * x) // s.det for x, y in zip(n, nk))
+                    for i, n in enumerate(s.normals) for f in [vec_dot(n, v)])
+                add(Simplex(s.vertices[:k] + (j,) + s.vertices[k + 1:], -a, normals))
+    return simplices
+
+
+def parallelepiped_points(vectors, simplex: Simplex) -> list[IntVector]:
+    """The det integer points V q with q in [0, 1)^r of a simplex, the
+    origin among them.
+
+    x -> det * V^-1 x mod det maps Z^r onto the subgroup of (Z/det)^r
+    that the columns of the normals generate, and its kernel is V Z^r.  So
+    the points are the V k / det for k in that subgroup, with entries in
+    [0, det), which is built one generator at a time: the multiples of g
+    up to the first that falls in the subgroup so far shift it to new
+    cosets.
+    """
+    d, r = simplex.det, len(simplex.normals)
+    group = [(0,) * r]
+    members = set(group)
+    for j in range(r):
+        g = tuple(row[j] % d for row in simplex.normals)
+        step, shifted = g, []
+        while step not in members:
+            shifted += [tuple((a + b) % d for a, b in zip(h, step)) for h in group]
+            step = tuple((a + b) % d for a, b in zip(step, g))
+        group += shifted
+        members.update(shifted)
+    columns = [vectors[j] for j in simplex.vertices]
+    return [tuple(sum(k * c[i] for k, c in zip(q, columns)) // d for i in range(r))
+            for q in group]
 
 
 def positive_functional(cone: Cone, generators) -> IntVector:

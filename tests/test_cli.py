@@ -347,14 +347,15 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, code", [
         (("--max-nodes", "2717", "holes"), 4),
         (("--max-nodes", "2718", "holes"), 10),
-        (("--max-nodes", "38", "fundamental"), 4),
-        (("--max-nodes", "39", "fundamental"), 10),
+        (("--max-nodes", "6", "fundamental"), 4),
+        (("--max-nodes", "7", "fundamental"), 10),
     ])
     def test_node_ceiling_is_exact(self, capsys, example_file, argv, code):
         # the Graver basis of A visits 2718 completion states (the hole
-        # ideal of (1,1) then needs 633 of its own) and the fundamental
-        # holes need 39: one state fewer is a resource limit, never a
-        # wrong verdict
+        # ideal of (1,1) then needs 633 of its own); the fundamental holes
+        # need the saturation basis, from 3 simplices with 2 + 1 + 1
+        # parallelepiped points: one unit fewer is a resource limit,
+        # never a wrong verdict
         assert main([*argv, example_file]) == code
 
     @pytest.mark.parametrize("argv, code", [

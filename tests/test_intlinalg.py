@@ -13,7 +13,7 @@ from monoid_holes import (
     row_sum_bound,
     solve_rational_affine,
 )
-from monoid_holes.intlinalg import integer_determinant
+from monoid_holes.intlinalg import adjugate, integer_determinant
 from monoid_holes.limits import Limits
 
 from conftest import brute_in_lattice, brute_max_subdet, gauss_determinant, gauss_rank
@@ -177,6 +177,31 @@ class TestSubdeterminants:
                     min_size=3, max_size=3))
     def test_bareiss_matches_gauss(self, rows):
         assert integer_determinant(rows) == gauss_determinant(rows)
+
+
+class TestAdjugate:
+    def test_swap_needed(self):
+        # the first pivot is 0, so the elimination swaps rows
+        assert adjugate([[0, 2], [3, 1]]) == (-6, ((1, -2), (-3, 0)))
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            adjugate([[1, 2], [2, 4]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_matches_gauss(self, rows):
+        det = gauss_determinant(rows)
+        if det == 0:
+            with pytest.raises(ValueError):
+                adjugate(rows)
+            return
+        d, adj = adjugate(rows)
+        assert d == det
+        n = len(rows)
+        assert [[sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[d if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 class TestRowSumBound:

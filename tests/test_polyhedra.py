@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     FeasibilitySystem,
@@ -9,11 +9,19 @@ from monoid_holes import (
     IntMatrix,
     NotPointedError,
     ResourceLimitError,
+    SemigroupProblem,
     cone_facets,
     lp_exact,
 )
 from monoid_holes import polyhedra
-from monoid_holes.polyhedra import _Phase1, cone_generators, maximize_each, positive_functional
+from monoid_holes.polyhedra import (
+    _Phase1,
+    cone_generators,
+    maximize_each,
+    parallelepiped_points,
+    placing_triangulation,
+    positive_functional,
+)
 from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero, vec_sub
 from monoid_holes.limits import Limits
 from monoid_holes.transport import TransportDims, transportation_matrix, vlach_instance
@@ -142,6 +150,73 @@ class TestTransportationCones:
         with pytest.raises(ResourceLimitError):
             cone_facets(generators, a.rows, Limits(max_rays=206))
         assert len(cone_facets(generators, a.rows, Limits(max_rays=207)).facets) == 207
+
+
+@st.composite
+def triangulated(draw):
+    """A pointed cone of 1-3 rows and up to 6 columns with entries -3..3,
+    in the coordinates of its lattice: the matrix, the problem, the
+    generators' coordinates and their placing triangulation."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                         min_size=1, max_size=6).map(lambda cols: [list(r) for r in zip(*cols)]))
+    try:
+        problem = SemigroupProblem.build(IntMatrix.from_rows(rows))
+    except NotPointedError:
+        assume(False)
+    vectors = [problem.lattice.contains(g) for g in problem.generators]
+    return rows, problem, vectors, placing_triangulation(vectors, problem.lattice.rank)
+
+
+def simplex_rows(vectors, simplex):
+    """The matrix V whose columns are the simplex's vertices, by rows."""
+    return [list(row) for row in zip(*(vectors[j] for j in simplex.vertices))]
+
+
+class TestPlacingTriangulation:
+    """Each simplex against exact rational arithmetic: its normals, its
+    parallelepiped points and the points of the cone it covers."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(triangulated())
+    def test_parallelepiped_points(self, drawn):
+        _, _, vectors, simplices = drawn
+        for simplex in simplices:
+            v = simplex_rows(vectors, simplex)
+            assert simplex.det == abs(gauss_determinant(v))
+            for k, normal in enumerate(simplex.normals):
+                assert [vec_dot(normal, vectors[j]) for j in simplex.vertices] == \
+                    [simplex.det if i == k else 0 for i in range(len(v))]
+            points = parallelepiped_points(vectors, simplex)
+            assert len(points) == len(set(points)) == simplex.det
+            for p in points:
+                q = _solve_square(v, p)
+                assert all(isinstance(x, Fraction) and 0 <= x < 1 for x in q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(triangulated(), st.data())
+    def test_lattice_points_of_the_cone_lie_in_a_simplex(self, drawn, data):
+        rows, problem, vectors, simplices = drawn
+        for _ in range(5):
+            lam = data.draw(st.lists(st.integers(0, 4), min_size=len(rows[0]),
+                                     max_size=len(rows[0])))
+            t = problem.lattice.contains(IntMatrix.from_rows(rows).mul_vector(lam))
+            assert any(min(_solve_square(simplex_rows(vectors, s), t), default=0) >= 0
+                       for s in simplices)
+
+    def test_running_example(self):
+        # (1,0), (1,2), (1,3), (1,4) placed in turn; only the first simplex
+        # has a point besides the origin, (1, 1)
+        vectors = [(1, 0), (1, 2), (1, 3), (1, 4)]
+        simplices = placing_triangulation(vectors, 2)
+        assert [(s.vertices, s.det) for s in simplices] == [((0, 1), 2), ((2, 1), 1), ((2, 3), 1)]
+        assert sorted(parallelepiped_points(vectors, simplices[0])) == [(0, 0), (1, 1)]
+
+    def test_simplex_ceiling(self):
+        vectors = [(1, 0), (1, 2), (1, 3), (1, 4)]
+        with pytest.raises(ResourceLimitError):
+            placing_triangulation(vectors, 2, Limits(max_nodes=2))
+        assert len(placing_triangulation(vectors, 2, Limits(max_nodes=3))) == 3
 
 
 class TestIsPointed:

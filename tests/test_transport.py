@@ -8,9 +8,11 @@ from monoid_holes import (
     IntMatrix,
     MarginTriple,
     ResourceLimitError,
+    SemigroupProblem,
     TransportDims,
     VlachConclusions,
     VlachReport,
+    fundamental_holes,
     table_feasible,
     transportation_matrix,
     verify_vlach,
@@ -91,6 +93,20 @@ class TestTransportationMatrix:
         assert vector_to_margins(dims, f) == margins
         flat = tuple(table[i][j][k] for (i, j, k) in dims.triples())
         assert transportation_matrix(dims).mul_vector(flat) == f
+
+
+class TestTransportationSemigroups:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 3)],
+                             ids=["2x2x2", "2x2x3", "2x3x3"])
+    def test_two_slice_tables_are_normal(self, dims):
+        # up to row order, the 2xsxt matrix is the Lawrence lifting
+        # [[B, 0], [0, B], [I, I]] of the totally unimodular margin matrix
+        # B of sxt tables, so it is unimodular: its saturation's Hilbert
+        # basis is the columns and it has no holes
+        a = transportation_matrix(TransportDims(*dims))
+        found = fundamental_holes(SemigroupProblem.build(a))
+        assert found.hilbert_basis.elements == tuple(sorted(a.columns()))
+        assert found.holes == found.basis_holes == ()
 
 
 class TestVlachInstance:
