@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Holes of affine semigroups: fundamental holes, hole "
                     "representations, bounds, saturation points, and 3-way "
                     "transportation feasibility, all in exact arithmetic.")
-    parser.add_argument("--max-basis", type=int, help="cap on Hilbert basis size")
-    parser.add_argument("--max-nodes", type=int, help="cap on search states")
+    parser.add_argument("--max-basis", type=int, help="cap on Graver, fiber and Hilbert bases")
+    parser.add_argument("--max-nodes", type=int, help="cap on search states, simplices and their points")
     parser.add_argument("--max-pairs", type=int, help="cap on standard pair cells")
     parser.add_argument("--max-subsets", type=int, help="cap on subdeterminant subsets")
     parser.add_argument("--max-rays", type=int, help="cap on intermediate facet rays")

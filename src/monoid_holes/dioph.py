@@ -114,6 +114,12 @@ def _minimal_solutions(cols, rhs=None, known=(),
     was created, so its extension y = x +- e_i can only be above one of
     those with s_i == y_i, which the bucket (i, y_i) lists.  Solutions
     found after x was created are checked in full.
+
+    Minimal: a minimal solution s [= t, s != t, has |s|_1 < |t|_1, so it is
+    known or found in an earlier layer before t is tested, and t is kept
+    only when it lies above none of the solutions known when it was
+    created (the buckets) or found since (sols[checked:]); seen rules out
+    a second copy of t.  So nothing found needs to be minimalized.
     """
     n = len(cols)
     gram = [tuple(vec_dot(c, d) for d in cols) for c in cols]
@@ -172,11 +178,7 @@ def _minimal_solutions(cols, rhs=None, known=(),
                 next_frontier.append((y, tuple(map(add, dots, row)),
                                       norm - 2 * abs(d) + gram[i][i], count))
         frontier = next_frontier
-    # defensive minimalization; solutions of equal degree are incomparable,
-    # so this is normally a no-op
-    found = sols[skip:]
-    minimal = [s for s in found if not any(_conformal_below(t, s) and s != t for t in found)]
-    return sorted(minimal)
+    return sorted(sols[skip:])
 
 
 def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVector, ...]:

@@ -1,8 +1,12 @@
 """Arbitrary-precision integer and rational linear algebra.
 
-Everything here is exact: matrices and vectors hold Python ints, rational
-work uses fractions.Fraction.  No floating point appears anywhere in the
-package.
+Everything here is exact: matrices and vectors hold Python ints, and no
+floating point appears anywhere in the package.  One fraction-free
+Gauss-Jordan elimination (gauss_jordan, Bareiss 1968) does every exact
+solve: rational affine solving, determinants and adjugates, and the
+first simplex of a placing triangulation; its row update (eliminate) is
+also the pivot of the exact simplex in polyhedra.  Fractions appear only
+where an answer is read off.
 """
 
 from __future__ import annotations
@@ -232,48 +236,97 @@ def lattice_basis(a: IntMatrix) -> LatticeBasis:
 
 
 # ---------------------------------------------------------------------------
-# rational solving
+# fraction-free elimination
+
+def eliminate(row, prow, support, p, d, col):
+    """Row x after the pivot on entry p in column col of row y = prow,
+    whose nonzero entries are support, when d is the previous pivot:
+    (p*x - f*y) // d with f = x[col], as a new list, or row itself when
+    nothing changes.  When p = d a row with f = 0 stays as it is, and one
+    with f != 0 changes only on support, by f*y // d, exact since d
+    divides p*x and p*x - f*y.
+    """
+    f = row[col]
+    if p != d:
+        if f:
+            return [(p * x - f * y) // d for x, y in zip(row, prow)]
+        return [p * x // d for x in row]
+    if not f:
+        return row
+    row = row[:]
+    for j, y in support:
+        row[j] -= f * y // d
+    return row
+
+
+def gauss_jordan(rows, width: int) -> tuple[list[int], list[list[int]], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix,
+    pivoting left to right in its first width columns.
+
+    Returns (pivots, reduced, D, sign): the pivot columns, those of the
+    first width independent of the ones before them; D times the reduced
+    row echelon form, whose rows after the len(pivots) pivot rows are 0 in
+    the first width columns; D, the last pivot (1 if there is none); and
+    the sign of the row swaps, so that sign * D is the determinant of a
+    nonsingular square matrix.
+
+    A pivot on entry p of row y sets every other row x to (p*x - f*y) // d
+    (eliminate), f being x's entry in the pivot column and d the previous
+    pivot.  Each division is exact.  After k pivots, let M be the block of
+    the pivot rows and columns; the rows are D times those of the rational
+    elimination, with D = det M.  Pivot row i holds D (M^-1 b)_i for each
+    column b, a k x k minor by Cramer's rule, and another row with entries
+    c in the pivot columns and e in column b holds D (e - c M^-1 b), the
+    (k + 1) x (k + 1) minor det [[M, b], [c, e]] by Sylvester's identity.
+    So every quotient is an integer, which floor division finds.
+    """
+    w = [list(row) for row in rows]
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(w):
+            break
+        pr = next((i for i in range(r, len(w)) if w[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            w[r], w[pr] = w[pr], w[r]
+            sign = -sign
+        prow = w[r]
+        p = prow[c]
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(len(w)):
+            if i != r:
+                w[i] = eliminate(w[i], prow, support, p, d, c)
+        pivots.append(c)
+        d = p
+    return pivots, w, d, sign
+
 
 def solve_rational_affine(a: IntMatrix, b) -> tuple[RatVector, tuple[RatVector, ...]] | None:
-    """Particular solution and rational kernel basis of A x = b, if solvable.
+    """Particular solution and rational kernel basis of A x = b, b integer,
+    if solvable, read off one gauss_jordan of [A | b].
 
     The particular solution sets all free variables to zero; kernel basis
     vectors have a single free variable set to one.
     """
-    d, n = a.rows, a.cols
-    if len(b) != d:
+    n = a.cols
+    if len(b) != a.rows:
         raise ValueError("right-hand side has wrong dimension")
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a.entries)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, d) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(d):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == d:
-            break
-    for i in range(r, d):
-        if m[i][n]:
-            return None
+    pivots, m, d, _ = gauss_jordan(
+        [list(row) + [operator.index(x)] for row, x in zip(a.entries, b)], n)
+    if any(row[n] for row in m[len(pivots):]):
+        return None
     particular = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        particular[c] = m[i][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    for row, c in zip(m, pivots):
+        particular[c] = Fraction(row[n], d)
     kernel = []
-    for fc in free_cols:
+    for fc in [c for c in range(n) if c not in pivots]:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -m[i][fc]
+        for row, c in zip(m, pivots):
+            vec[c] = Fraction(-row[fc], d)
         kernel.append(tuple(vec))
     return tuple(particular), tuple(kernel)
 
@@ -282,60 +335,31 @@ def solve_rational_affine(a: IntMatrix, b) -> tuple[RatVector, tuple[RatVector, 
 # determinants and the bound ingredients
 
 def integer_determinant(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant of a square integer matrix, by gauss_jordan."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, _, d, sign = gauss_jordan(rows, n)
+    return sign * d if len(pivots) == n else 0
 
 
 def adjugate(rows) -> tuple[int, tuple[IntVector, ...]]:
     """Determinant and adjugate of a nonsingular square integer matrix M,
-    from one fraction-free Gauss-Jordan elimination of [M | I].
+    from one gauss_jordan of [M | I].
 
-    Each pivot step replaces every row x but the pivot row y by
-    (p*x - f*y) // prev, where p is the pivot, f is x's entry in the pivot
-    column and prev the previous pivot; as in Bareiss elimination each
-    division is exact.  The row operations, swaps included, multiply
-    [M | I] on the left by one matrix K with K M = D I, where D is the last
-    pivot; so the right block is K = D M^-1.  The swaps change the sign of
-    D against det M, and that sign turns K into adj M = det M * M^-1.
+    The row operations, swaps included, multiply [M | I] on the left by
+    one matrix K with K M = D I, where D is the last pivot; so the right
+    block is K = D M^-1.  The swaps change the sign of D against det M, and
+    that sign turns K into adj M = det M * M^-1.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("adjugate needs a square matrix")
-    w = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if w[i][k]), None)
-        if pr is None:
-            raise ValueError("adjugate needs a nonsingular matrix")
-        if pr != k:
-            w[k], w[pr] = w[pr], w[k]
-            sign = -sign
-        pivot = w[k]
-        p = pivot[k]
-        for i in range(n):
-            f = w[i][k]
-            if i != k and (f or p != prev):
-                w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], pivot)]
-        prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
+    pivots, w, d, sign = gauss_jordan(
+        [list(row) + list(unit_vector(n, i)) for i, row in enumerate(rows)], n)
+    if len(pivots) != n:
+        raise ValueError("adjugate needs a nonsingular matrix")
+    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in w)
 
 
 def max_abs_subdeterminant(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -17,8 +17,8 @@ ENV_VAR = "MONOID_HOLES_LIMITS"
 
 @dataclass(frozen=True)
 class Limits:
-    max_basis: int = 10**6       # Hilbert basis vectors kept by the completion engine
-    max_nodes: int = 10**7       # search states (completion frontier, DFS nodes)
+    max_basis: int = 10**6       # Graver basis, fiber solutions, saturation Hilbert basis
+    max_nodes: int = 10**7       # search states and nodes, simplices + parallelepiped points
     max_pairs: int = 10**5       # standard pairs emitted per ideal
     max_subsets: int = 10**6     # column subsets enumerated for subdeterminants
     max_rays: int = 10**5        # intermediate rays in facet enumeration

@@ -9,7 +9,9 @@ A x = b, x >= 0 with integer data.
 
 The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
-arithmetic.  Each LP verdict comes with a certificate that is checked
+arithmetic; its row update is that of intlinalg.gauss_jordan, the one
+elimination of the package, which also gives the first simplex of a
+triangulation.  Each LP verdict comes with a certificate that is checked
 before the verdict is returned: a feasible point, or Farkas multipliers
 proving infeasibility.
 """
@@ -29,6 +31,8 @@ from .intlinalg import (
     IntVector,
     RatVector,
     adjugate,
+    eliminate,
+    gauss_jordan,
     primitive_vector,
     unit_vector,
     vec_dot,
@@ -112,33 +116,11 @@ class LPResult:
 # rational row times D, the determinant of the current basis (Bareiss 1968,
 # Edmonds 1967).  Pivoting on entry p of row y makes p the new D and sets
 # every other row x to (p*x - f*y) // D, where f is x's entry in the pivot
-# column; Sylvester's identity makes each division exact.  D stays positive,
-# so every sign test and every ratio comparison has the outcome it has on
-# the rational tableau of the same rows, and so has every pivot choice.
-#
-# A pivot does work only where it changes something.  A row whose entry f
-# in the pivot column is 0 becomes p*x // D, so when p = D, as on most
-# pivots, it stays as it is and only the rows with f != 0 are touched.
-# Each of those changes only on the pivot row's support, by f*y // D, which
-# is exact: D divides both p*x and p*x - f*y, hence f*y.  When p != D every
-# row is rescaled in full.  Pivots replace the rows they change and never
-# edit a row of the tableau in place, so two tableaux may share rows.
-
-def _eliminate(row, prow, support, p, d, enter):
-    """Row x after the pivot on entry p of row y = prow, whose nonzero
-    entries are support; row itself when nothing changes."""
-    f = row[enter]
-    if p != d:
-        if f:
-            return [(p * x - f * y) // d for x, y in zip(row, prow)]
-        return [p * x // d for x in row]
-    if not f:
-        return row
-    row = row[:]
-    for j, y in support:
-        row[j] -= f * y // d
-    return row
-
+# column: intlinalg.eliminate, exact by the argument of gauss_jordan.  When
+# p = D only the rows with f != 0 change.  D stays positive, so every sign
+# test and ratio comparison, and so every pivot choice, is that of the
+# rational tableau.  Rows are replaced, never edited in place, so two
+# tableaux may share rows.
 
 def _pivot(tab, zrow, basis, d, leave, enter) -> int:
     """Pivot on tab[leave][enter]; returns the new denominator.
@@ -159,9 +141,9 @@ def _pivot(tab, zrow, basis, d, leave, enter) -> int:
         changed = list(compress(changed, map(itemgetter(enter), tab)))
     for i in changed:
         if i != leave:
-            tab[i] = _eliminate(tab[i], prow, support, p, d, enter)
+            tab[i] = eliminate(tab[i], prow, support, p, d, enter)
     if zrow is not None:
-        zrow[:] = _eliminate(zrow, prow, support, p, d, enter)
+        zrow[:] = eliminate(zrow, prow, support, p, d, enter)
     basis[leave] = enter
     return p
 
@@ -412,10 +394,11 @@ def placing_triangulation(vectors, r: int,
                           limits: Limits = DEFAULT_LIMITS) -> list[Simplex]:
     """A triangulation of the cone spanned by vectors, which span Q^r.
 
-    The first r independent vectors span the first simplex.  Every other
-    vector v is then placed in turn over the boundary facets that it sees,
-    those whose inward normal is negative at v, each giving the new simplex
-    facet + v; a vector inside the cone so far sees none and is left out.
+    The first r independent vectors, the pivot columns of the r x m matrix
+    of the vectors, span the first simplex.  Every other vector v is then
+    placed in turn over the boundary facets that it sees, those whose
+    inward normal is negative at v, each giving the new simplex facet + v;
+    a vector inside the cone so far sees none and is left out.
     The new simplices cover the part of the cone of the placed vectors and
     v that the old cone misses, and meet the old ones and each other in
     common faces (the placing triangulation; De Loera, Rambau & Santos
@@ -430,20 +413,10 @@ def placing_triangulation(vectors, r: int,
     normal opposite v is -N_k, and the one opposite another vertex i is
     ((N_i.v) N_k - a N_i) / s.det, which vanishes on the facet's other
     vertices and on v and is -a on vertex i; the division is exact, since
-    the result is a row of an adjugate.
+    the result is a row of an adjugate.  Its multiplier N_i.v is no entry
+    of a row, so this step does not go through intlinalg.eliminate.
     """
-    first, echelon = [], []
-    for j, v in enumerate(vectors):
-        if len(first) == r:
-            break
-        w = list(v)
-        for p, row in echelon:
-            if w[p]:
-                w = [row[p] * x - w[p] * y for x, y in zip(w, row)]
-        p = next((i for i, x in enumerate(w) if x), None)
-        if p is not None:
-            echelon.append((p, primitive_vector(w)))
-            first.append(j)
+    first = gauss_jordan(list(zip(*vectors)), len(vectors))[0]
     if len(first) != r:
         raise ValueError("the vectors do not span a full-dimensional cone")
     simplices: list[Simplex] = []

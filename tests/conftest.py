@@ -48,6 +48,29 @@ def gauss_rank(rows):
     return rank
 
 
+def fraction_rref(rows, width):
+    """(pivot columns, rows) of the reduced row echelon form of a matrix
+    by plain fraction Gauss-Jordan elimination, pivoting left to right in
+    the first width columns on the first row at or below the pivot rows
+    that is nonzero there; the rows past the pivot rows are what the
+    elimination leaves of the others, in order."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m
+
+
 def brute_max_subdet(rows):
     d = len(rows)
     n = len(rows[0])

@@ -13,10 +13,16 @@ from monoid_holes import (
     row_sum_bound,
     solve_rational_affine,
 )
-from monoid_holes.intlinalg import adjugate, integer_determinant
+from monoid_holes.intlinalg import adjugate, gauss_jordan, integer_determinant
 from monoid_holes.limits import Limits
 
-from conftest import brute_in_lattice, brute_max_subdet, gauss_determinant, gauss_rank
+from conftest import (
+    brute_in_lattice,
+    brute_max_subdet,
+    fraction_rref,
+    gauss_determinant,
+    gauss_rank,
+)
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -24,6 +30,14 @@ small_matrices = st.integers(1, 4).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n),
             min_size=d, max_size=d)))
+
+# tall and rank deficient: two to five rows, then the sum of the first two
+tall_matrices = st.integers(2, 5).flatmap(
+    lambda d: st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=d, max_size=d))).map(
+    lambda rows: rows + [[x + y for x, y in zip(rows[0], rows[1])]])
 
 
 class TestHermiteNormalForm:
@@ -127,8 +141,15 @@ class TestSolveRationalAffine:
         a = IntMatrix.from_rows([[1, 1], [1, 1]])
         assert solve_rational_affine(a, (0, 1)) is None
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_matrices, st.data())
+    def test_rank_deficient_tall(self):
+        # the third row is the sum of the first two, so column 2 is free
+        a = IntMatrix.from_rows([[1, 0, 2], [0, 2, 2], [1, 2, 4]])
+        particular, kernel = solve_rational_affine(a, (1, 1, 2))
+        assert particular == (1, Fraction(1, 2), 0)
+        assert kernel == ((-2, -1, 1),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_matrices, tall_matrices), st.data())
     def test_solution_and_kernel_are_exact(self, rows, data):
         m = IntMatrix.from_rows(rows)
         b = data.draw(st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows))
@@ -141,6 +162,45 @@ class TestSolveRationalAffine:
         assert list(m.mul_vector(particular)) == [Fraction(x) for x in b]
         for vec in kernel:
             assert all(x == 0 for x in m.mul_vector(vec))
+        # the documented convention: the free columns are those that are
+        # not pivots of the reduced row echelon form
+        pivots, _ = fraction_rref(rows, m.cols)
+        free = [c for c in range(m.cols) if c not in pivots]
+        assert len(kernel) == m.cols - gauss_rank(rows) == len(free)
+        assert all(particular[c] == 0 for c in free)
+        for k, vec in zip(free, kernel):
+            assert [vec[c] for c in free] == [int(c == k) for c in free]
+
+
+class TestGaussJordan:
+    def test_swap_and_sign(self):
+        pivots, reduced, d, sign = gauss_jordan([[0, 2], [3, 1]], 2)
+        assert (pivots, reduced, d, sign) == ([0, 1], [[6, 0], [0, 6]], 6, -1)
+
+    def test_zero_matrix(self):
+        assert gauss_jordan([[0, 0], [0, 0]], 2) == ([], [[0, 0], [0, 0]], 1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_matrices, tall_matrices), st.integers(0, 2), st.data())
+    def test_matches_fraction_rref(self, rows, extra, data):
+        # extra columns past width are carried along but never pivoted on
+        rows = [row + data.draw(st.lists(st.integers(-9, 9), min_size=extra, max_size=extra))
+                for row in rows]
+        width = len(rows[0]) - extra
+        pivots, reduced, d, sign = gauss_jordan(rows, width)
+        want_pivots, rref = fraction_rref(rows, width)
+        assert pivots == want_pivots
+        # the pivot columns are the greedily independent ones
+        for c in range(width):
+            before = [[row[j] for j in range(c + 1)] for row in rows]
+            grows = gauss_rank(before) > gauss_rank([row[:c] for row in before])
+            assert grows == (c in pivots)
+        assert d != 0
+        assert reduced == [[d * x for x in row] for row in rref]
+        assert all(x == 0 for row in reduced[len(pivots):] for x in row[:width])
+        if extra == 0 and len(rows) == width:
+            det = gauss_determinant(rows)
+            assert (sign * d if len(pivots) == width else 0) == det
 
 
 class TestSubdeterminants:
