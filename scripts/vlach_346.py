@@ -49,7 +49,7 @@ def main():
           c.holes_are_f_plus_monoid_a_prime)
     for diag in report.diagnostics:
         print("diagnostic:", diag)
-    print(f"\nverified in {elapsed:.1f}s")
+    print(f"\nverified in {elapsed * 1000:.0f} ms")
     return 0 if c.all_true() and not report.diagnostics else 1
 
 

@@ -7,6 +7,12 @@ and timing go to stderr.  Exit codes: 0 no holes / membership holds,
 4 resource limit hit (a configured ceiling, the interpreter's recursion
 limit, memory exhaustion) or interrupted by Ctrl-C, 1 any other
 computation error.
+
+Every report is built from the same parts: `key: value` lines, sections
+written by `_section` (a `<name>-size: n` line, a `<name>:` line, one
+indented line per item), and `limit-status: ok` as its last line, which
+`main` appends.  A failure prints one `error: ...` line and no report;
+`_FAILURES` gives its exit code.
 """
 
 from __future__ import annotations
@@ -38,9 +44,28 @@ from .transport import (
 
 EXIT_OK = 0
 EXIT_HOLES = 10
-EXIT_PARSE = 2
-EXIT_NOT_POINTED = 3
-EXIT_LIMIT = 4
+
+# failure kind -> (exit code, message); a None message prints the error's
+# own text.  An error takes the entry of its nearest class in the table,
+# so the MonoidHolesError row catches only the kinds not listed above it.
+_FAILURES = {
+    MatrixParseError: (2, None),
+    NotPointedError: (3, None),
+    ResourceLimitError: (4, None),
+    RecursionError: (4, "resource limit exceeded: recursion depth"),
+    MemoryError: (4, "resource limit exceeded: memory"),
+    KeyboardInterrupt: (4, "interrupted"),
+    MonoidHolesError: (1, None),
+}
+
+# the ceiling flags: Limits field -> help text of its --max-... flag
+_CEILINGS = {
+    "max_basis": "cap on Graver, fiber and Hilbert bases",
+    "max_nodes": "cap on search states, simplices and their points",
+    "max_pairs": "cap on standard pair cells",
+    "max_subsets": "cap on subdeterminant subsets",
+    "max_rays": "cap on intermediate facet rays",
+}
 
 
 def _fmt_vec(v) -> str:
@@ -54,18 +79,32 @@ def _fmt_cell(cell) -> str:
     return f"{_fmt_vec(cell.shift)} | {gens}"
 
 
-def read_matrix_file(path: str) -> IntMatrix:
+def _section(lines: list[str], name: str, items, fmt=_fmt_vec):
+    lines.append(f"{name}-size: {len(items)}")
+    lines.append(f"{name}:")
+    lines.extend(f"  {fmt(item)}" for item in items)
+
+
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
+            return fh.read()
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
-    if len(tokens) < 2:
-        raise MatrixParseError(f"{path}: expected a 'rows cols' header")
+
+
+def _ints(path: str, tokens) -> list[int]:
     try:
-        values = [int(t) for t in tokens]
+        return [int(t) for t in tokens]
     except ValueError as exc:
         raise MatrixParseError(f"{path}: non-integer token: {exc}") from exc
+
+
+def read_matrix_file(path: str) -> IntMatrix:
+    tokens = _read_text(path).split()
+    if len(tokens) < 2:
+        raise MatrixParseError(f"{path}: expected a 'rows cols' header")
+    values = _ints(path, tokens)
     d, n = values[0], values[1]
     if d < 1 or n < 1:
         raise MatrixParseError(f"{path}: dimensions must be positive")
@@ -78,24 +117,15 @@ def read_matrix_file(path: str) -> IntMatrix:
 
 
 def read_margins_file(path: str) -> MarginTriple:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     blocks: list[list[list[int]]] = []
     current: list[list[int]] = []
-    for line in text.splitlines():
+    for line in _read_text(path).splitlines():
         stripped = line.strip()
-        if not stripped:
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        try:
-            current.append([int(t) for t in stripped.split()])
-        except ValueError as exc:
-            raise MatrixParseError(f"{path}: non-integer token: {exc}") from exc
+        if stripped:
+            current.append(_ints(path, stripped.split()))
+        elif current:
+            blocks.append(current)
+            current = []
     if current:
         blocks.append(current)
     if len(blocks) != 3:
@@ -121,143 +151,96 @@ def parse_vector(text: str, dim: int) -> tuple[int, ...]:
     return entries
 
 
-def _echo_matrix(lines: list[str], a: IntMatrix):
-    lines.append(f"input-matrix: {a.rows} {a.cols}")
-    for row in a.entries:
-        lines.append(f"  {_fmt_vec(row)}")
+def _open_matrix(args) -> tuple[IntMatrix, list[str]]:
+    """Read the matrix file of a matrix command; return it with the report's
+    opening lines."""
+    a = read_matrix_file(args.matrix)
+    lines = [f"command: {args.cmd}", f"input-matrix: {a.rows} {a.cols}"]
+    lines.extend(f"  {_fmt_vec(row)}" for row in a.entries)
+    return a, lines
 
 
 def cmd_fundamental(args, limits: Limits) -> tuple[list[str], int]:
-    a = read_matrix_file(args.matrix)
+    a, lines = _open_matrix(args)
     problem = SemigroupProblem.build(a, limits)
     fund = fundamental_holes(problem, limits)
-    lines = ["command: fundamental"]
-    _echo_matrix(lines, a)
     lines.append(f"lattice-rank: {problem.lattice.rank}")
-    lines.append(f"hilbert-basis-size: {len(fund.hilbert_basis)}")
-    lines.append("hilbert-basis:")
-    for b in fund.hilbert_basis:
-        lines.append(f"  {_fmt_vec(b)}")
-    lines.append(f"basis-holes-size: {len(fund.basis_holes)}")
-    lines.append("basis-holes:")
-    for b in fund.basis_holes:
-        lines.append(f"  {_fmt_vec(b)}")
-    lines.append(f"fundamental-holes-size: {len(fund.holes)}")
-    lines.append("fundamental-holes:")
-    for h in fund.holes:
-        lines.append(f"  {_fmt_vec(h)}")
-    verdict = "normal" if not fund.holes else "holes-exist"
-    lines.append(f"verdict: {verdict}")
-    lines.append("limit-status: ok")
-    return lines, (EXIT_OK if not fund.holes else EXIT_HOLES)
+    _section(lines, "hilbert-basis", fund.hilbert_basis)
+    _section(lines, "basis-holes", fund.basis_holes)
+    _section(lines, "fundamental-holes", fund.holes)
+    lines.append(f"verdict: {'holes-exist' if fund.holes else 'normal'}")
+    return lines, (EXIT_HOLES if fund.holes else EXIT_OK)
 
 
 def cmd_holes(args, limits: Limits) -> tuple[list[str], int]:
-    a = read_matrix_file(args.matrix)
-    problem = SemigroupProblem.build(a, limits)
-    rep = holes_representation(problem, limits, jobs=args.jobs)
-    lines = ["command: holes"]
-    _echo_matrix(lines, a)
-    lines.append(f"fundamental-holes-size: {len(rep.fundamental_set.holes)}")
-    lines.append("fundamental-holes:")
-    for h in rep.fundamental_set.holes:
-        lines.append(f"  {_fmt_vec(h)}")
-    lines.append(f"cells-size: {len(rep.cells)}")
-    lines.append("cells:")
-    for cell in rep.cells:
-        lines.append(f"  {_fmt_cell(cell)}")
+    a, lines = _open_matrix(args)
+    rep = holes_representation(SemigroupProblem.build(a, limits), limits, jobs=args.jobs)
+    _section(lines, "fundamental-holes", rep.fundamental_set.holes)
+    _section(lines, "cells", rep.cells, _fmt_cell)
     verdict = "finite-empty" if not rep.cells else ("finite" if rep.is_finite else "infinite")
     lines.append(f"hole-set: {verdict}")
-    lines.append("limit-status: ok")
-    return lines, (EXIT_OK if not rep.cells else EXIT_HOLES)
+    return lines, (EXIT_HOLES if rep.cells else EXIT_OK)
 
 
 def cmd_saturation(args, limits: Limits) -> tuple[list[str], int]:
-    a = read_matrix_file(args.matrix)
-    problem = SemigroupProblem.build(a, limits)
-    result = saturation_points(problem, limits, jobs=args.jobs)
-    lines = ["command: saturation"]
-    _echo_matrix(lines, a)
-    lines.append(f"ideal-generators-size: {len(result.ideal.generators)}")
-    lines.append("ideal-generators:")
-    for g in result.ideal.generators:
-        lines.append(f"  {_fmt_vec(g)}")
-    lines.append(f"saturation-points-size: {len(result.points)}")
-    lines.append("saturation-points:")
-    for p in result.points:
-        lines.append(f"  {_fmt_vec(p)}")
+    a, lines = _open_matrix(args)
+    result = saturation_points(SemigroupProblem.build(a, limits), limits, jobs=args.jobs)
+    _section(lines, "ideal-generators", result.ideal.generators)
+    _section(lines, "saturation-points", result.points)
     holes_exist = not result.ideal.is_unit
     lines.append(f"verdict: {'holes-exist' if holes_exist else 'normal'}")
-    lines.append("limit-status: ok")
     return lines, (EXIT_HOLES if holes_exist else EXIT_OK)
 
 
 def cmd_bound(args, limits: Limits) -> tuple[list[str], int]:
-    a = read_matrix_file(args.matrix)
+    a, lines = _open_matrix(args)
     problem = SemigroupProblem.build(a, limits)
     report = problem_bound(problem, limits)
     rep = holes_representation(problem, limits, jobs=args.jobs)
-    lines = ["command: bound"]
-    _echo_matrix(lines, a)
     lines.append(f"bound-components: {report.d_plus_1} {report.m_f} {report.d_a}")
     lines.append(f"bound: {report.bound}")
-    if rep.is_finite:
-        holes = sorted({cell.shift for cell in rep.cells})
-        lines.append(f"holes-size: {len(holes)}")
-        lines.append("holes:")
-        for h in holes:
-            lines.append(f"  {_fmt_vec(h)}")
-        if holes:
-            largest = max(max(abs(x) for x in h) for h in holes)
-            lines.append(f"max-hole-entry: {largest}")
-            lines.append("verdict: holes-finite")
-        else:
-            lines.append("verdict: holes-finite-empty")
-        code = EXIT_HOLES if holes else EXIT_OK
-    else:
-        certificate = certify_infinite(problem, limits)
-        lines.append(f"certificate-hole: {_fmt_vec(certificate)}")
+    if not rep.is_finite:
+        lines.append(f"certificate-hole: {_fmt_vec(certify_infinite(problem, limits))}")
         lines.append("verdict: holes-infinite")
-        code = EXIT_HOLES
-    lines.append("limit-status: ok")
-    return lines, code
+        return lines, EXIT_HOLES
+    holes = sorted({cell.shift for cell in rep.cells})
+    _section(lines, "holes", holes)
+    if not holes:
+        lines.append("verdict: holes-finite-empty")
+        return lines, EXIT_OK
+    lines.append(f"max-hole-entry: {max(max(abs(x) for x in h) for h in holes)}")
+    lines.append("verdict: holes-finite")
+    return lines, EXIT_HOLES
 
 
 def cmd_member(args, limits: Limits) -> tuple[list[str], int]:
-    a = read_matrix_file(args.matrix)
+    a, lines = _open_matrix(args)
     b = parse_vector(args.vector, a.rows)
     problem = SemigroupProblem.build(a, limits)
-    lines = ["command: member"]
-    _echo_matrix(lines, a)
     lines.append(f"vector: {_fmt_vec(b)}")
     witness = semigroup_contains(problem, b, limits)
     if witness is not None:
         lines.append("status: in-semigroup")
         lines.append(f"witness: {_fmt_vec(witness)}")
-        code = EXIT_OK
     elif not problem.in_cone(b):
         lines.append("status: outside-cone")
-        code = EXIT_OK
     elif problem.lattice.contains(b) is None:
         lines.append("status: outside-lattice")
-        code = EXIT_OK
     else:
         lines.append("status: hole")
-        code = EXIT_HOLES
-    lines.append("limit-status: ok")
-    return lines, code
+        return lines, EXIT_HOLES
+    return lines, EXIT_OK
 
 
 def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     lines = ["command: transport"]
     if args.vlach:
+        if args.dims is not None or args.margins is not None:
+            raise MatrixParseError("--vlach takes no --dims or --margins")
         report = verify_vlach(limits, jobs=args.jobs)
         lines.append("instance: 3 4 6")
         lines.append(f"margin-vector: {_fmt_vec(report.f)}")
-        lines.append(f"support-size: {len(report.support)}")
-        lines.append("support:")
-        for (i, j, k) in report.support:
-            lines.append(f"  {i} {j} {k}")
+        _section(lines, "support", report.support)
         lines.append(f"witnesses-size: {len(report.non_hole_witnesses)}")
         c = report.conclusions
         lines.append(f"flag-unique-real-solution: {str(c.unique_real_solution).lower()}")
@@ -268,7 +251,6 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
             f"{str(c.holes_are_f_plus_monoid_a_prime).lower()}")
         for diag in report.diagnostics:
             lines.append(f"diagnostic: {diag}")
-        lines.append("limit-status: ok")
         return lines, (EXIT_HOLES if c.all_true() else 1)
 
     margins = read_margins_file(args.margins) if args.margins else None
@@ -287,7 +269,6 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     lines.append(f"instance: {dims.r} {dims.s} {dims.t}")
     lines.append(f"matrix-shape: {dims.num_rows} {dims.num_cols}")
     if margins is None:
-        lines.append("limit-status: ok")
         return lines, EXIT_OK
     f = margins_to_vector(dims, margins)
     lines.append(f"margin-vector: {_fmt_vec(f)}")
@@ -297,7 +278,6 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
         feas = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min").status == "optimal"
         lines.append("integer-feasible: no")
         lines.append(f"real-feasible: {'yes' if feas else 'no'}")
-        lines.append("limit-status: ok")
         return lines, EXIT_HOLES
     lines.append("integer-feasible: yes")
     lines.append("table:")
@@ -306,7 +286,6 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
             lines.append(f"  {_fmt_vec(table[i][j])}")
         if i + 1 < dims.r:
             lines.append("  -")
-    lines.append("limit-status: ok")
     return lines, EXIT_OK
 
 
@@ -316,20 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Holes of affine semigroups: fundamental holes, hole "
                     "representations, bounds, saturation points, and 3-way "
                     "transportation feasibility, all in exact arithmetic.")
-    parser.add_argument("--max-basis", type=int, help="cap on Graver, fiber and Hilbert bases")
-    parser.add_argument("--max-nodes", type=int, help="cap on search states, simplices and their points")
-    parser.add_argument("--max-pairs", type=int, help="cap on standard pair cells")
-    parser.add_argument("--max-subsets", type=int, help="cap on subdeterminant subsets")
-    parser.add_argument("--max-rays", type=int, help="cap on intermediate facet rays")
+    for name, text in _CEILINGS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=int, help=text)
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for name, needs_vector in (("fundamental", False), ("holes", False),
-                               ("saturation", False), ("bound", False),
-                               ("member", True)):
+    for name in ("fundamental", "holes", "saturation", "bound", "member"):
         p = sub.add_parser(name)
         p.add_argument("matrix", help="matrix file: 'd n' header then d rows")
-        if needs_vector:
+        if name == "member":
             p.add_argument("vector", help="right-hand side, e.g. '1,1' or '1 1'")
 
     p = sub.add_parser("transport")
@@ -353,45 +327,30 @@ _COMMANDS = {
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main call
 
 
+def _limits(args) -> Limits:
+    """The defaults, then MONOID_HOLES_LIMITS, then the ceiling flags."""
+    try:
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+        return limits_from_env(DEFAULT_LIMITS).override(
+            **{name: getattr(args, name) for name in _CEILINGS})
+    except ValueError as exc:
+        raise MatrixParseError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    try:
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
-        limits = limits_from_env(DEFAULT_LIMITS).override(
-            max_basis=args.max_basis, max_nodes=args.max_nodes,
-            max_pairs=args.max_pairs, max_subsets=args.max_subsets,
-            max_rays=args.max_rays)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     started = time.perf_counter()
     try:
-        lines, code = _COMMANDS[args.cmd](args, limits)
-    except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotPointedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_POINTED
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except RecursionError:
-        print("error: resource limit exceeded: recursion depth", file=sys.stderr)
-        return EXIT_LIMIT
-    except MemoryError:
-        print("error: resource limit exceeded: memory", file=sys.stderr)
-        return EXIT_LIMIT
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_LIMIT
-    except MonoidHolesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        lines, code = _COMMANDS[args.cmd](args, _limits(args))
+    except tuple(_FAILURES) as exc:
+        code, message = next(_FAILURES[kind] for kind in type(exc).__mro__ if kind in _FAILURES)
+        print(f"error: {exc if message is None else message}", file=sys.stderr)
+        return code
+    lines.append("limit-status: ok")
     print("\n".join(lines))
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"elapsed-ms: {elapsed:.1f}", file=sys.stderr)

@@ -9,8 +9,15 @@ from pathlib import Path
 import pytest
 
 import monoid_holes
-from monoid_holes import cli, holes, saturation
+from monoid_holes import cli, holes, saturation, vlach_margins
 from monoid_holes.cli import build_parser, main
+from monoid_holes.errors import (
+    MatrixParseError,
+    MonoidHolesError,
+    NotPointedError,
+    RankDeficientError,
+    ResourceLimitError,
+)
 from monoid_holes.limits import Limits
 
 from conftest import brute_in_cone, brute_in_lattice, sieve_member
@@ -41,6 +48,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def margins_text(u, v, w) -> str:
+    """A margins file: the three blocks separated by blank lines."""
+    fmt = lambda block: "\n".join(" ".join(str(x) for x in row) for row in block)
+    return f"{fmt(u)}\n\n{fmt(v)}\n\n{fmt(w)}\n"
 
 
 class TestFundamental:
@@ -289,6 +302,17 @@ class TestTransport:
         assert code == 0
         assert "matrix-shape: 54 72" in out
 
+    @pytest.mark.parametrize("extra", [("--margins", "/nonexistent.txt"),
+                                       ("--dims", "3", "4", "6")], ids=["margins", "dims"])
+    def test_vlach_takes_no_dims_or_margins(self, capsys, monkeypatch, extra):
+        # --vlach has its own margins, so another instance is bad input,
+        # not an option to drop
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_vlach called")
+        monkeypatch.setattr(cli, "verify_vlach", refuse)
+        assert main(["transport", "--vlach", *extra]) == 2
+        assert capsys.readouterr() == ("", "error: --vlach takes no --dims or --margins\n")
+
     def test_nonpositive_dims_are_a_parse_error(self, capsys):
         assert main(["transport", "--dims", "0", "2", "2"]) == 2
         captured = capsys.readouterr()
@@ -305,11 +329,9 @@ class TestTransport:
 
     def test_infeasible_margins(self, capsys, tmp_path):
         # the 3x4x6 margins that are real but not integer feasible
-        from monoid_holes import vlach_margins
         m = vlach_margins()
-        fmt = lambda block: "\n".join(" ".join(str(x) for x in row) for row in block)
         margins = tmp_path / "vl.txt"
-        margins.write_text(f"{fmt(m.u)}\n\n{fmt(m.v)}\n\n{fmt(m.w)}\n")
+        margins.write_text(margins_text(m.u, m.v, m.w))
         code, out = run(capsys, "transport", "--margins", str(margins))
         assert code == 10
         assert "integer-feasible: no" in out
@@ -394,9 +416,8 @@ class TestErrorPaths:
         u = [[sum(table[i][j][k] for i in range(r)) for k in range(t)] for j in range(s)]
         v = [[sum(table[i][j][k] for j in range(s)) for k in range(t)] for i in range(r)]
         w = [[sum(table[i][j][k] for k in range(t)) for j in range(s)] for i in range(r)]
-        fmt = lambda block: "\n".join(" ".join(str(x) for x in row) for row in block)
         margins = tmp_path / "long.txt"
-        margins.write_text(f"{fmt(u)}\n\n{fmt(v)}\n\n{fmt(w)}\n")
+        margins.write_text(margins_text(u, v, w))
         code = ("import sys; from monoid_holes.cli import main; "
                 "sys.setrecursionlimit(60); sys.exit(main(sys.argv[1:]))")
         src = str(Path(monoid_holes.__file__).resolve().parent.parent)
@@ -426,6 +447,47 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: interrupted\n"
+
+    @pytest.mark.parametrize("error, code, message", [
+        (MatrixParseError("bad token"), 2, "bad token"),
+        (NotPointedError("cone contains a line"), 3, "cone contains a line"),
+        (ResourceLimitError("search states", 5), 4,
+         "resource limit exceeded: search states (limit 5)"),
+        (RecursionError("maximum recursion depth exceeded"), 4,
+         "resource limit exceeded: recursion depth"),
+        (MemoryError(), 4, "resource limit exceeded: memory"),
+        (KeyboardInterrupt(), 4, "interrupted"),
+        (RankDeficientError("matrix must have full row rank"), 1,
+         "matrix must have full row rank"),
+        (MonoidHolesError("cross-check failed"), 1, "cross-check failed"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
+    def test_failure_table(self, capsys, example_file, monkeypatch, error, code, message):
+        # every failure kind: its exit code, one stderr line, no report
+        def failing(args, limits):
+            raise error
+        monkeypatch.setitem(cli._COMMANDS, "holes", failing)
+        assert main(["holes", example_file]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("fundamental", "/nonexistent/file.txt"), 2,
+         "cannot read /nonexistent/file.txt: [Errno 2] No such file or directory: "
+         "'/nonexistent/file.txt'"),
+        (("member", "{example}", "1,2,3"), 2, "vector has 3 entries, expected 2"),
+        # the vector is read before the cone is built
+        (("member", "{line}", "1 2"), 2, "vector has 2 entries, expected 1"),
+        (("fundamental", "{line}"), 3, "cone contains a line; no strictly positive functional"),
+        (("--max-nodes", "1", "holes", "{example}"), 4,
+         "resource limit exceeded: triangulation simplices and parallelepiped points (limit 1)"),
+        (("transport", "--margins", "{example}"), 2,
+         "{example}: expected three margin blocks, got 1"),
+    ], ids=["missing-file", "bad-vector", "vector-first", "not-pointed", "ceiling", "margins"])
+    def test_failure_messages(self, capsys, tmp_path, example_file, argv, code, message):
+        line = tmp_path / "line.txt"
+        line.write_text("1 2\n1 -1\n")
+        files = {"example": example_file, "line": str(line)}
+        assert main([a.format(**files) for a in argv]) == code
+        assert capsys.readouterr() == ("", f"error: {message.format(**files)}\n")
 
 
 class TestLimitsConfiguration:
@@ -543,6 +605,10 @@ MIXED_HEADER = """input-matrix: 2 4
   -2 3 1 0
 """
 
+VLACH = vlach_margins()
+VLACH_VECTOR = ("1 0 1 0 1 0 0 1 1 0 0 1 0 1 0 1 1 0 1 0 0 1 0 1 1 1 1 1 0 0 1 1 0 0 1 1 "
+                "0 0 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1")
+
 GOLDEN = {
     ("example", "fundamental"): (10, "command: fundamental\n" + EXAMPLE_HEADER + """\
 lattice-rank: 2
@@ -617,6 +683,122 @@ vector: 5 5
 status: hole
 limit-status: ok
 """),
+    ("ns35", "bound"): (10, """\
+command: bound
+input-matrix: 1 2
+  3 5
+bound-components: 2 8 5
+bound: 640
+holes-size: 4
+holes:
+  1
+  2
+  4
+  7
+max-hole-entry: 7
+verdict: holes-finite
+limit-status: ok
+"""),
+    ("identity", "bound"): (0, """\
+command: bound
+input-matrix: 2 2
+  1 0
+  0 1
+bound-components: 3 1 1
+bound: 3
+holes-size: 0
+holes:
+verdict: holes-finite-empty
+limit-status: ok
+"""),
+    ("example", "member", "1 2"): (0, "command: member\n" + EXAMPLE_HEADER + """\
+vector: 1 2
+status: in-semigroup
+witness: 0 1 0 0
+limit-status: ok
+"""),
+    ("example", "member", "1 5"): (0, "command: member\n" + EXAMPLE_HEADER + """\
+vector: 1 5
+status: outside-cone
+limit-status: ok
+"""),
+    ("even", "member", "3001 1501"): (0, """\
+command: member
+input-matrix: 2 4
+  2 4 6 10
+  0 2 4 10
+vector: 3001 1501
+status: outside-lattice
+limit-status: ok
+"""),
+    # transport keys: the margins file (or None), then the arguments
+    # before it
+    ("2x2x2", "transport", "--margins"): (0, """\
+command: transport
+instance: 2 2 2
+matrix-shape: 12 8
+margin-vector: 1 1 1 1 1 1 1 1 1 1 1 1
+integer-feasible: yes
+table:
+  1 0
+  0 1
+  -
+  0 1
+  1 0
+limit-status: ok
+"""),
+    ("vlach", "transport", "--margins"): (10, f"""\
+command: transport
+instance: 3 4 6
+matrix-shape: 54 72
+margin-vector: {VLACH_VECTOR}
+integer-feasible: no
+real-feasible: yes
+limit-status: ok
+"""),
+    (None, "transport", "--dims", "3", "4", "6"): (0, """\
+command: transport
+instance: 3 4 6
+matrix-shape: 54 72
+limit-status: ok
+"""),
+    (None, "transport", "--vlach"): (10, f"""\
+command: transport
+instance: 3 4 6
+margin-vector: {VLACH_VECTOR}
+support-size: 24
+support:
+  0 0 0
+  0 0 2
+  0 1 1
+  0 1 2
+  0 2 1
+  0 2 3
+  0 3 0
+  0 3 3
+  1 0 0
+  1 0 4
+  1 1 1
+  1 1 5
+  1 2 1
+  1 2 4
+  1 3 0
+  1 3 5
+  2 0 2
+  2 0 4
+  2 1 2
+  2 1 5
+  2 2 3
+  2 2 4
+  2 3 3
+  2 3 5
+witnesses-size: 48
+flag-unique-real-solution: true
+flag-margin-is-hole: true
+flag-margin-is-fundamental: true
+flag-holes-are-margin-plus-support-monoid: true
+limit-status: ok
+"""),
 }
 
 
@@ -625,14 +807,27 @@ class TestGoldenOutput:
     unnoticed."""
 
     MATRICES = {"example": "2 4\n1 1 1 1\n0 2 3 4\n",
-                "mixed": "2 4\n2 2 2 1\n-2 3 1 0\n"}
+                "mixed": "2 4\n2 2 2 1\n-2 3 1 0\n",
+                "ns35": "1 2\n3 5\n",
+                "identity": "2 2\n1 0\n0 1\n",
+                "even": "2 4\n2 4 6 10\n0 2 4 10\n"}
+    MARGINS = {"2x2x2": "1 1\n1 1\n\n1 1\n1 1\n\n1 1\n1 1\n",
+               "vlach": margins_text(VLACH.u, VLACH.v, VLACH.w)}
 
-    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(k))
+    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(filter(None, k)))
     def test_report_bytes(self, capsys, tmp_path, key):
-        name, command, *vector = key
-        path = tmp_path / f"{name}.txt"
-        path.write_text(self.MATRICES[name])
-        assert run(capsys, command, str(path), *vector) == GOLDEN[key]
+        name, command, *rest = key
+        if command == "transport":
+            argv = [command, *rest]
+            if name is not None:
+                path = tmp_path / f"{name}.txt"
+                path.write_text(self.MARGINS[name])
+                argv.append(str(path))
+        else:
+            path = tmp_path / f"{name}.txt"
+            path.write_text(self.MATRICES[name])
+            argv = [command, str(path), *rest]
+        assert run(capsys, *argv) == GOLDEN[key]
 
 
 class TestCeilings:
@@ -666,10 +861,8 @@ class TestCeilings:
     ], ids=["2x2x2", "3x4x6"])
     def test_transport_margins(self, capsys, tmp_path, margins):
         if margins is None:
-            from monoid_holes import vlach_margins
             m = vlach_margins()
-            fmt = lambda block: "\n".join(" ".join(str(x) for x in row) for row in block)
-            margins = f"{fmt(m.u)}\n\n{fmt(m.v)}\n\n{fmt(m.w)}\n"
+            margins = margins_text(m.u, m.v, m.w)
         path = tmp_path / "margins.txt"
         path.write_text(margins)
         answer = run(capsys, "transport", "--margins", str(path))
