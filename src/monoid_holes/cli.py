@@ -237,7 +237,7 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     if args.vlach:
         if args.dims is not None or args.margins is not None:
             raise MatrixParseError("--vlach takes no --dims or --margins")
-        report = verify_vlach(limits, jobs=args.jobs)
+        report = verify_vlach(limits)
         lines.append("instance: 3 4 6")
         lines.append(f"margin-vector: {_fmt_vec(report.f)}")
         _section(lines, "support", report.support)
@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "transportation feasibility, all in exact arithmetic.")
     for name, text in _CEILINGS.items():
         parser.add_argument("--" + name.replace("_", "-"), type=int, help=text)
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the hole ideals of holes, "
+                             "saturation and bound (default 1)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     for name in ("fundamental", "holes", "saturation", "bound", "member"):

@@ -29,7 +29,7 @@ every column off the ray.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, ge, le, mul
+from operator import add, ge, index, le, mul
 from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistencyError, ResourceLimitError
@@ -194,7 +194,7 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
     (x^-, x^+) of the minimal x with a@x = f.  graver = graver_basis(a),
     computed here when not given, prunes the search: a solution y above
     one of its elements g is not minimal, since y - g [= y solves it too."""
-    f = tuple(int(x) for x in f)
+    f = tuple(map(index, f))  # lossless: floats are rejected, not truncated
     if len(f) != a.rows:
         raise ValueError("inhomogeneous term has wrong dimension")
     if graver is None:
@@ -363,7 +363,7 @@ def semigroup_contains(problem: SemigroupProblem, b,
     matrix has 207 facets against 27 margin rows, and a query there is
     about ten times slower than on the margin rows.
     """
-    b = tuple(int(x) for x in b)
+    b = tuple(map(index, b))
     a = problem.matrix
     if len(b) != a.rows:
         raise ValueError("vector dimension does not match matrix rows")

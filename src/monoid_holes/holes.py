@@ -12,6 +12,7 @@ the hole ideal of f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 from .dioph import (
     HilbertBasis,
@@ -107,7 +108,7 @@ class HoleRepresentation:
 
 def is_hole(problem: SemigroupProblem, z, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Whether z is feasible over the reals and the lattice but not over Z_+."""
-    z = tuple(int(x) for x in z)
+    z = tuple(map(index, z))  # lossless: floats are rejected, not truncated
     return problem.in_saturation(z) and semigroup_contains(problem, z, limits) is None
 
 
@@ -149,7 +150,7 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
 def hole_solutions(problem: SemigroupProblem, f,
                    limits: Limits = DEFAULT_LIMITS) -> MinimalSolutionSet:
     """The minimal (lam, mu) with f + A lam = A mu, searched once per hole."""
-    f = tuple(int(x) for x in f)
+    f = tuple(map(index, f))
     return problem._derive(("solutions", f),
                            lambda: _solutions_of(problem.matrix, f, _graver(problem, limits), limits))
 
@@ -158,7 +159,7 @@ def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) ->
     """The monomial ideal of exponents lam with f + A lam back in the
     semigroup, generated by the lam parts of hole_solutions; its standard
     monomials enumerate the holes above f."""
-    f = tuple(int(x) for x in f)
+    f = tuple(map(index, f))
     return problem._derive(("ideal", f), lambda: MonomialIdeal.from_generators(
         problem.matrix.cols, hole_solutions(problem, f, limits).lam_parts()))
 

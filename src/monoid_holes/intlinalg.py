@@ -3,8 +3,8 @@
 Everything here is exact: matrices and vectors hold Python ints, and no
 floating point appears anywhere in the package.  One fraction-free
 Gauss-Jordan elimination (gauss_jordan, Bareiss 1968) does every exact
-solve: rational affine solving, determinants and adjugates, and the
-first simplex of a placing triangulation; its row update (eliminate) is
+solve: rational affine solving, determinants, and the first simplex of
+a placing triangulation with its normals; its row update (eliminate) is
 also the pivot of the exact simplex in polyhedra.  Fractions appear only
 where an answer is read off.
 """
@@ -341,25 +341,6 @@ def integer_determinant(rows: list[list[int]]) -> int:
         raise ValueError("determinant needs a square matrix")
     pivots, _, d, sign = gauss_jordan(rows, n)
     return sign * d if len(pivots) == n else 0
-
-
-def adjugate(rows) -> tuple[int, tuple[IntVector, ...]]:
-    """Determinant and adjugate of a nonsingular square integer matrix M,
-    from one gauss_jordan of [M | I].
-
-    The row operations, swaps included, multiply [M | I] on the left by
-    one matrix K with K M = D I, where D is the last pivot; so the right
-    block is K = D M^-1.  The swaps change the sign of D against det M, and
-    that sign turns K into adj M = det M * M^-1.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("adjugate needs a square matrix")
-    pivots, w, d, sign = gauss_jordan(
-        [list(row) + list(unit_vector(n, i)) for i, row in enumerate(rows)], n)
-    if len(pivots) != n:
-        raise ValueError("adjugate needs a nonsingular matrix")
-    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in w)
 
 
 def max_abs_subdeterminant(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -30,7 +30,6 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     RatVector,
-    adjugate,
     eliminate,
     gauss_jordan,
     primitive_vector,
@@ -119,14 +118,12 @@ class LPResult:
 # column: intlinalg.eliminate, exact by the argument of gauss_jordan.  When
 # p = D only the rows with f != 0 change.  D stays positive, so every sign
 # test and ratio comparison, and so every pivot choice, is that of the
-# rational tableau.  Rows are replaced, never edited in place, so two
-# tableaux may share rows.
+# rational tableau.
 
 def _pivot(tab, zrow, basis, d, leave, enter) -> int:
     """Pivot on tab[leave][enter]; returns the new denominator.
 
-    Changed rows of tab are replaced, and zrow, which the caller owns, is
-    overwritten.
+    zrow, which the caller owns, is overwritten.
     """
     prow = tab[leave]
     p = prow[enter]
@@ -178,105 +175,79 @@ def _run_simplex(tab, basis, zrow, d, allowed_cols) -> tuple[str, int]:
         d = _pivot(tab, zrow, basis, d, leave, enter)
 
 
-class _Phase1:
-    """Feasible tableau (phase 1 already solved) for one constraint system.
-
-    An infeasible system keeps Farkas multipliers in `farkas`, checked
-    against the system before they are stored.
-    """
-
-    def __init__(self, system: FeasibilitySystem):
-        self.system = system
-        n, m = system.matrix.cols, system.matrix.rows
-        # rows with a negative rhs are negated, so the artificials start
-        # feasible; artificial i is column n + i
-        signs = [-1 if b < 0 else 1 for b in system.rhs]
-        tab = []
-        for i, (s, row, b) in enumerate(zip(signs, system.matrix.entries, system.rhs)):
-            artificials = [0] * m
-            artificials[i] = 1
-            tab.append([s * x for x in row] + artificials + [s * b])
-        basis = list(range(n, n + m))
-        # cost 1 on every artificial, priced out against the artificial basis:
-        # minus the column sums of the real columns and of the rhs
-        zrow = [-sum(column) for column in zip(*tab)]
-        zrow[n:n + m] = [0] * m
-        status, d = _run_simplex(tab, basis, zrow, 1, range(n + m))
-        assert status == "optimal"  # phase 1 objective is bounded below by 0
-        if zrow[-1] != 0:
-            # the dual of phase 1 has y_i = 1 - z_i on artificial i, and
-            # y.A <= 0 < y.b at the optimum
-            self.farkas = tuple(s * (d - z) for s, z in zip(signs, zrow[n:n + m]))
-            if not system.refuted_by(self.farkas):
-                raise InternalInconsistencyError(
-                    "LP infeasibility certificate failed its integer check")
-            self.feasible = False
-            return
-        self.feasible = True
-        self.farkas = None
-        # drive artificials out of the basis, dropping redundant rows
-        keep = []
-        for i in range(len(tab)):
-            if basis[i] >= n:
-                enter = next((j for j in range(n) if tab[i][j] != 0), None)
-                if enter is None:
-                    continue  # redundant row
-                d = _pivot(tab, None, basis, d, i, enter)
-            keep.append(i)
-        self.tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
-        self.basis = [basis[i] for i in keep]
-        self.d = d
-
-    def solve(self, objective, sense: str) -> LPResult:
-        """Phase 2 for one objective; leaves the stored tableau untouched.
-
-        An infeasible system gets its Farkas multipliers, whatever the
-        objective, once the objective is well formed.
-        """
-        if sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
-        if len(objective) != self.system.num_vars:
-            raise ValueError("objective length does not match variable count")
-        if not self.feasible:
-            return LPResult("infeasible", None, None, self.farkas)
-        # minimize sign * scale * objective, an integer cost with the same pivots
-        sign = 1 if sense == "min" else -1
-        scale = lcm(*(c.denominator for c in objective))
-        cost = [sign * c.numerator * (scale // c.denominator) for c in objective]
-        tab = self.tab[:]
-        basis = self.basis[:]
-        d = self.d
-        zrow = [d * c for c in cost] + [0]
-        for row, bi in zip(tab, basis):
-            if cost[bi]:
-                cb = cost[bi]
-                zrow = [z - cb * x for z, x in zip(zrow, row)]
-        status, d = _run_simplex(tab, basis, zrow, d, range(len(cost)))
-        point = [0] * len(cost)
-        for row, bi in zip(tab, basis):
-            point[bi] = row[-1]
-        witness = tuple(Fraction(x, d) for x in point)
-        if not self.system.satisfied_by(witness):
-            raise InternalInconsistencyError("LP witness violates its own system")
-        if status == "unbounded":
-            return LPResult("unbounded", None, witness)
-        return LPResult("optimal", Fraction(-sign * zrow[-1], d * scale), witness)
-
-
 def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResult:
-    """Exact rational LP over {x >= 0 : matrix x = rhs}.
+    """Exact rational LP over {x >= 0 : matrix x = rhs}: phase 1 finds a
+    feasible basis, and phase 2 optimizes the objective from it.
 
     Every verdict is checked before it is returned: the witness against the
     system, and for an infeasible system the Farkas multipliers in `farkas`,
-    one per equation.
+    one per equation.  An infeasible system gets them whatever the
+    objective, once the objective is well formed.
     """
-    return _Phase1(system).solve(objective, sense)
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    n, m = system.matrix.cols, system.matrix.rows
+    if len(objective) != n:
+        raise ValueError("objective length does not match variable count")
+    # rows with a negative rhs are negated, so the artificials start
+    # feasible; artificial i is column n + i
+    signs = [-1 if b < 0 else 1 for b in system.rhs]
+    tab = []
+    for i, (s, row, b) in enumerate(zip(signs, system.matrix.entries, system.rhs)):
+        artificials = [0] * m
+        artificials[i] = 1
+        tab.append([s * x for x in row] + artificials + [s * b])
+    basis = list(range(n, n + m))
+    # cost 1 on every artificial, priced out against the artificial basis:
+    # minus the column sums of the real columns and of the rhs
+    zrow = [-sum(column) for column in zip(*tab)]
+    zrow[n:n + m] = [0] * m
+    status, d = _run_simplex(tab, basis, zrow, 1, range(n + m))
+    assert status == "optimal"  # phase 1 objective is bounded below by 0
+    if zrow[-1] != 0:
+        # the dual of phase 1 has y_i = 1 - z_i on artificial i, and
+        # y.A <= 0 < y.b at the optimum
+        farkas = tuple(s * (d - z) for s, z in zip(signs, zrow[n:n + m]))
+        if not system.refuted_by(farkas):
+            raise InternalInconsistencyError(
+                "LP infeasibility certificate failed its integer check")
+        return LPResult("infeasible", None, None, farkas)
+    # drive artificials out of the basis, dropping redundant rows
+    keep = []
+    for i in range(len(tab)):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j] != 0), None)
+            if enter is None:
+                continue  # redundant row
+            d = _pivot(tab, None, basis, d, i, enter)
+        keep.append(i)
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # minimize sign * scale * objective, an integer cost with the same pivots
+    sign = 1 if sense == "min" else -1
+    scale = lcm(*(c.denominator for c in objective))
+    cost = [sign * c.numerator * (scale // c.denominator) for c in objective]
+    zrow = [d * c for c in cost] + [0]
+    for row, bi in zip(tab, basis):
+        if cost[bi]:
+            cb = cost[bi]
+            zrow = [z - cb * x for z, x in zip(zrow, row)]
+    status, d = _run_simplex(tab, basis, zrow, d, range(n))
+    point = [0] * n
+    for row, bi in zip(tab, basis):
+        point[bi] = row[-1]
+    witness = tuple(Fraction(x, d) for x in point)
+    if not system.satisfied_by(witness):
+        raise InternalInconsistencyError("LP witness violates its own system")
+    if status == "unbounded":
+        return LPResult("unbounded", None, witness)
+    return LPResult("optimal", Fraction(-sign * zrow[-1], d * scale), witness)
 
 
 def maximize_each(system: FeasibilitySystem, objectives) -> list[LPResult]:
-    """Maximize several objectives over one feasible region, sharing phase 1."""
-    phase1 = _Phase1(system)
-    return [phase1.solve(obj, "max") for obj in objectives]
+    """Maximize each objective over one feasible region."""
+    return [lp_exact(system, objective, "max") for objective in objectives]
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +377,25 @@ def placing_triangulation(vectors, r: int,
     boundary is kept by toggling each new simplex's facets.  More than
     max_nodes simplices raise ResourceLimitError.
 
-    The first simplex's normals are its adjugate.  A new simplex replaces
-    vertex k of the simplex s behind the facet it is placed over by v, and
-    one fraction-free Gauss-Jordan step gives its normals from those of s:
+    The first simplex comes from one gauss_jordan of [G | I], G being the
+    r x m matrix of the vectors, pivoting in G's columns.  Its row
+    operations depend on those columns alone and turn the block M of the
+    pivot columns into D I, D being the last pivot, so the right block is
+    D M^-1; the det is |D|, and the normals are that block's rows times
+    the sign of D.  A new simplex replaces vertex k of the simplex s
+    behind the facet it is placed over by v, and one fraction-free
+    Gauss-Jordan step gives its normals from those of s:
     with N = s.normals and a = N_k.v < 0, the new det is -a, the new
     normal opposite v is -N_k, and the one opposite another vertex i is
     ((N_i.v) N_k - a N_i) / s.det, which vanishes on the facet's other
     vertices and on v and is -a on vertex i; the division is exact, since
-    the result is a row of an adjugate.  Its multiplier N_i.v is no entry
-    of a row, so this step does not go through intlinalg.eliminate.
+    the result is a row of the new simplex's integer matrix det * V^-1.
+    Its multiplier N_i.v is no entry of a row, so this step does not go
+    through intlinalg.eliminate.
     """
-    first = gauss_jordan(list(zip(*vectors)), len(vectors))[0]
+    m = len(vectors)
+    first, reduced, d, _ = gauss_jordan(
+        [list(row) + list(unit_vector(r, i)) for i, row in enumerate(zip(*vectors))], m)
     if len(first) != r:
         raise ValueError("the vectors do not span a full-dimensional cone")
     simplices: list[Simplex] = []
@@ -433,9 +412,8 @@ def placing_triangulation(vectors, r: int,
             if boundary.pop(facet, None) is None:
                 boundary[facet] = (simplex, k)
 
-    det, adj = adjugate([[vectors[j][i] for j in first] for i in range(r)])
-    add(Simplex(tuple(first), abs(det),
-                adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)))
+    sign = 1 if d > 0 else -1
+    add(Simplex(tuple(first), abs(d), tuple(tuple(sign * x for x in row[m:]) for row in reduced)))
     for j, v in enumerate(vectors):
         # a simplex placed over a facet drops that facet from the boundary
         # and adds only facets through v, so the boundary as it was before

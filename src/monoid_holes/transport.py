@@ -9,6 +9,7 @@ whose translates form an infinite hole family.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .intlinalg import (
     solve_rational_affine,
     vec_add,
 )
-from .limits import DEFAULT_LIMITS, Limits, pool_map
+from .limits import DEFAULT_LIMITS, Limits
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,16 @@ class MarginTriple:
 
     @classmethod
     def from_lists(cls, u, v, w) -> "MarginTriple":
-        conv = lambda m: tuple(tuple(int(x) for x in row) for row in m)
+        # operator.index is lossless: floats are rejected, not truncated
+        conv = lambda m: tuple(tuple(operator.index(x) for x in row) for row in m)
         return cls(conv(u), conv(v), conv(w))
 
     def dims(self) -> TransportDims:
         s, t = len(self.u), len(self.u[0])
         r = len(self.v)
         d = TransportDims(r, s, t)
-        if len(self.v[0]) != t or len(self.w) != r or len(self.w[0]) != s:
+        widths = [len(row) for block in (self.u, self.v, self.w) for row in block]
+        if widths != [t] * (s + r) + [s] * r:
             raise ValueError("margin blocks have inconsistent shapes")
         return d
 
@@ -108,24 +111,11 @@ def transportation_matrix(dims: TransportDims) -> IntMatrix:
 
 
 def margins_to_vector(dims: TransportDims, m: MarginTriple) -> IntVector:
-    out = [0] * dims.num_rows
-    for j in range(dims.s):
-        for k in range(dims.t):
-            out[dims.u_row(j, k)] = m.u[j][k]
-    for i in range(dims.r):
-        for k in range(dims.t):
-            out[dims.v_row(i, k)] = m.v[i][k]
-    for i in range(dims.r):
-        for j in range(dims.s):
-            out[dims.w_row(i, j)] = m.w[i][j]
-    return tuple(out)
-
-
-def vector_to_margins(dims: TransportDims, f) -> MarginTriple:
-    u = [[f[dims.u_row(j, k)] for k in range(dims.t)] for j in range(dims.s)]
-    v = [[f[dims.v_row(i, k)] for k in range(dims.t)] for i in range(dims.r)]
-    w = [[f[dims.w_row(i, j)] for j in range(dims.s)] for i in range(dims.r)]
-    return MarginTriple.from_lists(u, v, w)
+    """The u, v and w blocks, each read row by row: the row order of
+    transportation_matrix."""
+    if m.dims() != dims:
+        raise ValueError("margins do not match the stated dimensions")
+    return tuple(x for block in (m.u, m.v, m.w) for row in block for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +151,13 @@ def vlach_instance() -> tuple[IntMatrix, IntVector]:
 # ---------------------------------------------------------------------------
 # integer feasibility for margin triples
 
+def _margin_lines(dims: TransportDims):
+    # the margin system for nonnegative_solution: each cell lies on its u,
+    # v and w line with weight 1
+    return [((dims.u_row(j, k), 1), (dims.v_row(i, k), 1), (dims.w_row(i, j), 1))
+            for (i, j, k) in dims.triples()]
+
+
 def table_feasible(dims: TransportDims, margins: MarginTriple,
                    limits: Limits = DEFAULT_LIMITS):
     """An integer table with the given margins, or None when none exists.
@@ -170,14 +167,10 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
     margin system.  Tables come back as nested (r, s, t) tuples.  Raises
     ResourceLimitError rather than guessing when the node budget runs out.
     """
-    if margins.dims() != dims:
-        raise ValueError("margins do not match the stated dimensions")
+    f = margins_to_vector(dims, margins)
     if not margins.is_nonnegative() or not margins.is_consistent():
         return None
-    # each cell lies on its u, v and w line with weight 1
-    lines = [((dims.u_row(j, k), 1), (dims.v_row(i, k), 1), (dims.w_row(i, j), 1))
-             for (i, j, k) in dims.triples()]
-    flat = nonnegative_solution(lines, margins_to_vector(dims, margins), limits)
+    flat = nonnegative_solution(_margin_lines(dims), f, limits)
     if flat is None:
         return None
     return tuple(
@@ -217,12 +210,7 @@ def _refuted(f: IntVector, diagnostic: str) -> VlachReport:
                        (diagnostic,))
 
 
-def _table_of(dims: TransportDims, margins: MarginTriple, limits: Limits):
-    # the pool's task: a name of this module, so it pickles however table_feasible is bound
-    return table_feasible(dims, margins, limits)
-
-
-def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
+def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     """Re-derive every claim about the 3 x 4 x 6 hole mechanically, with no LP.
 
     Steps: prove the unique real point z* of the margin polytope from the
@@ -279,24 +267,24 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS, jobs: int = 1) -> VlachReport:
         diagnostics.append("fundamentality is not certified: the real point "
                            "has a coordinate of at least 1")
 
-    # explicit witnesses: every off-support increment is integer feasible
+    # explicit witnesses: every off-support increment is integer feasible.
+    # f + a_c is nonnegative and lies in the span, as f and a_c do, so the
+    # search needs none of table_feasible's checks
     witnesses = []
     witnesses_ok = True
-    incremented_vectors = [vec_add(f, a.col(c)) for c in off_support]
-    tables = pool_map(
-        _table_of,
-        [(dims, vector_to_margins(dims, v), limits) for v in incremented_vectors], jobs)
-    for c, incremented, table in zip(off_support, incremented_vectors, tables):
-        if table is None:
+    lines = _margin_lines(dims)
+    for c in off_support:
+        incremented = vec_add(f, a.col(c))
+        mu = nonnegative_solution(lines, incremented, limits)
+        if mu is None:
             witnesses_ok = False
             diagnostics.append(f"no integer witness for incremented margins at {triples[c]}")
             continue
-        mu = tuple(table[i][j][k] for (i, j, k) in triples)
         if a.mul_vector(mu) != incremented:
             witnesses_ok = False
             diagnostics.append(f"witness margins mismatch at {triples[c]}")
             continue
-        witnesses.append((triples[c], mu))
+        witnesses.append((triples[c], tuple(mu)))
 
     conclusions = VlachConclusions(
         f_is_hole=f_is_hole,

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from monoid_holes import IntMatrix, fundamental_holes, semigroup_contains
+from monoid_holes import IntMatrix, MarginTriple, fundamental_holes, semigroup_contains
 
 
 def gauss_determinant(rows):
@@ -159,6 +159,15 @@ def in_standard_cell(root, free_vars, m):
     free_vars, at least root on them."""
     return all(x >= r if v in free_vars else x == r
                for v, (x, r) in enumerate(zip(m, root)))
+
+
+def vector_to_margins(dims, f):
+    """The margin triple whose margin vector, in the row order of
+    transportation_matrix, is f."""
+    u = [[f[dims.u_row(j, k)] for k in range(dims.t)] for j in range(dims.s)]
+    v = [[f[dims.v_row(i, k)] for k in range(dims.t)] for i in range(dims.r)]
+    w = [[f[dims.w_row(i, j)] for j in range(dims.s)] for i in range(dims.r)]
+    return MarginTriple.from_lists(u, v, w)
 
 
 def margin_lists(r, s, t, table):

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,9 +14,11 @@ from monoid_holes import (
     hole_ideal,
     holes_representation,
     is_hole,
+    minimal_inhomogeneous_solutions,
     row_sum_bound,
     semigroup_contains,
 )
+from monoid_holes.holes import hole_solutions
 from monoid_holes.intlinalg import vec_add, vec_dot, vec_sub
 from monoid_holes.limits import Limits
 from monoid_holes.polyhedra import positive_functional
@@ -159,6 +162,25 @@ class TestIsHole:
             example_problem.in_cone((5,))
         with pytest.raises(ValueError):
             is_hole(example_problem, (-1,))
+
+
+class TestNonIntegerPoints:
+    # a float, a Fraction or a string is rejected, not truncated: int()
+    # reads (1.5, 1.9) as the hole (1, 1)
+    ENTRY_POINTS = {
+        "is_hole": is_hole,
+        "semigroup_contains": semigroup_contains,
+        "hole_solutions": hole_solutions,
+        "hole_ideal": hole_ideal,
+        "minimal_inhomogeneous_solutions":
+            lambda problem, z: minimal_inhomogeneous_solutions(problem.matrix, z),
+    }
+
+    @pytest.mark.parametrize("x", [1.5, Fraction(3, 2), "2"], ids=["float", "fraction", "str"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_rejected(self, example_problem, entry, x):
+        with pytest.raises(TypeError):
+            self.ENTRY_POINTS[entry](example_problem, (x, 1))
 
 
 class TestFundamentalHoles:

@@ -15,7 +15,7 @@ from monoid_holes import (
 )
 from monoid_holes import polyhedra
 from monoid_holes.polyhedra import (
-    _Phase1,
+    Simplex,
     cone_generators,
     maximize_each,
     parallelepiped_points,
@@ -219,6 +219,14 @@ class TestPlacingTriangulation:
         assert len(placing_triangulation(vectors, 2, Limits(max_nodes=3))) == 3
 
 
+class TestFirstSimplex:
+    def test_row_swap_and_negative_determinant(self):
+        # the first pivot is 0, so the elimination swaps rows, and the
+        # vectors span with det -6: the normals are minus the adjugate
+        assert placing_triangulation([(0, 3), (2, 1)], 2) == [
+            Simplex((0, 1), 6, ((-1, 2), (3, 0)))]
+
+
 class TestIsPointed:
     """Pointedness is decided by positive_functional on the cone's facets:
     a functional that is at least 1 on every nonzero column, or
@@ -307,21 +315,15 @@ class TestLpExact:
         with pytest.raises(ValueError, match="objective length"):
             lp_exact(system, (1,), "max")
 
-    def test_phase2_leaves_phase1_rows_unchanged(self):
-        # phase 2 starts from the phase-1 rows without copying them, and the
-        # second objective pivots there, so a pivot that edited a row in
-        # place would corrupt the stored tableau
+    def test_maximize_each_pinned_optima(self):
+        # each objective runs its own phase 2: the second ends at another
+        # vertex than the first, and the third, equal to the first, at its
         system = system_of([[0, 1, 1], [2, 0, 1]], (4, 6))
-        phase1 = _Phase1(system)
-        stored = ([list(row) for row in phase1.tab], list(phase1.basis), phase1.d)
         objectives = [(2, 2, 1), (2, 1, 3), (2, 2, 1)]
-        results = []
-        for objective in objectives:
-            results.append(phase1.solve(objective, "max"))
-            assert (phase1.tab, phase1.basis, phase1.d) == stored
+        results = maximize_each(system, objectives)
         assert [(r.optimum, r.witness) for r in results] == [
             (14, (3, 4, 0)), (14, (1, 0, 4)), (14, (3, 4, 0))]
-        assert results == maximize_each(system, objectives)
+        assert results == [lp_exact(system, o, "max") for o in objectives]
 
 
 class TestPinnedAnswers:

@@ -358,6 +358,18 @@ class TestComputedOnce:
                 == holes_representation(numerical_problem(3, 5)))
         assert calls == {"kernel": 2}  # once here, once for the sequential problem
 
+    def test_pool_with_a_wrapped_search(self, monkeypatch):
+        # a closure bound to the name, as a tracer binds one, does not
+        # pickle; the pool's task is a module-level name that looks it up
+        original = holes.minimal_inhomogeneous_solutions
+
+        def wrapped(*args, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions", wrapped)
+        assert (holes_representation(numerical_problem(3, 5), jobs=2)
+                == holes_representation(numerical_problem(3, 5)))
+
     def test_resource_limit_in_a_worker_stores_no_ideal(self):
         # with the Graver basis stored, the hole ideals of 3 5 need 9 states each
         # and run in two worker processes

@@ -22,14 +22,10 @@ from monoid_holes import (
 from monoid_holes import polyhedra, transport
 from monoid_holes.intlinalg import solve_rational_affine, vec_add, vec_sub
 from monoid_holes.limits import Limits
-from monoid_holes.transport import (
-    VLACH_DIMS,
-    margins_to_vector,
-    vector_to_margins,
-)
+from monoid_holes.transport import VLACH_DIMS, margins_to_vector
 from monoid_holes.polyhedra import FeasibilitySystem, lp_exact
 
-from conftest import margin_lists
+from conftest import margin_lists, vector_to_margins
 
 
 def table_margins(dims, table):
@@ -228,6 +224,22 @@ class TestTableFeasible:
                 # 2x2x2 semigroup is normal: real feasible implies integer
                 assert real.status != "optimal"
 
+    @pytest.mark.parametrize("ragged", ["u", "v", "w"])
+    def test_ragged_block_rejected(self, ragged):
+        # a short later row is caught, not only a short first row
+        blocks = {name: [[1, 1], [1, 1]] for name in "uvw"}
+        blocks[ragged] = [[1, 1], [1]]
+        margins = MarginTriple.from_lists(blocks["u"], blocks["v"], blocks["w"])
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            margins.dims()
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            table_feasible(TransportDims(2, 2, 2), margins)
+
+    @pytest.mark.parametrize("x", [1.5, Fraction(3, 2), "2"], ids=["float", "fraction", "str"])
+    def test_non_integer_margin_rejected(self, x):
+        with pytest.raises(TypeError):
+            MarginTriple.from_lists([[x]], [[1]], [[1]])
+
     def test_node_ceiling(self):
         dims = TransportDims(2, 2, 2)
         margins = MarginTriple.from_lists([[2, 2], [2, 2]], [[2, 2], [2, 2]],
@@ -237,26 +249,22 @@ class TestTableFeasible:
 
 
 class TestVerifyVlach:
-    def test_parallel_matches_sequential(self):
-        # the 48 witness searches are the pool's tasks
-        assert verify_vlach(jobs=2) == verify_vlach()
-
-    def test_pool_with_a_wrapped_table_feasible(self, monkeypatch):
-        # a closure bound to the name, as a tracer binds one, does not pickle
-        original = transport.table_feasible
-
-        def wrapped(*args, **kwargs):
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(transport, "table_feasible", wrapped)
-        assert verify_vlach(jobs=2).conclusions.all_true()
-
     def test_runs_no_lp(self, monkeypatch):
-        def no_lp(self, *args, **kwargs):
+        def no_lp(*args, **kwargs):
             raise AssertionError("the exact LP ran")
 
-        monkeypatch.setattr(polyhedra._Phase1, "__init__", no_lp)
+        monkeypatch.setattr(polyhedra, "_run_simplex", no_lp)
         assert verify_vlach().conclusions.all_true()
+
+    def test_witnesses_are_the_tables_of_table_feasible(self):
+        a, f = vlach_instance()
+        dims = VLACH_DIMS
+        report = verify_vlach()
+        assert len(report.non_hole_witnesses) == 48
+        for cell, mu in report.non_hole_witnesses:
+            incremented = vec_add(f, a.col(dims.col(*cell)))
+            table = table_feasible(dims, vector_to_margins(dims, incremented))
+            assert mu == tuple(table[i][j][k] for (i, j, k) in dims.triples())
 
     def test_an_integral_real_point_is_not_a_hole(self, monkeypatch):
         # 2f = A (2 z*) is in Q: the support and its solve are those of f,
