@@ -19,7 +19,9 @@ facet values reduces them to it.
 
 Integer feasibility A lam = b of a nonnegative A, that is 3-way table
 feasibility and semigroup membership, is decided by one depth-first
-search with constraint propagation alone, with no LP relaxation.
+search with constraint propagation alone, with no LP relaxation.  It is
+a loop over a stack of propagated states: a branch copies its parent's
+state, and a failed branch is dropped, not undone.
 Membership runs it on the facet rows of the cone, for every pointed A,
 a nonnegative one too: they make the system nonnegative, and near an
 extreme ray the facet through it leaves a budget small enough to cap
@@ -207,130 +209,114 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
 # ---------------------------------------------------------------------------
 # integer feasibility of nonnegative systems
 
-class _FeasibilitySearch:
-    """Depth-first search for lam in Z^n_+ with A lam = b, where A >= 0.
+def _assign(col_lines, state, col: int, val: int) -> bool:
+    """Set column col to val in state, False when a budget goes negative;
+    a failed state is dropped, so the other lines of col may stay stale."""
+    value, budget, pending = state
+    value[col] = val
+    for ln, w in col_lines[col]:
+        budget[ln] -= w * val
+        pending[ln] -= 1
+        if budget[ln] < 0:
+            return False
+    return True
 
-    Column c lies on the lines (rows) lines[c] with positive integer
-    weights.  Propagation closes under: a line with budget 0 forces its
-    free columns to 0; a line with one free column of weight w forces it
-    to budget / w, and fails when w does not divide the budget; and a line
-    budget must be reachable, sum w * cap(c) over its free columns, where
-    cap(c) is the least budget // w over the lines of c.  Branching takes
-    the first free column, values from its cap down to 0.  No LP relaxation
-    runs, so a system with no real solution is refuted by propagation and
-    branching alone; callers reject the cheap cases first, a point outside
-    the cone (membership) or off the span of A (margin triples).
-    """
 
-    def __init__(self, lines, budget, limits: Limits):
-        self.limits = limits
-        self.col_lines = lines
-        self.line_cols: list[list[tuple[int, int]]] = [[] for _ in budget]
-        for c, pairs in enumerate(lines):
-            for ln, w in pairs:
-                self.line_cols[ln].append((c, w))
-        self.budget = list(budget)
-        self.pending = [len(cols) for cols in self.line_cols]
-        # a column on no line is fixed at 0 before the search starts
-        self.value: list[int | None] = [None if pairs else 0 for pairs in lines]
-        self.trail: list[int] = []
-        self.nodes = 0
-
-    def _assign(self, col: int, val: int) -> bool:
-        # always updates every line of col so that undo stays symmetric
-        self.value[col] = val
-        self.trail.append(col)
-        ok = True
-        for ln, w in self.col_lines[col]:
-            self.budget[ln] -= w * val
-            self.pending[ln] -= 1
-            if self.budget[ln] < 0:
-                ok = False
-        return ok
-
-    def _undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            col = self.trail.pop()
-            val = self.value[col]
-            self.value[col] = None
-            for ln, w in self.col_lines[col]:
-                self.budget[ln] += w * val
-                self.pending[ln] += 1
-
-    def _cap(self, col: int) -> int:
-        return min([self.budget[ln] // w for ln, w in self.col_lines[col]])
-
-    def _propagate(self) -> bool:
-        # budgets are nonnegative here, so assigning 0 never fails, and a
-        # forced value above the cap of its column fails in _assign
-        budget, pending, value = self.budget, self.pending, self.value
-        changed = True
-        while changed:
-            changed = False
-            for ln, cols in enumerate(self.line_cols):
-                pend = pending[ln]
-                if pend == 0:
-                    if budget[ln] != 0:
-                        return False
-                    continue
-                if budget[ln] == 0:
-                    for c, _ in cols:
-                        if value[c] is None:
-                            self._assign(c, 0)
-                    changed = True
-                elif pend == 1:
-                    c, w = next((c, w) for c, w in cols if value[c] is None)
-                    need, rest = divmod(budget[ln], w)
-                    if rest or not self._assign(c, need):
-                        return False
-                    changed = True
-        # capacity check: each line must be fillable by its free columns
-        col_lines = self.col_lines
-        for ln, cols in enumerate(self.line_cols):
-            if pending[ln] == 0:
+def _propagate(line_cols, col_lines, state) -> bool:
+    # budgets are nonnegative here, so assigning 0 never fails, and a
+    # forced value above the cap of its column fails in _assign
+    value, budget, pending = state
+    changed = True
+    while changed:
+        changed = False
+        for ln, cols in enumerate(line_cols):
+            pend = pending[ln]
+            if pend == 0:
+                if budget[ln] != 0:
+                    return False
                 continue
-            room = 0
-            for c, w in cols:
-                if value[c] is None:
-                    # w * cap(c), inlined: this is the search's innermost loop
-                    room += w * min([budget[k] // v for k, v in col_lines[c]])
-                    if room >= budget[ln]:
-                        break
-            if room < budget[ln]:
-                return False
-        return True
-
-    def search(self) -> list[int] | None:
-        self.nodes += 1
-        if self.nodes > self.limits.max_nodes:
-            raise ResourceLimitError("integer-feasibility search nodes", self.limits.max_nodes)
-        mark = len(self.trail)
-        if not self._propagate():
-            self._undo_to(mark)
-            return None
-        col = next((c for c, v in enumerate(self.value) if v is None), None)
-        if col is None:
-            return list(self.value)
-        for val in range(self._cap(col), -1, -1):
-            inner = len(self.trail)
-            self._assign(col, val)  # val <= cap, so no budget goes negative
-            result = self.search()
-            if result is not None:
-                return result
-            self._undo_to(inner)
-        self._undo_to(mark)
-        return None
+            if budget[ln] == 0:
+                for c, _ in cols:
+                    if value[c] is None:
+                        _assign(col_lines, state, c, 0)
+                changed = True
+            elif pend == 1:
+                c, w = next((c, w) for c, w in cols if value[c] is None)
+                need, rest = divmod(budget[ln], w)
+                if rest or not _assign(col_lines, state, c, need):
+                    return False
+                changed = True
+    # capacity check: each line must be fillable by its free columns
+    for ln, cols in enumerate(line_cols):
+        if pending[ln] == 0:
+            continue
+        room = 0
+        for c, w in cols:
+            if value[c] is None:
+                # w * cap(c), inlined: this is the search's innermost loop
+                room += w * min([budget[k] // v for k, v in col_lines[c]])
+                if room >= budget[ln]:
+                    break
+        if room < budget[ln]:
+            return False
+    return True
 
 
 def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list[int] | None:
     """lam in Z^n_+ with A lam = budget for a nonnegative A, or None.
 
     A is given sparsely: lines[c] lists the (row, weight) pairs of the
-    nonzero entries of column c.  budget must be nonnegative.  Raises
-    ResourceLimitError rather than guessing when more than max_nodes
-    search nodes are needed.
+    nonzero entries of column c, which lies on those lines (rows) with
+    positive integer weights.  budget must be nonnegative.
+
+    A state holds the value of each column, None while it is free, the
+    budget left on each line and the count of free columns on each line.
+    Propagation closes it under: a line with budget 0 forces its free
+    columns to 0; a line with one free column of weight w forces it to
+    budget / w, and fails when w does not divide the budget; and a line
+    budget must be reachable, sum w * cap(c) over its free columns, where
+    cap(c) is the least budget // w over the lines of c.  The search is
+    depth first over a stack of frames, each holding a propagated state,
+    its first free column and the values of that column still to try,
+    from its cap down to 0.  A branch copies the state and gives the
+    column one value; a failed branch is dropped, not undone.  Nothing
+    recurses, so the depth of a search is bounded by memory alone.
+
+    No LP relaxation runs, so a system with no real solution is refuted
+    by propagation and branching alone; callers reject the cheap cases
+    first, a point outside the cone (membership) or off the span of A
+    (margin triples).  Each state entered counts one search node; raises
+    ResourceLimitError rather than guessing when more than max_nodes are
+    needed.
     """
-    return _FeasibilitySearch(lines, budget, limits).search()
+    line_cols: list[list[tuple[int, int]]] = [[] for _ in budget]
+    for c, pairs in enumerate(lines):
+        for ln, w in pairs:
+            line_cols[ln].append((c, w))
+    # a column on no line is fixed at 0 before the search starts
+    state = ([None if pairs else 0 for pairs in lines], list(budget),
+             [len(cols) for cols in line_cols])
+    frames = []
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > limits.max_nodes:
+            raise ResourceLimitError("integer-feasibility search nodes", limits.max_nodes)
+        if _propagate(line_cols, lines, state):
+            value, left, _ = state
+            col = next((c for c, v in enumerate(value) if v is None), None)
+            if col is None:
+                return value
+            cap = min([left[ln] // w for ln, w in lines[col]])
+            frames.append((state, col, iter(range(cap, -1, -1))))
+        # back up to the deepest frame with a value left to try
+        while frames and (val := next(frames[-1][2], None)) is None:
+            frames.pop()
+        if not frames:
+            return None
+        (value, left, pending), col, _ = frames[-1]
+        state = (value[:], left[:], pending[:])
+        _assign(lines, state, col, val)  # val <= cap, so no budget goes negative
 
 
 def _membership_system(problem: SemigroupProblem):

@@ -84,36 +84,37 @@ def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 def standard_pairs(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> tuple[StandardPair, ...]:
     """Disjoint cells whose union is exactly the staircase complement.
 
-    Recursion: take the lexicographically first minimal generator g and its
-    lowest support variable j, split on the exponent of x_j being
-    0, ..., g_j - 1 (variable j becomes fixed in those branches) or >= g_j
+    A worklist holds cells (generators, active variables, root), starting
+    from the whole ideal.  A cell with no generators is a standard pair;
+    one holding the unit ideal has no standard monomials.  Any other cell
+    takes the lexicographically first minimal generator g and its lowest
+    support variable j, and splits on the exponent of x_j being
+    0, ..., g_j - 1 (variable j becomes fixed in those cells) or >= g_j
     (generators are shifted down in j).  Each split strictly shrinks either
-    the active variable set or the total generator degree.
+    the active variable set or the total generator degree.  Every cell
+    taken from the worklist counts one against max_pairs.
     """
     n = ideal.num_vars
     pairs: list[StandardPair] = []
-    counter = [0]
-
-    def recurse(gens: tuple[Monomial, ...], active: frozenset[int], root: list[int]):
-        counter[0] += 1
-        if counter[0] > limits.max_pairs:
+    cells = [(ideal.generators, frozenset(range(n)), (0,) * n)]
+    taken = 0
+    while cells:
+        gens, active, root = cells.pop()
+        taken += 1
+        if taken > limits.max_pairs:
             raise ResourceLimitError("standard pair cells", limits.max_pairs)
         if not gens:
-            pairs.append(StandardPair(tuple(root), tuple(sorted(active))))
-            return
+            pairs.append(StandardPair(root, tuple(sorted(active))))
+            continue
         if any(all(e == 0 for e in g) for g in gens):
-            return  # unit ideal: no standard monomials here
+            continue  # unit ideal: no standard monomials here
         g = min(gens)
         j = next(v for v, e in enumerate(g) if e)
         for k in range(g[j]):
             sliced = [h[:j] + (0,) + h[j + 1:] for h in gens if h[j] <= k]
-            new_root = root[:]
-            new_root[j] += k
-            recurse(_minimal_antichain(sliced), active - {j}, new_root)
+            cells.append((_minimal_antichain(sliced), active - {j},
+                          root[:j] + (root[j] + k,) + root[j + 1:]))
         shifted = [h[:j] + (max(h[j] - g[j], 0),) + h[j + 1:] for h in gens]
-        new_root = root[:]
-        new_root[j] += g[j]
-        recurse(_minimal_antichain(shifted), active, new_root)
-
-    recurse(ideal.generators, frozenset(range(n)), [0] * n)
+        cells.append((_minimal_antichain(shifted), active,
+                       root[:j] + (root[j] + g[j],) + root[j + 1:]))
     return tuple(sorted(pairs, key=lambda p: (p.root, p.free_vars)))

@@ -189,6 +189,8 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
     n, m = system.matrix.cols, system.matrix.rows
     if len(objective) != n:
         raise ValueError("objective length does not match variable count")
+    if not all(isinstance(c, (int, Fraction)) for c in objective):
+        raise TypeError("objective entries must be int or Fraction")
     # rows with a negative rhs are negated, so the artificials start
     # feasible; artificial i is column n + i
     signs = [-1 if b < 0 else 1 for b in system.rhs]

@@ -74,7 +74,7 @@ class MarginTriple:
         return cls(conv(u), conv(v), conv(w))
 
     def dims(self) -> TransportDims:
-        s, t = len(self.u), len(self.u[0])
+        s, t = len(self.u), len(self.u[0]) if self.u else 0
         r = len(self.v)
         d = TransportDims(r, s, t)
         widths = [len(row) for block in (self.u, self.v, self.w) for row in block]

@@ -130,6 +130,25 @@ class TestStandardPairs:
         with pytest.raises(ResourceLimitError):
             standard_pairs(ideal, Limits(max_pairs=1))
 
+    def test_pair_ceiling_is_exact(self):
+        # 21 pairs come from 58 cells: max_pairs counts the cells
+        ideal = MonomialIdeal.from_generators(
+            4, [(2, 1, 0, 0), (0, 2, 1, 0), (1, 0, 0, 3), (0, 0, 2, 2)])
+        with pytest.raises(ResourceLimitError):
+            standard_pairs(ideal, Limits(max_pairs=57))
+        assert len(standard_pairs(ideal, Limits(max_pairs=58))) == 21
+
+    def test_long_generator(self):
+        # x_1 ... x_1200 splits 1200 times in a row, deeper than the default
+        # recursion limit: cell j fixes x_j at 0 above x_1 ... x_{j-1}
+        n = 1200
+        pairs = standard_pairs(MonomialIdeal.from_generators(n, [(1,) * n]))
+        assert len(pairs) == n
+        for p in pairs:
+            j = sum(p.root)
+            assert p.root == (1,) * j + (0,) * (n - j)
+            assert p.free_vars == tuple(v for v in range(n) if v != j)
+
     @settings(max_examples=60, deadline=None)
     @given(ideals)
     def test_disjoint_cover(self, ideal):

@@ -315,6 +315,12 @@ class TestLpExact:
         with pytest.raises(ValueError, match="objective length"):
             lp_exact(system, (1,), "max")
 
+    @pytest.mark.parametrize("entry", [1.5, "1"], ids=["float", "str"])
+    def test_objective_entries_are_checked(self, entry):
+        # an exact LP takes int and Fraction costs only
+        with pytest.raises(TypeError, match="objective entries"):
+            lp_exact(system_of([[1, 1]], (2,)), (entry, 0))
+
     def test_maximize_each_pinned_optima(self):
         # each objective runs its own phase 2: the second ends at another
         # vertex than the first, and the third, equal to the first, at its

@@ -203,26 +203,36 @@ class TestTableFeasible:
             assert found is not None
             assert table_margins(dims, found) == margins
 
-    def test_222_matches_real_feasibility(self):
-        # small three-way margins decided the same way by LP and search
-        dims = TransportDims(2, 2, 2)
+    @pytest.mark.parametrize("dims", [TransportDims(2, 2, 2), TransportDims(2, 3, 3),
+                                      TransportDims(2, 3, 4)], ids=["2x2x2", "2x3x3", "2x3x4"])
+    def test_222_matches_real_feasibility(self, dims):
+        # a 2 x s x t matrix is the Lawrence lifting of a totally unimodular
+        # matrix, so its semigroup is normal: a real table implies an integer
+        # one, and the search's verdict must be the LP's.  Lowering cells of
+        # a random table by 2 gives margins in the span that may have no
+        # nonnegative table
         a = transportation_matrix(dims)
-        rng = random.Random(99)
-        for _ in range(40):
-            f = tuple(rng.randrange(3) for _ in range(dims.num_rows))
-            margins = vector_to_margins(dims, f)
-            if not margins.is_consistent():
-                assert table_feasible(dims, margins) is None
+        rng = random.Random(dims.num_cols)
+        cells = dims.triples()
+        verdicts = []
+        for _ in range(150):
+            table = [[[rng.randrange(3) for _ in range(dims.t)]
+                      for _ in range(dims.s)] for _ in range(dims.r)]
+            for _ in range(rng.randrange(3)):
+                i, j, k = rng.choice(cells)
+                table[i][j][k] -= 2
+            margins = table_margins(dims, table)
+            if not margins.is_nonnegative():
                 continue
+            f = margins_to_vector(dims, margins)
             real = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min")
-            table = table_feasible(dims, margins)
-            if table is not None:
-                assert real.status == "optimal"
-                flat = tuple(table[i][j][k] for (i, j, k) in dims.triples())
-                assert a.mul_vector(flat) == f
-            else:
-                # 2x2x2 semigroup is normal: real feasible implies integer
-                assert real.status != "optimal"
+            found = table_feasible(dims, margins)
+            assert (found is not None) == (real.status == "optimal")
+            if found is not None:
+                assert table_margins(dims, found) == margins
+            verdicts.append(found is not None)
+        # 4 of the 80 to 96 cases of each shape have no table
+        assert set(verdicts) == {True, False}
 
     @pytest.mark.parametrize("ragged", ["u", "v", "w"])
     def test_ragged_block_rejected(self, ragged):
@@ -235,6 +245,14 @@ class TestTableFeasible:
         with pytest.raises(ValueError, match="inconsistent shapes"):
             table_feasible(TransportDims(2, 2, 2), margins)
 
+    def test_empty_block_rejected(self):
+        # an empty u block reads as s = t = 0, which TransportDims rejects
+        margins = MarginTriple.from_lists([], [[1]], [[]])
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            margins.dims()
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            table_feasible(TransportDims(1, 1, 1), margins)
+
     @pytest.mark.parametrize("x", [1.5, Fraction(3, 2), "2"], ids=["float", "fraction", "str"])
     def test_non_integer_margin_rejected(self, x):
         with pytest.raises(TypeError):
@@ -246,6 +264,20 @@ class TestTableFeasible:
                                           [[2, 2], [2, 2]])
         with pytest.raises(ResourceLimitError):
             table_feasible(dims, margins, Limits(max_nodes=1))
+
+    def test_node_ceiling_is_exact(self):
+        # the second random 4x5x6 table of Random(1) takes 54 search nodes:
+        # one fewer is a resource limit, not a wrong verdict
+        dims = TransportDims(4, 5, 6)
+        rng = random.Random(1)
+        for _ in range(2):
+            table = [[[rng.randrange(3) for _ in range(dims.t)]
+                      for _ in range(dims.s)] for _ in range(dims.r)]
+        margins = table_margins(dims, table)
+        with pytest.raises(ResourceLimitError):
+            table_feasible(dims, margins, Limits(max_nodes=53))
+        found = table_feasible(dims, margins, Limits(max_nodes=54))
+        assert table_margins(dims, found) == margins
 
 
 class TestVerifyVlach:
