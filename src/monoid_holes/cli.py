@@ -60,8 +60,8 @@ _FAILURES = {
 
 # the ceiling flags: Limits field -> help text of its --max-... flag
 _CEILINGS = {
-    "max_basis": "cap on Graver, fiber and Hilbert bases",
-    "max_nodes": "cap on search states, simplices and their points",
+    "max_basis": "cap on the Graver working set, fibers and Hilbert bases",
+    "max_nodes": "cap on search nodes, reduced sums, simplices and their points",
     "max_pairs": "cap on standard pair cells",
     "max_subsets": "cap on subdeterminant subsets",
     "max_rays": "cap on intermediate facet rays",

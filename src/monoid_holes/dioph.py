@@ -1,16 +1,19 @@
 """Hilbert bases and minimal solutions of linear Diophantine systems.
 
-One completion search (Contejean-Devie style, with signed coordinates as
-in Hemmecke 2002) finds the minimal x with A x = b in the conformal
-order: y [= x when every y_j has the sign of x_j and |y_j| <= |x_j|.
-Its docstring proves it complete and finite.  It answers two questions:
+Two exact procedures work in the conformal order: y [= x when every y_j
+has the sign of x_j and |y_j| <= |x_j|.  Both start from the integer
+kernel basis and the integer solution of intlinalg.integer_kernel, and
+both reduce a vector s by a set G, subtracting elements g [= s of G
+until none is left.  Their docstrings prove them complete.
 
-- the Graver basis of A, the minimal nonzero x with A x = 0;
-- the minimal (lam, mu) in Z^{2n}_+ with f + A lam = A mu.  They have
-  disjoint supports, since (lam - e_j, mu - e_j) would also solve the
-  system, and on disjoint supports (lam, mu) <= (lam', mu') exactly when
-  mu - lam [= mu' - lam'; so they are the (x^-, x^+) of the minimal x
-  with A x = f.
+- graver_basis: the Graver basis of A, the minimal nonzero x with
+  A x = 0, by Pottier's completion from +- the kernel basis.
+- minimal_inhomogeneous_solutions: the minimal (lam, mu) in Z^{2n}_+
+  with f + A lam = A mu.  They have disjoint supports, since
+  (lam - e_j, mu - e_j) would also solve the system, and on disjoint
+  supports (lam, mu) <= (lam', mu') exactly when mu - lam [= mu' - lam';
+  so they are the (x^-, x^+) of the minimal x with A x = f, found by a
+  walk over that fiber with the Graver basis.
 
 The Hilbert basis of a saturation needs no search: a placing
 triangulation of the cone, the integer points of each simplex's
@@ -21,7 +24,8 @@ Integer feasibility A lam = b of a nonnegative A, that is 3-way table
 feasibility and semigroup membership, is decided by one depth-first
 search with constraint propagation alone, with no LP relaxation.  It is
 a loop over a stack of propagated states: a branch copies its parent's
-state, and a failed branch is dropped, not undone.
+state, or takes it over as the parent's last branch, and a failed branch
+is dropped, not undone.
 Membership runs it on the facet rows of the cone, for every pointed A,
 a nonnegative one too: they make the system nonnegative, and near an
 extreme ray the facet through it leaves a budget small enough to cap
@@ -38,7 +42,7 @@ from .errors import InternalInconsistencyError, ResourceLimitError
 from .intlinalg import (
     IntMatrix,
     IntVector,
-    unit_vector,
+    integer_kernel,
     vec_dot,
 )
 from .limits import DEFAULT_LIMITS, Limits
@@ -77,132 +81,143 @@ class MinimalSolutionSet:
         return tuple(lam for lam, _ in self.solutions)
 
 
-def _conformal_below(s, x) -> bool:
-    # s [= x: s_j x_j >= s_j^2 holds exactly when s_j = 0 or s_j lies
-    # between 0 and x_j
-    return all(map(ge, map(mul, s, x), map(mul, s, s)))
+def _signs(x) -> tuple[int, int]:
+    """Bit masks of the positive and of the negative coordinates of x."""
+    pos = neg = 0
+    for j, v in enumerate(x):
+        if v > 0:
+            pos |= 1 << j
+        elif v < 0:
+            neg |= 1 << j
+    return pos, neg
 
 
-def _minimal_solutions(cols, rhs=None, known=(),
-                       limits: Limits = DEFAULT_LIMITS) -> list[IntVector]:
-    """The conformally minimal integer x with sum x_j cols[j] = rhs,
-    nonzero ones when rhs is None.
+def _reduce(s, basis) -> IntVector:
+    """s after subtracting elements g [= s of basis, (positive mask,
+    negative mask, g) triples, until none is left.
 
-    A state x moves one unit along a coordinate j, in the direction whose
-    scalar product with the value A x - rhs is negative, and never against
-    the sign of x_j; so each step adds one to |x|_1, and all that is
-    reached from x lies above x.  With rhs None the search starts at each
-    +-e_j; otherwise it starts at 0, and known must hold the answer for
-    rhs None.  Solutions in known prune like found ones, but are not
-    returned.  max_nodes and max_basis count this search's own states and
-    solutions.
-
-    Complete: for x [= s with A s = rhs and A x != rhs, s - x is
-    conformal to s, and the scalar products of its unit steps with
-    A x - rhs sum to -|A x - rhs|^2 < 0, so one of them leads to a state
-    still below s.  A state above a known solution is pruned, since all
-    that is reached from it lies above that solution too.
-
-    Finite: the values on a path stay bounded (Contejean & Devie 1994), so
-    an endless path would hold states x [= y with equal values.  Then
-    y - x is a homogeneous solution conformal to y, above a minimal one g.
-    With rhs given, g is known and y is pruned; with rhs None, g is found
-    in an earlier layer (|g|_1 < |y|_1), so y or its extensions are pruned.
-
-    A state x carries the scalar products (A x - rhs).cols[j] for every j
-    and |A x - rhs|^2; a step +-e_i adds +-row i of the Gram matrix
-    gram[i][j] = cols[i].cols[j], so no state recomputes A x.  Dominance
-    is indexed: a state was above none of the solutions known when it
-    was created, so its extension y = x +- e_i can only be above one of
-    those with s_i == y_i, which the bucket (i, y_i) lists.  Solutions
-    found after x was created are checked in full.
-
-    Minimal: a minimal solution s [= t, s != t, has |s|_1 < |t|_1, so it is
-    known or found in an earlier layer before t is tested, and t is kept
-    only when it lies above none of the solutions known when it was
-    created (the buckets) or found since (sols[checked:]); seen rules out
-    a second copy of t.  So nothing found needs to be minimalized.
+    One pass suffices: subtracting k g [= s leaves s' [= s, and a g' not
+    [= s is not [= s' either; k is the largest with k g [= s.
     """
-    n = len(cols)
-    gram = [tuple(vec_dot(c, d) for d in cols) for c in cols]
-    neg = [tuple(-g for g in row) for row in gram]
-    max_nodes = limits.max_nodes
-    sols: list[IntVector] = list(known)
-    skip = len(sols)
-    buckets: dict[tuple[int, int], list[IntVector]] = {}
-    for s in sols:
-        for i, v in enumerate(s):
-            if v:
-                buckets.setdefault((i, v), []).append(s)
-    # (state, its scalar products, |A x - rhs|^2, len(sols) when it was
-    # created); the starts are above no solution
-    if rhs is None:
-        frontier = [(unit_vector(n, i), gram[i], gram[i][i], 0) for i in range(n)]
-        frontier += [(tuple(-x for x in unit_vector(n, i)), neg[i], gram[i][i], 0)
-                     for i in range(n)]
-    else:
-        frontier = [((0,) * n, tuple(-vec_dot(rhs, c) for c in cols), vec_dot(rhs, rhs), skip)]
-    seen = {x for x, *_ in frontier}
-    nodes = 0
-    while frontier:
-        next_frontier: list[tuple[IntVector, tuple, int, int]] = []
-        for x, dots, norm, checked in frontier:
-            nodes += 1
-            if nodes > max_nodes:
-                raise ResourceLimitError("completion search states", max_nodes)
-            if norm == 0:
-                if not any(_conformal_below(s, x) for s in sols[checked:]):
-                    sols.append(x)
-                    if len(sols) - skip > limits.max_basis:
-                        raise ResourceLimitError("minimal solution count", limits.max_basis)
-                    for i, v in enumerate(x):
-                        if v:
-                            buckets.setdefault((i, v), []).append(x)
-                continue
-            # no solution is added while x is extended
-            later, count = sols[checked:], len(sols)
-            for i, d in enumerate(dots):
-                if d < 0 <= x[i]:
-                    v, row = x[i] + 1, gram[i]
-                elif d > 0 >= x[i]:
-                    v, row = x[i] - 1, neg[i]
-                else:
-                    continue
-                y = x[:i] + (v,) + x[i + 1:]
-                if y in seen:
-                    continue
-                seen.add(y)
-                # _conformal_below inlined: this test runs once per new state
-                if (any(all(map(ge, map(mul, s, y), map(mul, s, s)))
-                        for s in buckets.get((i, v), ()))
-                        or any(_conformal_below(s, y) for s in later)):
-                    continue
-                next_frontier.append((y, tuple(map(add, dots, row)),
-                                      norm - 2 * abs(d) + gram[i][i], count))
-        frontier = next_frontier
-    return sorted(sols[skip:])
+    pos, neg = _signs(s)
+    for gpos, gneg, g in basis:
+        # g [= s: the support of g lies in that of s, sign by sign, and
+        # g_j s_j >= g_j^2 on it
+        if gpos & ~pos or gneg & ~neg or not all(map(ge, map(mul, g, s), map(mul, g, g))):
+            continue
+        k = min(x // y for x, y in zip(s, g) if y)
+        s = tuple(x - k * y for x, y in zip(s, g))
+        pos, neg = _signs(s)
+    return s
+
+
+def _count_node(nodes: int, limits: Limits) -> int:
+    nodes += 1
+    if nodes > limits.max_nodes:
+        raise ResourceLimitError("completion search states", limits.max_nodes)
+    return nodes
 
 
 def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVector, ...]:
-    """The conformally minimal nonzero x with a@x = 0.  Its Lawrence lift,
-    the (x^-, x^+) and the (e_j, e_j) of the nonzero columns, is the
-    Hilbert basis of the kernel of [a | -a] (Sturmfels 1996, ch. 7)."""
-    return tuple(_minimal_solutions(a.columns(), limits=limits))
+    """The conformally minimal nonzero x with a@x = 0, by Pottier's
+    completion (Pottier 1996; Hemmecke 2003).  Its Lawrence lift, the
+    (x^-, x^+) and the (e_j, e_j) of the nonzero columns, is the Hilbert
+    basis of the kernel of [a | -a] (Sturmfels 1996, ch. 7).
+
+    G starts as +-b for each vector b of a basis of the integer kernel,
+    so every kernel vector is a sum of elements of G with nonnegative
+    integer coefficients.  For each pair f, g of G with a coordinate of
+    opposite signs, f + g is reduced by G (_reduce) and the remainder, if
+    nonzero, joins G.  Then f + g is a sum of elements of G that are all
+    [= f + g.  Take any kernel vector v written as such a sum of elements
+    of G; while two summands f, g have opposite signs somewhere, replace
+    them by that sum for f + g, which lowers the sum of the summands'
+    1-norms, since |f + g|_1 < |f|_1 + |g|_1.  The sum ends with all
+    summands [= v, so a minimal v is itself in G, and the minimal
+    elements of G are the Graver basis.  The completion ends by Gordan-
+    Dickson: no remainder is above an earlier element of G.
+
+    Each reduced sum counts one against max_nodes, and the start one more;
+    max_basis caps the size of G.
+    """
+    kernel, _ = integer_kernel(a)
+    work = [(*_signs(g), g) for b in kernel for g in (b, tuple(-x for x in b))]
+    if len(work) > limits.max_basis:
+        raise ResourceLimitError("minimal solution count", limits.max_basis)
+    nodes = _count_node(0, limits)
+    i = 0
+    while i < len(work):  # work grows while it is walked
+        ipos, ineg, f = work[i]
+        for jpos, jneg, g in work[:i]:
+            if ipos & jneg or ineg & jpos:
+                nodes = _count_node(nodes, limits)
+                s = _reduce(tuple(map(add, f, g)), work)
+                if any(s):
+                    work.append((*_signs(s), s))
+                    if len(work) > limits.max_basis:
+                        raise ResourceLimitError("minimal solution count", limits.max_basis)
+        i += 1
+    # an element above another is longer, so it comes later in this order
+    kept: list[tuple[int, int, IntVector]] = []
+    for t in sorted(work, key=lambda t: sum(map(abs, t[2]))):
+        if _reduce(t[2], kept) == t[2]:
+            kept.append(t)
+    return tuple(sorted(g for *_, g in kept))
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
                                     graver=None) -> MinimalSolutionSet:
     """All minimal (lam, mu) in Z^{2n}_+ with f + a@lam = a@mu: the
-    (x^-, x^+) of the minimal x with a@x = f.  graver = graver_basis(a),
-    computed here when not given, prunes the search: a solution y above
-    one of its elements g is not minimal, since y - g [= y solves it too."""
+    (x^-, x^+) of the minimal x with a@x = f, by a walk over the fiber
+    with graver = graver_basis(a), computed here when not given.
+
+    A fiber point x is minimal exactly when no Graver element g [= x: if
+    y [= x is another fiber point, x - y is a kernel vector conformal to
+    x, and a conformal sum of Graver elements; and if g [= x, then
+    x - g [= x is another fiber point.  So G-reduced (_reduce) means
+    minimal.  An f off the lattice of a has an empty fiber, and no walk.
+
+    The walk starts at the reduced integer solution of integer_kernel and
+    closes the set M it has found under m -> reduced m + g, for every
+    g in G with a coordinate of sign opposite to m's.  This is the
+    completion of graver_basis on L' = {(x, t) : a@x = t f}, started from
+    G x {0} and (x_0, 1), and truncated to |t| <= 1 (Hemmecke 2003): the
+    pairs of G reduce to 0, sums with t = 2 are cut, and (m, 1) + (m', -1)
+    is a kernel vector, reduced to 0 by G.  Write (x, 1) as a sum of
+    elements (g, 0), (m, 1) and (-m, -1).  While two summands have
+    opposite signs somewhere, replace them: a summand with t = -1 has a
+    partner with t = +1, which cancels on t; without one, every pair sums
+    to |t| <= 1.  Each replacement lowers the sum of 1-norms, so the sum
+    ends conformal, and its one summand (m, 1) has m [= x.  A minimal x
+    is then in M.
+
+    Each reduced sum counts one against max_nodes, and the start one
+    more; max_basis caps the size of M.
+    """
     f = tuple(map(index, f))  # lossless: floats are rejected, not truncated
     if len(f) != a.rows:
         raise ValueError("inhomogeneous term has wrong dimension")
+    _, x = integer_kernel(a, f)
+    if x is None:
+        return MinimalSolutionSet(())
     if graver is None:
         graver = graver_basis(a, limits)
-    sols = _minimal_solutions(a.columns(), rhs=f, known=graver, limits=limits)
-    pairs = ((tuple(max(-x, 0) for x in s), tuple(max(x, 0) for x in s)) for s in sols)
+    basis = [(*_signs(g), g) for g in graver]
+    nodes = _count_node(0, limits)
+    found = [_reduce(x, basis)]
+    seen = set(found)
+    for m in found:  # found grows while it is walked
+        mpos, mneg = _signs(m)
+        for gpos, gneg, g in basis:
+            if mpos & gneg or mneg & gpos:
+                nodes = _count_node(nodes, limits)
+                s = _reduce(tuple(map(add, m, g)), basis)
+                if s not in seen:
+                    seen.add(s)
+                    found.append(s)
+                    if len(found) > limits.max_basis:
+                        raise ResourceLimitError("minimal solution count", limits.max_basis)
+    pairs = ((tuple(max(-v, 0) for v in s), tuple(max(v, 0) for v in s)) for s in found)
     return MinimalSolutionSet(tuple(sorted(pairs)))
 
 
@@ -279,7 +294,8 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
     depth first over a stack of frames, each holding a propagated state,
     its first free column and the values of that column still to try,
     from its cap down to 0.  A branch copies the state and gives the
-    column one value; a failed branch is dropped, not undone.  Nothing
+    column one value, except the last, 0, which takes the frame's own
+    state and ends the frame; a failed branch is dropped, not undone.  Nothing
     recurses, so the depth of a search is bounded by memory alone.
 
     No LP relaxation runs, so a system with no real solution is refuted
@@ -314,8 +330,11 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
             frames.pop()
         if not frames:
             return None
-        (value, left, pending), col, _ = frames[-1]
-        state = (value[:], left[:], pending[:])
+        if val:
+            (value, left, pending), col, _ = frames[-1]
+            state = (value[:], left[:], pending[:])
+        else:  # 0 is the frame's last value: its state is handed down
+            state, col, _ = frames.pop()
         _assign(lines, state, col, val)  # val <= cap, so no budget goes negative
 
 

@@ -235,6 +235,37 @@ def lattice_basis(a: IntMatrix) -> LatticeBasis:
     return LatticeBasis(a.rows, len(columns), tuple(columns), tuple(pivots))
 
 
+def integer_kernel(a: IntMatrix, f=None) -> tuple[tuple[IntVector, ...], IntVector | None]:
+    """A basis of the integer kernel {x in Z^n : a@x = 0}, and an integer x
+    with a@x = f (f = 0 when not given), or None for x when there is none.
+
+    Both are read off one hermite_normal_form of a stacked over the
+    identity: H = [a U; U] for a unimodular U.  The first r = rank a
+    columns of a U are the independent pivot columns h_j of the lattice
+    basis of a, and the others are 0.  So a U y = 0 exactly when y_j = 0
+    for j < r, and the last n - r columns of U are a basis of the integer
+    kernel.  f = sum c_j h_j with integer c_j exactly when f lies in the
+    lattice of a, and then x = sum c_j U_j.
+    """
+    d, n = a.rows, a.cols
+    h = hermite_normal_form(IntMatrix(a.entries + tuple(unit_vector(n, i) for i in range(n))))
+    columns = h.columns()
+    rank = sum(1 for column in columns if any(column[:d]))
+    kernel = tuple(column[d:] for column in columns[rank:])
+    if f is None:
+        return kernel, (0,) * n
+    images = tuple(column[:d] for column in columns[:rank])
+    pivots = tuple(next(i for i, x in enumerate(image) if x) for image in images)
+    coeffs = LatticeBasis(d, rank, images, pivots).contains(tuple(map(operator.index, f)))
+    if coeffs is None:
+        return kernel, None
+    x = [0] * n
+    for k, column in zip(coeffs, columns):
+        for i, u in enumerate(column[d:]):
+            x[i] += k * u
+    return kernel, tuple(x)
+
+
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 

@@ -367,14 +367,14 @@ class TestErrorPaths:
         assert main(["--max-nodes", "1", "holes", example_file]) == 4
 
     @pytest.mark.parametrize("argv, code", [
-        (("--max-nodes", "2717", "holes"), 4),
-        (("--max-nodes", "2718", "holes"), 10),
+        (("--max-nodes", "33", "holes"), 4),
+        (("--max-nodes", "34", "holes"), 10),
         (("--max-nodes", "6", "fundamental"), 4),
         (("--max-nodes", "7", "fundamental"), 10),
     ])
     def test_node_ceiling_is_exact(self, capsys, example_file, argv, code):
-        # the Graver basis of A visits 2718 completion states (the hole
-        # ideal of (1,1) then needs 633 of its own); the fundamental holes
+        # the Graver basis of A reduces 33 sums after its start, 34 states
+        # (the hole ideal of (1,1) then needs 32 of its own); the fundamental holes
         # need the saturation basis, from 3 simplices with 2 + 1 + 1
         # parallelepiped points: one unit fewer is a resource limit,
         # never a wrong verdict
@@ -385,8 +385,8 @@ class TestErrorPaths:
         (("--max-basis", "10", "holes"), 10),
     ])
     def test_basis_ceiling_is_exact(self, capsys, example_file, argv, code):
-        # the Graver basis of A has 10 elements, more than any other
-        # search of the run finds
+        # the Graver completion of A holds 10 vectors, all of them in the
+        # Graver basis, more than any other search of the run finds
         assert main([*argv, example_file]) == code
 
     def test_usage_error_repeats_with_one_parser(self, capsys, monkeypatch):
@@ -556,9 +556,15 @@ class TestJobs:
         code2, out2 = run(capsys, "--jobs", "2", command, ns35_file)
         assert (code1, out1) == (code2, out2)
 
-    def test_resource_limit_in_a_worker(self, capsys, ns35_file):
-        # the fundamental holes fit in 5 states, the hole ideals do not
-        code = main(["--jobs", "2", "--max-nodes", "5", "holes", ns35_file])
+    def test_resource_limit_in_a_worker(self, capsys, tmp_path):
+        # [[2,2,2,1],[-2,3,1,0]] has three fundamental holes; they need 11
+        # states and the Graver basis 72, both in this process, and one of
+        # the hole ideals, searched in a worker, needs 80
+        path = tmp_path / "mxa.txt"
+        path.write_text("2 4\n2 2 2 1\n-2 3 1 0\n")
+        assert main(["--max-nodes", "72", "fundamental", str(path)]) == 10
+        capsys.readouterr()
+        code = main(["--jobs", "2", "--max-nodes", "72", "holes", str(path)])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""

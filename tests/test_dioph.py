@@ -10,6 +10,7 @@ from monoid_holes import (
     minimal_inhomogeneous_solutions,
     semigroup_contains,
 )
+from monoid_holes import dioph
 from monoid_holes.dioph import graver_basis
 
 from conftest import (
@@ -77,9 +78,9 @@ class TestHilbertBasisKernel:
 
 @st.composite
 def graver_matrices(draw):
-    """1-2 rows, 2-3 columns with entries -3..3; one column may be
+    """1-3 rows, 2-3 columns with entries -3..3; one column may be
     replaced by zero or by a copy of another."""
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
     cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=2, max_size=3))
     j = draw(st.integers(0, len(cols) - 1))
     cols[j] = draw(st.sampled_from([cols[j], (0,) * d, cols[j - 1]]))
@@ -273,6 +274,24 @@ class TestMinimalInhomogeneousSolutions:
             for other in sols.solutions:
                 if other != s:
                     assert not all(x >= y for x, y in zip(s[0] + s[1], other[0] + other[1]))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(graver_matrices(), st.data())
+    def test_zero_and_repeated_columns_match_box_enumeration(self, rows, data):
+        f = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        sols = minimal_inhomogeneous_solutions(IntMatrix.from_rows(rows), f)
+        box = 4
+        ours = {s for s in sols.solutions if max(s[0] + s[1]) <= box}
+        assert ours == set(brute_minimal_inhomogeneous(rows, f, box))
+
+    def test_off_lattice_needs_no_graver_basis(self, monkeypatch):
+        def no_graver(*args):
+            raise AssertionError("Graver basis computed")
+        monkeypatch.setattr(dioph, "graver_basis", no_graver)
+        a = IntMatrix.from_rows([[2, 4], [0, 2]])
+        assert minimal_inhomogeneous_solutions(a, (1, 0), Limits(max_nodes=1)).solutions == ()
+        assert minimal_inhomogeneous_solutions(a, (2, 1), Limits(max_nodes=1)).solutions == ()
 
 
 class TestHomogenizationCrossCheck:

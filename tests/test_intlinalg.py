@@ -13,10 +13,11 @@ from monoid_holes import (
     row_sum_bound,
     solve_rational_affine,
 )
-from monoid_holes.intlinalg import gauss_jordan, integer_determinant
+from monoid_holes.intlinalg import gauss_jordan, integer_determinant, integer_kernel
 from monoid_holes.limits import Limits
 
 from conftest import (
+    _minor_gcd,
     brute_in_lattice,
     brute_max_subdet,
     fraction_rref,
@@ -122,6 +123,42 @@ class TestLatticeBasis:
         coeffs = basis.contains(z)
         assert coeffs is not None
         assert basis.from_coordinates(coeffs) == z
+
+
+class TestIntegerKernel:
+    def test_running_example(self, example_matrix):
+        kernel, x = integer_kernel(example_matrix, (1, 1))
+        assert len(kernel) == 2
+        assert example_matrix.mul_vector(x) == (1, 1)
+
+    def test_off_lattice(self):
+        a = IntMatrix.from_rows([[2, 4]])
+        kernel, x = integer_kernel(a, (3,))
+        assert kernel == ((2, -1),) and x is None
+        assert a.mul_vector(integer_kernel(a, (6,))[1]) == (6,)
+
+    def test_zero_right_hand_side_by_default(self):
+        assert integer_kernel(IntMatrix.from_rows([[0, 3, 5]]))[1] == (0, 0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_matrices, tall_matrices), st.data())
+    def test_basis_and_solution(self, rows, data):
+        m = IntMatrix.from_rows(rows)
+        lam = data.draw(st.lists(st.integers(-4, 4), min_size=m.cols, max_size=m.cols))
+        b = data.draw(st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows))
+        kernel, x = integer_kernel(m, m.mul_vector(lam))
+        assert m.mul_vector(x) == m.mul_vector(lam)
+        for k in kernel:
+            assert not any(m.mul_vector(k))
+        assert len(kernel) == m.cols - gauss_rank(rows)
+        # a basis of the integer kernel, not of a sublattice of it
+        if kernel:
+            assert _minor_gcd(kernel, len(kernel)) == 1
+        _, y = integer_kernel(m, b)
+        if y is None:
+            assert not brute_in_lattice(rows, b)
+        else:
+            assert m.mul_vector(y) == tuple(b)
 
 
 class TestSolveRationalAffine:

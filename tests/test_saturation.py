@@ -242,17 +242,14 @@ def counted(calls, key, inner):
 
 class TestWalkthrough:
     def test_each_search_runs_once(self, monkeypatch, capsys):
-        # the Graver basis of A and the fiber search for the hole (1, 1)
+        # the Graver basis of A and the fiber walk for the hole (1, 1)
         calls = Counter()
         graver = counted(calls, "graver", dioph.graver_basis)
         monkeypatch.setattr(dioph, "graver_basis", graver)
         monkeypatch.setattr(holes, "graver_basis", graver)
-        inner = dioph._minimal_solutions
-
-        def searched(*args, **kwargs):
-            calls["fiber"] += kwargs.get("rhs") is not None
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(dioph, "_minimal_solutions", searched)
+        fiber = counted(calls, "fiber", dioph.minimal_inhomogeneous_solutions)
+        monkeypatch.setattr(dioph, "minimal_inhomogeneous_solutions", fiber)
+        monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions", fiber)
         runpy.run_path(str(WALKTHROUGH), run_name="__main__")
         assert "fundamental holes: [(1, 1)]\n" in capsys.readouterr().out
         assert calls == {"graver": 1, "fiber": 1}
@@ -343,11 +340,16 @@ class TestComputedOnce:
         assert not calls
 
     def test_resource_limit_stores_no_kernel(self):
+        # the Graver basis of 3 5 needs 2 states, its start and the one sum
+        # (-5, 3) + (5, -3); the hole ideals need 3 each
         problem = numerical_problem(3, 5)
         fundamental_holes(problem)
         with pytest.raises(ResourceLimitError):
             holes_representation(problem, Limits(max_nodes=1))
         assert "graver" not in problem._derived
+        with pytest.raises(ResourceLimitError):
+            holes_representation(problem, Limits(max_nodes=2))
+        assert problem._derived["graver"] == ((-5, 3), (5, -3))
 
     def test_parallel_ideals_share_the_kernel(self, monkeypatch):
         calls = Counter()
@@ -371,15 +373,16 @@ class TestComputedOnce:
                 == holes_representation(numerical_problem(3, 5)))
 
     def test_resource_limit_in_a_worker_stores_no_ideal(self):
-        # with the Graver basis stored, the hole ideals of 3 5 need 9 states each
-        # and run in two worker processes
+        # with the Graver basis stored, the hole ideals of 3 5 need 3 states each
+        # (the start and one reduced sum for each of the 2 solutions) and run
+        # in two worker processes
         problem = numerical_problem(3, 5)
         fundamental_holes(problem)
         holes._graver(problem, Limits())
         with pytest.raises(ResourceLimitError):
-            holes_representation(problem, Limits(max_nodes=8), jobs=2)
+            holes_representation(problem, Limits(max_nodes=2), jobs=2)
         assert not any(key[0] == "ideal" for key in problem._derived if isinstance(key, tuple))
-        assert holes_representation(problem, Limits(max_nodes=9), jobs=2) == \
+        assert holes_representation(problem, Limits(max_nodes=3), jobs=2) == \
             holes_representation(numerical_problem(3, 5))
 
     def test_resource_limit_stores_nothing(self):
