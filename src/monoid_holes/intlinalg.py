@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
 
@@ -66,7 +67,9 @@ def primitive_vector(v) -> IntVector:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable and hashable."""
+    """Dense integer matrix, row-major, immutable and hashable.  Its columns,
+    their nonzero (row, entry) pairs and its HNF over the identity are kept
+    once derived, apart from the entries that ==, hash and repr read."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -94,17 +97,35 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
+    @cached_property
+    def _columns(self) -> tuple[IntVector, ...]:
+        return tuple(zip(*self.entries))
+
+    @cached_property
+    def _sparse_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple((i, x) for i, x in enumerate(column) if x) for column in self._columns)
+
+    @cached_property
+    def _stacked_hnf(self) -> "IntMatrix":
+        n = self.cols
+        return hermite_normal_form(IntMatrix(self.entries + tuple(unit_vector(n, i) for i in range(n))))
+
     def col(self, j: int) -> IntVector:
-        return tuple(row[j] for row in self.entries)
+        return self._columns[j]
 
     def columns(self) -> list[IntVector]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(self._columns)
 
     def mul_vector(self, x) -> tuple:
-        """Matrix-vector product A @ x for a length-cols sequence."""
+        """A @ x for a length-cols x, summed over the nonzero x_j and column entries."""
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(vec_dot(row, x) for row in self.entries)
+        out = [0] * self.rows
+        for xj, column in zip(x, self._sparse_columns):
+            if xj:
+                for i, e in column:
+                    out[i] += xj * e
+        return tuple(out)
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -132,8 +153,9 @@ def _combine_columns(m: list[list[int]], c1: int, c2: int, a, b, c, d):
     # column c1 := a*c1 + b*c2, column c2 := c*c1 + d*c2 (old values)
     for row in m:
         e1, e2 = row[c1], row[c2]
-        row[c1] = a * e1 + b * e2
-        row[c2] = c * e1 + d * e2
+        if e1 or e2:
+            row[c1] = a * e1 + b * e2
+            row[c2] = c * e1 + d * e2
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
@@ -245,11 +267,10 @@ def integer_kernel(a: IntMatrix, f=None) -> tuple[tuple[IntVector, ...], IntVect
     basis of a, and the others are 0.  So a U y = 0 exactly when y_j = 0
     for j < r, and the last n - r columns of U are a basis of the integer
     kernel.  f = sum c_j h_j with integer c_j exactly when f lies in the
-    lattice of a, and then x = sum c_j U_j.
+    lattice of a, and then x = sum c_j U_j.  H is kept on a (IntMatrix).
     """
     d, n = a.rows, a.cols
-    h = hermite_normal_form(IntMatrix(a.entries + tuple(unit_vector(n, i) for i in range(n))))
-    columns = h.columns()
+    columns = a._stacked_hnf.columns()
     rank = sum(1 for column in columns if any(column[:d]))
     kernel = tuple(column[d:] for column in columns[rank:])
     if f is None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dioph import nonnegative_solution
+from .errors import InternalInconsistencyError
 from .intlinalg import (
     IntMatrix,
     IntVector,
@@ -164,8 +165,9 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
 
     Negative margins and margins off the span (is_consistent) have no
     table; the rest are decided by dioph.nonnegative_solution on the
-    margin system.  Tables come back as nested (r, s, t) tuples.  Raises
-    ResourceLimitError rather than guessing when the node budget runs out.
+    margin system.  Tables come back as nested (r, s, t) tuples, checked
+    cell by cell against the margins.  Raises ResourceLimitError rather
+    than guessing when the node budget runs out.
     """
     f = margins_to_vector(dims, margins)
     if not margins.is_nonnegative() or not margins.is_consistent():
@@ -173,10 +175,16 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
     flat = nonnegative_solution(_margin_lines(dims), f, limits)
     if flat is None:
         return None
-    return tuple(
+    table = tuple(
         tuple(tuple(flat[dims.col(i, j, k)] for k in range(dims.t))
               for j in range(dims.s))
         for i in range(dims.r))
+    sums = MarginTriple(tuple(tuple(map(sum, zip(*rows))) for rows in zip(*table)),
+                        tuple(tuple(map(sum, zip(*plane))) for plane in table),
+                        tuple(tuple(map(sum, plane)) for plane in table))
+    if margins_to_vector(dims, sums) != f or any(x < 0 for x in flat):
+        raise InternalInconsistencyError("table does not have the given margins")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,17 @@ def margin_lists(r, s, t, table):
     return u, v, w
 
 
+def move_one_unit(solution):
+    """solution with one unit moved from its first positive cell to the
+    next one; two distinct cells differ in at least two margin lines, so
+    the margins change."""
+    moved = list(solution)
+    p = next(c for c, x in enumerate(moved) if x > 0)
+    moved[p] -= 1
+    moved[(p + 1) % len(moved)] += 1
+    return tuple(moved)
+
+
 def brute_minimal_inhomogeneous(rows, f, box):
     """Box enumeration of minimal (lam, mu) with f + A lam = A mu."""
     n = len(rows[0])

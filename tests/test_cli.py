@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import monoid_holes
-from monoid_holes import cli, holes, saturation, vlach_margins
+from monoid_holes import cli, holes, intlinalg, saturation, transport, vlach_margins
 from monoid_holes.cli import build_parser, main
 from monoid_holes.errors import (
     MatrixParseError,
@@ -20,7 +20,7 @@ from monoid_holes.errors import (
 )
 from monoid_holes.limits import Limits
 
-from conftest import brute_in_cone, brute_in_lattice, margin_lists, sieve_member
+from conftest import brute_in_cone, brute_in_lattice, margin_lists, move_one_unit, sieve_member
 
 
 @pytest.fixture
@@ -279,6 +279,21 @@ class TestMember:
         assert "status: outside-cone\n" in out
 
 
+class TestHermiteNormalForms:
+    @pytest.mark.parametrize("command", ["holes", "saturation", "bound"])
+    def test_two_per_matrix(self, capsys, monkeypatch, tmp_path, command):
+        # one for the lattice basis and one for the integer kernel, which
+        # the Graver basis and every hole fiber read from the matrix
+        path = tmp_path / "n1112.txt"
+        path.write_text("1 2\n11 12\n")
+        calls = []
+        inner = intlinalg.hermite_normal_form
+        monkeypatch.setattr(intlinalg, "hermite_normal_form",
+                            lambda m: calls.append(m.rows) or inner(m))
+        assert run(capsys, command, str(path))[0] == 10
+        assert calls == [1, 3]
+
+
 class TestTransport:
     def test_dims_and_margins(self, capsys, tmp_path):
         margins = tmp_path / "m.txt"
@@ -336,6 +351,17 @@ class TestTransport:
         assert code == 10
         assert "integer-feasible: no" in out
         assert "real-feasible: yes" in out
+
+    def test_a_wrong_table_exits_1(self, capsys, monkeypatch, tmp_path):
+        # the table is summed again from its cells before it is printed
+        search = transport.nonnegative_solution
+        monkeypatch.setattr(transport, "nonnegative_solution",
+                            lambda *args: move_one_unit(search(*args)))
+        margins = tmp_path / "m2.txt"
+        margins.write_text("1 1\n1 1\n\n1 1\n1 1\n\n1 1\n1 1\n")
+        assert main(["transport", "--margins", str(margins)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: table does not have the given margins\n")
 
     def test_margins_off_the_span_are_not_searched(self, capsys, tmp_path):
         # equal grand totals (85), but the one-dimensional margins disagree,

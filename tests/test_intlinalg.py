@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from monoid_holes import (
     row_sum_bound,
     solve_rational_affine,
 )
+from monoid_holes import intlinalg
 from monoid_holes.intlinalg import gauss_jordan, integer_determinant, integer_kernel
 from monoid_holes.limits import Limits
 
@@ -39,6 +41,102 @@ tall_matrices = st.integers(2, 5).flatmap(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n),
             min_size=d, max_size=d))).map(
     lambda rows: rows + [[x + y for x, y in zip(rows[0], rows[1])]])
+
+
+# entries for IntMatrix: zeros, small and large of either sign
+matrix_entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rows of a d x n matrix, some of its rows and columns all zero."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(matrix_entries, min_size=n, max_size=n),
+                         min_size=d, max_size=d))
+    zero_rows = draw(st.sets(st.integers(0, d - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def dense_columns(rows):
+    return [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
+
+
+def dense_product(rows, x):
+    return tuple(sum(e * y for e, y in zip(row, x)) for row in rows)
+
+
+class TestIntMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_columns_and_product_match_dense(self, rows, data):
+        m = IntMatrix.from_rows(rows)
+        x = data.draw(st.lists(matrix_entries, min_size=m.cols, max_size=m.cols))
+        assert m.mul_vector(x) == dense_product(rows, x)
+        assert m.mul_vector(tuple(x)) == dense_product(rows, x)
+        assert m.columns() == dense_columns(rows)
+        assert [m.col(j) for j in range(m.cols)] == dense_columns(rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_matrices(), st.sampled_from([-1, 1]))
+    def test_wrong_length_raises(self, rows, delta):
+        m = IntMatrix.from_rows(rows)
+        m.mul_vector([0] * m.cols)
+        with pytest.raises(ValueError, match="vector length"):
+            m.mul_vector([1] * (m.cols + delta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_kept_data_is_not_part_of_the_value(self, rows):
+        used = IntMatrix.from_rows(rows)
+        used.columns()
+        used.mul_vector([1] * used.cols)
+        fresh = IntMatrix.from_rows(rows)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and str(used) == str(fresh)
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert copy.columns() == dense_columns(rows)
+        assert copy.mul_vector([1] * copy.cols) == dense_product(rows, [1] * copy.cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_returned_column_list_is_a_copy(self, rows):
+        m = IntMatrix.from_rows(rows)
+        columns = m.columns()
+        columns[0] = (7,) * m.rows
+        columns.append((1,) * m.rows)
+        columns.reverse()
+        assert m.columns() == dense_columns(rows)
+        assert m.col(0) == dense_columns(rows)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_matrices, tall_matrices),
+           st.lists(st.lists(st.integers(-12, 12), min_size=6, max_size=6),
+                    min_size=20, max_size=20))
+    def test_kernel_on_a_used_matrix_matches_a_fresh_one(self, rows, rhs):
+        # the stored HNF answers every f as a fresh computation does
+        used = IntMatrix.from_rows(rows)
+        integer_kernel(used)
+        pickled = pickle.loads(pickle.dumps(used))
+        for f in rhs:
+            f = f[:used.rows]
+            answer = integer_kernel(IntMatrix.from_rows(rows), f)
+            assert integer_kernel(used, f) == answer
+            assert integer_kernel(pickled, f) == answer
+
+    def test_hermite_normal_form_runs_once_per_matrix(self, monkeypatch):
+        calls = []
+        inner = intlinalg.hermite_normal_form
+        monkeypatch.setattr(intlinalg, "hermite_normal_form",
+                            lambda m: calls.append(m) or inner(m))
+        a = IntMatrix.from_rows([[1, 1, 1, 1], [0, 2, 3, 4]])
+        for f in [(0, 0), (1, 1), (5, 3), None]:
+            integer_kernel(a, f)
+        assert len(calls) == 1
+        integer_kernel(pickle.loads(pickle.dumps(a)), (2, 2))
+        assert len(calls) == 1
 
 
 class TestHermiteNormalForm:

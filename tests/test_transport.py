@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
+    InternalInconsistencyError,
     MarginTriple,
     ResourceLimitError,
     SemigroupProblem,
@@ -25,7 +26,7 @@ from monoid_holes.limits import Limits
 from monoid_holes.transport import VLACH_DIMS, margins_to_vector
 from monoid_holes.polyhedra import FeasibilitySystem, lp_exact
 
-from conftest import margin_lists, vector_to_margins
+from conftest import margin_lists, move_one_unit, vector_to_margins
 
 
 def table_margins(dims, table):
@@ -192,6 +193,22 @@ class TestTableFeasible:
         flat = tuple(table[i][j][k] for (i, j, k) in dims.triples())
         assert a.mul_vector(flat) == incremented
 
+    @pytest.mark.parametrize("wrong", [
+        move_one_unit,
+        # three times the 2x2x2 move of signs (-1)^(i+j+k) keeps every
+        # margin, and leaves a negative cell, since no cell exceeds 2
+        lambda flat: tuple(x + 3 * (-1) ** sum(t)
+                           for x, t in zip(flat, TransportDims(2, 2, 2).triples())),
+    ], ids=["moved", "negative"])
+    def test_a_wrong_table_is_an_internal_error(self, monkeypatch, wrong):
+        search = transport.nonnegative_solution
+        monkeypatch.setattr(transport, "nonnegative_solution",
+                            lambda *args: wrong(search(*args)))
+        dims = TransportDims(2, 2, 2)
+        margins = MarginTriple.from_lists(*margin_lists(2, 2, 2, [[[1, 1], [1, 1]]] * 2))
+        with pytest.raises(InternalInconsistencyError, match="given margins"):
+            table_feasible(dims, margins)
+
     @pytest.mark.parametrize("dims", [TransportDims(2, 2, 2), TransportDims(2, 3, 2)])
     def test_roundtrip_random_tables(self, dims):
         rng = random.Random(20240 + dims.s)
@@ -322,6 +339,26 @@ class TestVerifyVlach:
         assert verify_vlach() == VlachReport(
             incremented, None, (), None, (), VlachConclusions(False, False, False, False),
             ("support columns are rank deficient: the real point is not proved unique",))
+
+    def test_a_wrong_witness_is_a_mismatch(self, monkeypatch):
+        # the witness check reads the matrix, not the search's margin system,
+        # so one search that returns a wrong table costs its witness
+        a, f = vlach_instance()
+        c = next(c for c, x in enumerate(known_half_integral_point()) if x == 0)
+        cell = VLACH_DIMS.triples()[c]
+        wrong_margins = vec_add(f, a.col(c))
+        search = transport.nonnegative_solution
+
+        def one_wrong_table(lines, b, limits):
+            mu = search(lines, b, limits)
+            return move_one_unit(mu) if b == wrong_margins else mu
+
+        monkeypatch.setattr(transport, "nonnegative_solution", one_wrong_table)
+        report = verify_vlach()
+        assert len(report.non_hole_witnesses) == 47
+        assert cell not in dict(report.non_hole_witnesses)
+        assert report.conclusions == VlachConclusions(True, True, True, False)
+        assert report.diagnostics == (f"witness margins mismatch at {cell}",)
 
     def test_margins_with_no_real_point(self, monkeypatch):
         # f - a_c for a cell c of the support lowers three margins of 1 to 0,
