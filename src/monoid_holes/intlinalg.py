@@ -87,7 +87,7 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         # operator.index is lossless: floats are rejected, not truncated
-        return cls(tuple(tuple(operator.index(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(operator.index, row)) for row in rows))
 
     @property
     def rows(self) -> int:

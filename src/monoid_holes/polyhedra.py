@@ -11,9 +11,11 @@ The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
 arithmetic; its row update is that of intlinalg.gauss_jordan, the one
 elimination of the package, which also gives the first simplex of a
-triangulation.  Each LP verdict comes with a certificate that is checked
-before the verdict is returned: a feasible point, or Farkas multipliers
-proving infeasibility.
+triangulation.  Forcing rows, zero-rhs rows of one sign, fix their
+columns at 0 and stay out of the tableau.  Each LP verdict comes with a
+certificate that is checked on the caller's full system before the
+verdict is returned: a feasible point, or Farkas multipliers proving
+infeasibility.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class FeasibilitySystem:
         and y.rhs > 0."""
         if len(multipliers) != self.matrix.rows:
             return False
-        return (all(vec_dot(multipliers, column) <= 0 for column in self.matrix.columns())
+        return (all(sum(multipliers[i] * x for i, x in column) <= 0
+                    for column in self.matrix._sparse_columns)
                 and vec_dot(multipliers, self.rhs) > 0)
 
 
@@ -179,37 +182,62 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
     """Exact rational LP over {x >= 0 : matrix x = rhs}: phase 1 finds a
     feasible basis, and phase 2 optimizes the objective from it.
 
-    Every verdict is checked before it is returned: the witness against the
-    system, and for an infeasible system the Farkas multipliers in `farkas`,
-    one per equation.  An infeasible system gets them whatever the
-    objective, once the objective is well formed.
+    A forcing row has rhs 0 and nonzero entries of one sign sigma_i (0 for
+    a row of zeros), so every solution is 0 on its columns (Brearley,
+    Mitra & Williams 1975).  The tableau holds the other rows and the
+    columns that no forcing row touches.  One round runs: a row that is
+    one-signed only on the kept columns is left to the simplex.  With no
+    forcing row the tableau is that of the full system.
+
+    Every verdict is checked on the full system before it is returned: the
+    witness, 0 on the fixed columns, or, for an infeasible system whatever
+    the objective, the Farkas multipliers in `farkas`, one per equation.
+    Those of the kept rows, y', lift to y = y' there and y_i = -M sigma_i
+    on forcing row i: y.b = y'.b' > 0, a kept column sees y' alone, and a
+    fixed column c, where s_c = sum_i sigma_i a_ic > 0, gets
+    y.a_c = y'.a_c - M s_c <= 0 for M = max(0, max_c ceil(y'.a_c / s_c)).
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    n, m = system.matrix.cols, system.matrix.rows
-    if len(objective) != n:
+    entries, rhs, columns = system.matrix.entries, system.rhs, system.matrix._sparse_columns
+    if len(objective) != len(columns):
         raise ValueError("objective length does not match variable count")
     if not all(isinstance(c, (int, Fraction)) for c in objective):
         raise TypeError("objective entries must be int or Fraction")
+    # forcing row i -> sigma_i; the tableau holds rows and cols, in order
+    forcing = {i: (max(row) > 0) - (min(row) < 0) for i, (row, b) in enumerate(zip(entries, rhs))
+               if b == 0 and (min(row) >= 0 or max(row) <= 0)}
+    fixed = {j for i in forcing for j in compress(range(len(columns)), entries[i])}
+    free = [j not in fixed for j in range(len(columns))]
+    rows = [i for i in range(len(entries)) if i not in forcing]
+    cols = list(compress(range(len(columns)), free))
+    n, m = len(cols), len(rows)
     # rows with a negative rhs are negated, so the artificials start
-    # feasible; artificial i is column n + i
-    signs = [-1 if b < 0 else 1 for b in system.rhs]
+    # feasible; artificial k is column n + k
+    signs = [-1 if rhs[i] < 0 else 1 for i in rows]
     tab = []
-    for i, (s, row, b) in enumerate(zip(signs, system.matrix.entries, system.rhs)):
+    for k, (s, i) in enumerate(zip(signs, rows)):
         artificials = [0] * m
-        artificials[i] = 1
-        tab.append([s * x for x in row] + artificials + [s * b])
+        artificials[k] = 1
+        tab.append([s * x for x in compress(entries[i], free)] + artificials + [s * rhs[i]])
     basis = list(range(n, n + m))
     # cost 1 on every artificial, priced out against the artificial basis:
-    # minus the column sums of the real columns and of the rhs
-    zrow = [-sum(column) for column in zip(*tab)]
+    # minus the column sums of the real columns and of the rhs, all 0 when
+    # every row is forcing
+    zrow = [-sum(column) for column in zip(*tab)] or [0] * (n + 1)
     zrow[n:n + m] = [0] * m
     status, d = _run_simplex(tab, basis, zrow, 1, range(n + m))
     assert status == "optimal"  # phase 1 objective is bounded below by 0
     if zrow[-1] != 0:
         # the dual of phase 1 has y_i = 1 - z_i on artificial i, and
         # y.A <= 0 < y.b at the optimum
-        farkas = tuple(s * (d - z) for s, z in zip(signs, zrow[n:n + m]))
+        y = [0] * len(entries)
+        for i, s, z in zip(rows, signs, zrow[n:n + m]):
+            y[i] = s * (d - z)
+        # M of the lift onto the forcing rows, as in the docstring
+        lift = max([0, *(-(-sum(y[i] * x for i, x in columns[j])
+                           // sum(forcing.get(i, 0) * x for i, x in columns[j])) for j in fixed)])
+        farkas = tuple(-lift * forcing[i] if i in forcing else v for i, v in enumerate(y))
         if not system.refuted_by(farkas):
             raise InternalInconsistencyError(
                 "LP infeasibility certificate failed its integer check")
@@ -229,16 +257,16 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
     # minimize sign * scale * objective, an integer cost with the same pivots
     sign = 1 if sense == "min" else -1
     scale = lcm(*(c.denominator for c in objective))
-    cost = [sign * c.numerator * (scale // c.denominator) for c in objective]
+    cost = [sign * c.numerator * (scale // c.denominator) for c in compress(objective, free)]
     zrow = [d * c for c in cost] + [0]
     for row, bi in zip(tab, basis):
         if cost[bi]:
             cb = cost[bi]
             zrow = [z - cb * x for z, x in zip(zrow, row)]
     status, d = _run_simplex(tab, basis, zrow, d, range(n))
-    point = [0] * n
+    point = [0] * len(columns)
     for row, bi in zip(tab, basis):
-        point[bi] = row[-1]
+        point[cols[bi]] = row[-1]
     witness = tuple(Fraction(x, d) for x in point)
     if not system.satisfied_by(witness):
         raise InternalInconsistencyError("LP witness violates its own system")

@@ -100,6 +100,13 @@ class TestIntMatrix:
         assert copy.columns() == dense_columns(rows)
         assert copy.mul_vector([1] * copy.cols) == dense_product(rows, [1] * copy.cols)
 
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "1", Fraction(2)],
+                             ids=["float", "integral-float", "str", "fraction"])
+    def test_from_rows_rejects_non_integers(self, entry):
+        # read losslessly: a float is rejected, not truncated
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, 0], [entry, 1]])
+
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
     def test_returned_column_list_is_a_copy(self, rows):

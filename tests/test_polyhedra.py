@@ -272,7 +272,8 @@ class TestLpExact:
         assert res.status == "infeasible"
 
     def test_unbounded(self):
-        # max x subject to x - s = 0
+        # max x subject to x - s = 0, a zero-rhs row of mixed signs, which
+        # is no forcing row
         res = lp_exact(system_of([[1, -1]], (0,)), (1, 0), "max")
         assert res.status == "unbounded"
 
@@ -291,10 +292,13 @@ class TestLpExact:
         assert res.status == "unbounded"
 
     def test_degenerate_terminates(self):
-        # heavily degenerate feasibility at a single point
-        res = lp_exact(system_of([[1, 1], [1, -1]], (0, 0)), (1, 0), "max")
-        assert res.status == "optimal"
-        assert res.optimum == 0
+        # heavily degenerate feasibility at a single point: x + y = 0 is a
+        # forcing row that fixes both columns, and x - y = 0 is left with none
+        for objective, sense in [((1, 0), "max"), ((1, 0), "min"), ((-1, 3), "max")]:
+            res = lp_exact(system_of([[1, 1], [1, -1]], (0, 0)), objective, sense)
+            assert res.status == "optimal"
+            assert res.optimum == 0
+            assert res.witness == (0, 0)
 
     def test_maximize_each_matches_single_calls(self):
         system = system_of([[1, 1, 1]], (4,))
@@ -333,9 +337,11 @@ class TestLpExact:
 
 
 class TestPinnedAnswers:
-    """Exact answers of the simplex, which pin its pivots: Bland's rule picks
-    one vertex among several optimal ones, and one set of multipliers among
-    many that refute a system."""
+    """Exact answers of the simplex, which pin its pivots for systems with
+    no forcing row: Bland's rule picks one vertex among several optimal
+    ones, and one set of multipliers among many that refute a system.  A
+    system with forcing rows pins the pivots on its reduced tableau and
+    the lift of their multipliers."""
 
     def test_vlach_margin_witness(self):
         # the unique real point of the 3x4x6 margin polytope, half-integral
@@ -353,9 +359,11 @@ class TestPinnedAnswers:
         system = FeasibilitySystem(a, vec_sub(f, a.col(0)))
         result = lp_exact(system, (0,) * a.cols, "min")
         assert result.status == "infeasible"
+        # 21 of its margins are 0 and fix 52 of the 72 cells, so the
+        # multipliers are lifted from the reduced system
         assert result.farkas == (
-            -4, -4, 2, -4, -4, -4, 2, 2, 2, -4, -4, 2, -4, -4, -4, -4, -4, -4,
-            2, -4, -4, -4, -4, 2, -4, 2, 2, 2, 2, -4, 2, 2, -4, 2, 2, 2, -4, -4,
+            -4, -4, 2, -4, -4, -4, -4, 2, 2, -4, -4, 2, -4, -4, -4, -4, -4, -4,
+            2, -4, -4, -4, -4, 2, -4, 2, 2, 2, -4, -4, 2, 2, -4, -4, 2, 2, -4, -4,
             -4, 2, 2, -4, -4, -4, 2, 2, 2, -4, 2, -4, 2, 2, 2, 2)
         assert system.refuted_by(result.farkas)
 
@@ -413,6 +421,64 @@ class TestLpOracle:
             assert_matches_oracle(rows, rhs, results[sense], objective, sense)
         assert results["max"].status == "unbounded"
         assert results["min"].optimum.denominator > 10**6
+
+
+@st.composite
+def systems_with_forcing_rows(draw):
+    """standard_systems() with one or two zero-rhs rows put in among the
+    others, each nonnegative, nonpositive or all zero."""
+    rows, rhs = draw(standard_systems())
+    rows, rhs, n = list(rows), list(rhs), len(rows[0])
+    for _ in range(draw(st.integers(1, 2))):
+        sign = draw(st.sampled_from([1, -1, 0]))
+        row = [sign * x for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, row)
+        rhs.insert(at, 0)
+    return rows, tuple(rhs)
+
+
+class TestForcingRows:
+    """lp_exact drops the forcing rows and the columns they fix before its
+    tableau; its answers and both certificates are those of the full
+    system."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems_with_forcing_rows(), st.data())
+    def test_matches_oracle(self, system, data):
+        rows, rhs = system
+        n = len(rows[0])
+        objective = tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+        sense = data.draw(st.sampled_from(["min", "max"]))
+        # the oracle checks the witness and the multipliers on the full system
+        result = lp_exact(system_of(rows, rhs), objective, sense)
+        assert_matches_oracle(rows, rhs, result, objective, sense)
+
+    def test_zero_row_with_nonzero_rhs(self):
+        # 0 = 3 is no forcing row, and the simplex refutes it
+        system = system_of([[0, 0, 0], [1, 1, 0], [0, 0, 0]], (3, 0, 0))
+        result = lp_exact(system, (0, 0, 1), "max")
+        assert result.status == "infeasible"
+        assert system.refuted_by(result.farkas)
+        assert result.farkas[0] > 0 and result.farkas[2] == 0
+
+    def test_lift_raises_the_forcing_multipliers(self):
+        # x + y = 0 fixes x and y, and -z = 1 is refuted by y' = 1 alone;
+        # that multiplier sees x with 1, so the forcing row gets -1
+        system = system_of([[1, 1, 0], [1, 0, -1]], (0, 1))
+        result = lp_exact(system, (0, 0, 0), "min")
+        assert result.farkas == (-1, 1)
+        assert not system.refuted_by((0, 1))
+
+    def test_vlach_fundamentality_systems(self):
+        # every margin vector f - a_c of the 3x4x6 instance has forcing
+        # rows, and each is refuted by lifted multipliers
+        a, f = vlach_instance()
+        for column in a.columns():
+            system = FeasibilitySystem(a, vec_sub(f, column))
+            result = lp_exact(system, (0,) * a.cols, "min")
+            assert result.status == "infeasible"
+            assert system.refuted_by(result.farkas)
 
 
 @st.composite
@@ -475,6 +541,21 @@ class TestCertificates:
         # the same row over split free variables is feasible, so it cannot be refuted
         free = system_of([[1, -1, 1, -1]], (-1,))
         assert not free.refuted_by((-1,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=5),
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m))), st.sets(st.integers(0, 4)))
+    def test_refuted_by_matches_the_dense_formula(self, drawn, zero_cols):
+        # the sparse column sums against y.a_c over every dense column,
+        # zero columns included
+        columns, rhs, y = drawn
+        columns = [(0,) * len(rhs) if j in zero_cols else tuple(c) for j, c in enumerate(columns)]
+        system = system_of([list(r) for r in zip(*columns)], rhs)
+        dense = all(vec_dot(y, c) <= 0 for c in columns) and vec_dot(y, rhs) > 0
+        assert system.refuted_by(tuple(y)) == dense
+        assert not system.refuted_by(tuple(y) + (0,))
 
     def test_maximize_each_shares_certificate(self):
         results = maximize_each(self.BOX, [unit_vector(5, 0), unit_vector(5, 1)])
