@@ -256,20 +256,26 @@ def _propagate(line_cols, col_lines, state) -> bool:
                         _assign(col_lines, state, c, 0)
                 changed = True
             elif pend == 1:
-                c, w = next((c, w) for c, w in cols if value[c] is None)
+                for c, w in cols:
+                    if value[c] is None:
+                        break
                 need, rest = divmod(budget[ln], w)
                 if rest or not _assign(col_lines, state, c, need):
                     return False
                 changed = True
-    # capacity check: each line must be fillable by its free columns
+    # capacity check: each line must be fillable by its free columns; no
+    # budget changes here, so each column's cap is computed once, on first use
+    caps = {}
     for ln, cols in enumerate(line_cols):
         if pending[ln] == 0:
             continue
         room = 0
         for c, w in cols:
             if value[c] is None:
-                # w * cap(c), inlined: this is the search's innermost loop
-                room += w * min([budget[k] // v for k, v in col_lines[c]])
+                cap = caps.get(c)
+                if cap is None:
+                    cap = caps[c] = min([budget[k] // v for k, v in col_lines[c]])
+                room += w * cap
                 if room >= budget[ln]:
                     break
         if room < budget[ln]:
@@ -298,6 +304,16 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
     state and ends the frame; a failed branch is dropped, not undone.  Nothing
     recurses, so the depth of a search is bounded by memory alone.
 
+    The answer is the lexicographically largest solution: at a branch every
+    earlier column is set, and the values are tried from a cap that no
+    solution exceeds down to 0, so any sound propagation finds the same one.
+    A column on a line with budget 0 is fixed at 0 and taken off its lines
+    before the search: the weights are positive, so it is 0 in every
+    solution.  The root's first propagation pass would set each of these
+    columns to 0, or fail before it, and the forcing rules reach the same
+    closure in any order, so the search tree and its node count are those of
+    a search that carries the columns.
+
     No LP relaxation runs, so a system with no real solution is refuted
     by propagation and branching alone; callers reject the cheap cases
     first, a point outside the cone (membership) or off the span of A
@@ -305,13 +321,20 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
     ResourceLimitError rather than guessing when more than max_nodes are
     needed.
     """
+    # a column on no line, or on a line with budget 0, is fixed at 0 before
+    # the search starts and is put on no line
     line_cols: list[list[tuple[int, int]]] = [[] for _ in budget]
+    value: list[int | None] = []
     for c, pairs in enumerate(lines):
-        for ln, w in pairs:
-            line_cols[ln].append((c, w))
-    # a column on no line is fixed at 0 before the search starts
-    state = ([None if pairs else 0 for pairs in lines], list(budget),
-             [len(cols) for cols in line_cols])
+        for ln, _ in pairs:
+            if not budget[ln]:
+                value.append(0)
+                break
+        else:
+            value.append(None if pairs else 0)
+            for ln, w in pairs:
+                line_cols[ln].append((c, w))
+    state = (value, list(budget), [len(cols) for cols in line_cols])
     frames = []
     nodes = 0
     while True:

@@ -222,10 +222,11 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     """Re-derive every claim about the 3 x 4 x 6 hole mechanically, with no LP.
 
     Steps: prove the unique real point z* of the margin polytope from the
-    zero margins and the support solve; conclude the margin vector is a
-    hole; derive fundamentality from the unique real point; produce
-    integer witnesses for the 48 incremented-margin systems; and confirm
-    the remaining holes are exactly the support-column translates.
+    zero margins and the support solve; produce integer witnesses for the
+    48 incremented-margin systems, each checked on the matrix, which put
+    the margin vector in the lattice; conclude it is a hole; derive
+    fundamentality from the unique real point; and confirm the remaining
+    holes are exactly the support-column translates.
     """
     dims = VLACH_DIMS
     a, f = vlach_instance()
@@ -234,7 +235,9 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     # y, the sum of the zero-margin rows, has y.f = 0 and y.a_c >= 0 on
     # every column, since A is 0/1; so every real x >= 0 with Ax = f is 0 on
     # each cell that meets a zero margin.  The other cells are the support,
-    # and when their columns are independent, x on them is the support solve
+    # and when their columns are independent, x on them is the support solve.
+    # The support columns are 0 on the zero rows, which read 0 = 0 there, so
+    # the solve runs on the other rows alone
     zero_rows = [i for i in range(a.rows) if f[i] == 0]
     support_cols = tuple(c for c in range(a.cols)
                          if not any(a.entries[i][c] for i in zero_rows))
@@ -242,7 +245,8 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     triples = dims.triples()
     a_prime = IntMatrix.from_rows([[a.entries[i][c] for c in support_cols]
                                    for i in range(a.rows)])
-    solved = solve_rational_affine(a_prime, f)
+    solved = solve_rational_affine(
+        IntMatrix.from_rows([row for row, x in zip(a_prime.entries, f) if x]), [x for x in f if x])
     if solved is not None and solved[1]:
         return _refuted(f, "support columns are rank deficient: "
                            "the real point is not proved unique")
@@ -254,7 +258,25 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     if len(support_cols) != 24 or not all(x in (0, half) for x in z_star):
         diagnostics.append("real witness is not the expected half-integral point")
 
-    in_lattice = lattice_basis(a).contains(f) is not None
+    # explicit witnesses: every off-support increment is integer feasible.
+    # f + a_c is nonnegative and lies in the span, as f and a_c do, so the
+    # search needs none of table_feasible's checks
+    witnesses = []
+    failed: list[str] = []  # diagnostics, reported after the others
+    lines = _margin_lines(dims)
+    for c in off_support:
+        incremented = vec_add(f, a.col(c))
+        mu = nonnegative_solution(lines, incremented, limits)
+        if mu is None:
+            failed.append(f"no integer witness for incremented margins at {triples[c]}")
+        elif a.mul_vector(mu) != incremented:
+            failed.append(f"witness margins mismatch at {triples[c]}")
+        else:
+            witnesses.append((triples[c], tuple(mu)))
+
+    # a checked witness mu at c gives f = A (mu - e_c), an integer preimage
+    # of f; only without one does the Hermite normal form decide
+    in_lattice = bool(witnesses) or lattice_basis(a).contains(f) is not None
     if not in_lattice:
         diagnostics.append("margin vector is not in the matrix lattice")
     f_is_hole = in_lattice and any(x.denominator != 1 for x in z_star)
@@ -275,30 +297,11 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
         diagnostics.append("fundamentality is not certified: the real point "
                            "has a coordinate of at least 1")
 
-    # explicit witnesses: every off-support increment is integer feasible.
-    # f + a_c is nonnegative and lies in the span, as f and a_c do, so the
-    # search needs none of table_feasible's checks
-    witnesses = []
-    witnesses_ok = True
-    lines = _margin_lines(dims)
-    for c in off_support:
-        incremented = vec_add(f, a.col(c))
-        mu = nonnegative_solution(lines, incremented, limits)
-        if mu is None:
-            witnesses_ok = False
-            diagnostics.append(f"no integer witness for incremented margins at {triples[c]}")
-            continue
-        if a.mul_vector(mu) != incremented:
-            witnesses_ok = False
-            diagnostics.append(f"witness margins mismatch at {triples[c]}")
-            continue
-        witnesses.append((triples[c], tuple(mu)))
-
     conclusions = VlachConclusions(
         f_is_hole=f_is_hole,
         f_is_fundamental_checked=f_is_hole and fundamental,
         unique_real_solution=True,
-        holes_are_f_plus_monoid_a_prime=holes_flag and witnesses_ok,
+        holes_are_f_plus_monoid_a_prime=holes_flag and not failed,
     )
     return VlachReport(f, z_star, tuple(triples[c] for c in support_cols), a_prime,
-                       tuple(witnesses), conclusions, tuple(diagnostics))
+                       tuple(witnesses), conclusions, tuple(diagnostics + failed))

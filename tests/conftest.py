@@ -149,6 +149,25 @@ def brute_member(rows, b):
     return all(x >= 0 for x in b) and reach(0, list(b))
 
 
+def brute_lexmax_solution(lines, budget):
+    """The lexicographically largest lam in Z^n_+ whose column c, on the
+    (line, weight) pairs lines[c], fills every line to its budget, or None.
+
+    Box enumeration: lam_c runs from the least budget // weight over its
+    lines down to 0, and is 0 on no line.  The box is walked in descending
+    lexicographic order, so the first solution met is the largest.
+    """
+    tops = [min((budget[ln] // w for ln, w in pairs), default=0) for pairs in lines]
+    for lam in product(*(range(top, -1, -1) for top in tops)):
+        filled = [0] * len(budget)
+        for pairs, x in zip(lines, lam):
+            for ln, w in pairs:
+                filled[ln] += w * x
+        if filled == list(budget):
+            return list(lam)
+    return None
+
+
 def in_monomial_ideal(generators, m):
     """Whether some generator divides the monomial m."""
     return any(all(x <= y for x, y in zip(g, m)) for g in generators)

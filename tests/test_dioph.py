@@ -16,6 +16,7 @@ from monoid_holes.dioph import graver_basis
 from conftest import (
     brute_grading,
     brute_kernel_hilbert,
+    brute_lexmax_solution,
     brute_max_subdet,
     brute_member,
     brute_minimal_inhomogeneous,
@@ -304,6 +305,38 @@ class TestHomogenizationCrossCheck:
         kernel = kernel_basis([[1, 2, 3, -2, -3]])
         from_kernel = {(s[1:3], s[3:5]) for s in kernel if s[0] == 1}
         assert set(sols.solutions) == from_kernel
+
+
+@st.composite
+def weighted_systems(draw):
+    """(lines, budget) of a nonnegative system: 1-3 lines with budgets 0-6,
+    more than half of them 0, and 1-5 columns, each on no line, a copy of
+    an earlier column, or on distinct lines with weights 1-3."""
+    d = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["lines", "lines", "lines", "none", "copy"]))
+        if kind == "copy" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+        elif kind == "none":
+            lines.append(())
+        else:
+            rows = draw(st.sets(st.integers(0, d - 1), min_size=1))
+            lines.append(tuple((r, draw(st.integers(1, 3))) for r in sorted(rows)))
+    budget = draw(st.lists(st.one_of(st.just(0), st.integers(0, 6)), min_size=d, max_size=d))
+    return lines, budget
+
+
+class TestNonnegativeSolution:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_systems())
+    def test_is_the_lexicographically_largest_solution(self, system):
+        # values are tried from a cap that no solution exceeds down to 0,
+        # column by column, so the search returns the same solution as the
+        # box enumeration whatever its propagation fixes first; zero budgets
+        # fix columns before the search
+        lines, budget = system
+        assert dioph.nonnegative_solution(lines, budget) == brute_lexmax_solution(lines, budget)
 
 
 class TestSemigroupContains:

@@ -131,6 +131,13 @@ class TestVlachInstance:
     def test_margins_are_integer_infeasible(self):
         assert table_feasible(VLACH_DIMS, vlach_margins()) is None
 
+    def test_infeasibility_node_ceiling(self):
+        # 18 zero margins fix 48 of the 72 cells before the search, and the
+        # refutation takes 3 nodes: one fewer is a resource limit
+        with pytest.raises(ResourceLimitError):
+            table_feasible(VLACH_DIMS, vlach_margins(), Limits(max_nodes=2))
+        assert table_feasible(VLACH_DIMS, vlach_margins(), Limits(max_nodes=3)) is None
+
     def test_support_restriction_solves_uniquely(self):
         a, f = vlach_instance()
         z = known_half_integral_point()
@@ -304,6 +311,53 @@ class TestVerifyVlach:
 
         monkeypatch.setattr(polyhedra, "_run_simplex", no_lp)
         assert verify_vlach().conclusions.all_true()
+
+    def test_node_ceiling(self):
+        # the costliest of the 48 witness searches takes 4 nodes
+        with pytest.raises(ResourceLimitError):
+            verify_vlach(Limits(max_nodes=3))
+        assert verify_vlach(Limits(max_nodes=4)).conclusions.all_true()
+
+    def test_witnesses_put_the_margins_in_the_lattice(self, monkeypatch):
+        # a checked witness mu at c gives f = A (mu - e_c), so the Hermite
+        # normal form of A is not needed
+        def no_hnf(*args):
+            raise AssertionError("the lattice basis was computed")
+
+        monkeypatch.setattr(transport, "lattice_basis", no_hnf)
+        report = verify_vlach()
+        assert report.conclusions.all_true()
+        assert report.diagnostics == ()
+
+    @pytest.mark.parametrize("scale", [1, 2], ids=["f", "2f"])
+    def test_without_witnesses_the_lattice_basis_decides(self, monkeypatch, scale):
+        # every search comes back empty: f is still in the lattice, by its
+        # Hermite normal form, and the 48 missing witnesses are reported
+        # after the other diagnostics, in cell order
+        a, f = vlach_instance()
+        scaled = tuple(scale * x for x in f)
+        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, scaled))
+        monkeypatch.setattr(transport, "nonnegative_solution", lambda *args: None)
+        basis = transport.lattice_basis
+        calls = []
+        monkeypatch.setattr(transport, "lattice_basis", lambda m: calls.append(m) or basis(m))
+        report = verify_vlach()
+        assert calls == [a]
+        assert report.non_hole_witnesses == ()
+        missing = tuple(f"no integer witness for incremented margins at {cell}"
+                        for cell, x in zip(VLACH_DIMS.triples(), known_half_integral_point())
+                        if x == 0)
+        assert len(missing) == 48
+        if scale == 1:
+            assert report.conclusions == VlachConclusions(True, True, True, False)
+            assert report.diagnostics == missing
+        else:
+            # 2f is in Q, and its own diagnostics come first
+            assert report.conclusions == VlachConclusions(False, False, True, False)
+            assert report.diagnostics == (
+                "real witness is not the expected half-integral point",
+                "fundamentality is not certified: the real point has a coordinate of at least 1",
+            ) + missing
 
     def test_witnesses_are_the_tables_of_table_feasible(self):
         a, f = vlach_instance()
