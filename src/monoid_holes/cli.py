@@ -174,7 +174,7 @@ def cmd_fundamental(args, limits: Limits) -> tuple[list[str], int]:
 
 def cmd_holes(args, limits: Limits) -> tuple[list[str], int]:
     a, lines = _open_matrix(args)
-    rep = holes_representation(SemigroupProblem.build(a, limits), limits, jobs=args.jobs)
+    rep = holes_representation(SemigroupProblem.build(a, limits), limits)
     _section(lines, "fundamental-holes", rep.fundamental_set.holes)
     _section(lines, "cells", rep.cells, _fmt_cell)
     verdict = "finite-empty" if not rep.cells else ("finite" if rep.is_finite else "infinite")
@@ -184,7 +184,7 @@ def cmd_holes(args, limits: Limits) -> tuple[list[str], int]:
 
 def cmd_saturation(args, limits: Limits) -> tuple[list[str], int]:
     a, lines = _open_matrix(args)
-    result = saturation_points(SemigroupProblem.build(a, limits), limits, jobs=args.jobs)
+    result = saturation_points(SemigroupProblem.build(a, limits), limits)
     _section(lines, "ideal-generators", result.ideal.generators)
     _section(lines, "saturation-points", result.points)
     holes_exist = not result.ideal.is_unit
@@ -196,7 +196,7 @@ def cmd_bound(args, limits: Limits) -> tuple[list[str], int]:
     a, lines = _open_matrix(args)
     problem = SemigroupProblem.build(a, limits)
     report = problem_bound(problem, limits)
-    rep = holes_representation(problem, limits, jobs=args.jobs)
+    rep = holes_representation(problem, limits)
     lines.append(f"bound-components: {report.d_plus_1} {report.m_f} {report.d_a}")
     lines.append(f"bound: {report.bound}")
     if not rep.is_finite:
@@ -297,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "transportation feasibility, all in exact arithmetic.")
     for name, text in _CEILINGS.items():
         parser.add_argument("--" + name.replace("_", "-"), type=int, help=text)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the hole ideals of holes, "
-                             "saturation and bound (default 1)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     for name in ("fundamental", "holes", "saturation", "bound", "member"):
@@ -332,8 +329,6 @@ _PARSER: argparse.ArgumentParser | None = None  # built by the first main call
 def _limits(args) -> Limits:
     """The defaults, then MONOID_HOLES_LIMITS, then the ceiling flags."""
     try:
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         return limits_from_env(DEFAULT_LIMITS).override(
             **{name: getattr(args, name) for name in _CEILINGS})
     except ValueError as exc:

@@ -25,11 +25,6 @@ class ResourceLimitError(MonoidHolesError):
         self.what = what
         self.limit = limit
 
-    def __reduce__(self):
-        # a worker process sends the error back pickled; rebuild it from
-        # its fields, since the message alone does not fit __init__
-        return type(self), (self.what, self.limit)
-
 
 class InternalInconsistencyError(MonoidHolesError):
     """A defensive cross-check failed; indicates a bug, not bad input."""

@@ -30,7 +30,7 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
-from .limits import DEFAULT_LIMITS, Limits, pool_map
+from .limits import DEFAULT_LIMITS, Limits
 from .monomials import MonomialIdeal, StandardPair, standard_pairs
 from .polyhedra import Cone, cone_facets, cone_generators, positive_functional
 
@@ -151,8 +151,8 @@ def hole_solutions(problem: SemigroupProblem, f,
                    limits: Limits = DEFAULT_LIMITS) -> MinimalSolutionSet:
     """The minimal (lam, mu) with f + A lam = A mu, searched once per hole."""
     f = tuple(map(index, f))
-    return problem._derive(("solutions", f),
-                           lambda: _solutions_of(problem.matrix, f, _graver(problem, limits), limits))
+    return problem._derive(("solutions", f), lambda: minimal_inhomogeneous_solutions(
+        problem.matrix, f, limits, _graver(problem, limits)))
 
 
 def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
@@ -169,33 +169,19 @@ def _graver(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:
     return problem._derive("graver", lambda: graver_basis(problem.matrix, limits))
 
 
-def _solutions_of(a: IntMatrix, f: IntVector, graver, limits: Limits) -> MinimalSolutionSet:
-    # the task of a worker process: a name of this module, so that it pickles
-    return minimal_inhomogeneous_solutions(a, f, limits, graver)
-
-
-def _hole_ideals(problem: SemigroupProblem, holes, limits: Limits,
-                 jobs: int) -> list[MonomialIdeal]:
-    """The hole ideal of each hole; the solution sets not yet stored are
-    searched by pool_map, in worker processes when jobs > 1."""
-    missing = [f for f in holes if ("solutions", f) not in problem._derived]
-    tasks = [(problem.matrix, f, _graver(problem, limits), limits) for f in missing]
-    solved = pool_map(_solutions_of, tasks, jobs)
-    problem._derived.update(zip([("solutions", f) for f in missing], solved))
-    return [hole_ideal(problem, f, limits) for f in holes]
-
-
-def holes_representation(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS,
-                         jobs: int = 1) -> HoleRepresentation:
+def holes_representation(problem: SemigroupProblem,
+                         limits: Limits = DEFAULT_LIMITS) -> HoleRepresentation:
     """Finite list of cells shift + monoid(gens) whose union is the hole set."""
-    return problem._derive("representation", lambda: _cells(problem, limits, jobs))
+    return problem._derive("representation", lambda: _cells(problem, limits))
 
 
-def _cells(problem: SemigroupProblem, limits: Limits, jobs: int) -> HoleRepresentation:
+def _cells(problem: SemigroupProblem, limits: Limits) -> HoleRepresentation:
     fund = fundamental_holes(problem, limits)
     a = problem.matrix
     cells = []
-    for f, ideal in zip(fund.holes, _hole_ideals(problem, fund.holes, limits, jobs)):
+    # all hole ideals before any standard pairs, so a search ceiling is met first
+    ideals = [hole_ideal(problem, f, limits) for f in fund.holes]
+    for f, ideal in zip(fund.holes, ideals):
         for pair in standard_pairs(ideal, limits):
             shift = vec_add(f, a.mul_vector(pair.root))
             free = {a.col(j) for j in pair.free_vars}

@@ -10,8 +10,8 @@ from .dioph import semigroup_contains
 from .errors import InternalInconsistencyError
 from .holes import (
     SemigroupProblem,
-    _hole_ideals,
     fundamental_holes,
+    hole_ideal,
     holes_representation,
     is_hole,
 )
@@ -85,8 +85,8 @@ def certify_infinite(problem: SemigroupProblem,
     return None
 
 
-def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS,
-                      jobs: int = 1) -> SaturationResult:
+def saturation_points(problem: SemigroupProblem,
+                      limits: Limits = DEFAULT_LIMITS) -> SaturationResult:
     """Q-minimal saturation points via the intersection of all hole ideals.
 
     The minimal generators of the intersection map onto saturation points
@@ -98,8 +98,8 @@ def saturation_points(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
     a = problem.matrix
     fund = fundamental_holes(problem, limits)
     ideal = MonomialIdeal.unit(a.cols)
-    for per_hole in _hole_ideals(problem, fund.holes, limits, jobs):
-        ideal = intersect(ideal, per_hole)
+    for f in fund.holes:
+        ideal = intersect(ideal, hole_ideal(problem, f, limits))
     generator_map = tuple(sorted((g, a.mul_vector(g)) for g in ideal.generators))
     points = sorted({point for _, point in generator_map})
     removed = []

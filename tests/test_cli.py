@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import random
 import subprocess
@@ -406,6 +405,17 @@ class TestErrorPaths:
         # never a wrong verdict
         assert main([*argv, example_file]) == code
 
+    def test_hole_fiber_node_ceiling_is_exact(self, capsys, tmp_path):
+        # [[2,2,2,1],[-2,3,1,0]] has three fundamental holes; they need 11
+        # states and the Graver basis 72, and one of the hole ideals needs 80
+        path = tmp_path / "mxa.txt"
+        path.write_text("2 4\n2 2 2 1\n-2 3 1 0\n")
+        assert main(["--max-nodes", "79", "holes", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit exceeded: completion search")
+        assert main(["--max-nodes", "80", "holes", str(path)]) == 10
+
     @pytest.mark.parametrize("argv, code", [
         (("--max-basis", "9", "holes"), 4),
         (("--max-basis", "10", "holes"), 10),
@@ -548,12 +558,12 @@ class TestLimitsConfiguration:
         assert main(["holes", example_file]) == 2
         assert capsys.readouterr().err.endswith("unknown limit 'lp_stride'\n")
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_nonpositive_jobs_is_bad_input(self, capsys, example_file, jobs):
-        assert main(["--jobs", jobs, "holes", example_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+    def test_jobs_is_gone(self, capsys, example_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", "holes", example_file])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert "--jobs" not in build_parser().format_help()
 
     def test_limits_reject_nonpositive_ceilings(self):
         for name in Limits.__dataclass_fields__:
@@ -571,52 +581,6 @@ class TestLimitsConfiguration:
         code1, out1 = run(capsys, "holes", ns35_file)
         code2, out2 = run(capsys, "--max-nodes", "999999", "holes", ns35_file)
         assert (code1, out1) == (code2, out2)
-
-
-class TestJobs:
-    # 3 5 has two fundamental holes, so --jobs 2 computes their hole
-    # ideals in two worker processes
-    @pytest.mark.parametrize("command", ["holes", "saturation", "bound"])
-    def test_parallel_matches_sequential(self, capsys, ns35_file, command):
-        code1, out1 = run(capsys, command, ns35_file)
-        code2, out2 = run(capsys, "--jobs", "2", command, ns35_file)
-        assert (code1, out1) == (code2, out2)
-
-    def test_resource_limit_in_a_worker(self, capsys, tmp_path):
-        # [[2,2,2,1],[-2,3,1,0]] has three fundamental holes; they need 11
-        # states and the Graver basis 72, both in this process, and one of
-        # the hole ideals, searched in a worker, needs 80
-        path = tmp_path / "mxa.txt"
-        path.write_text("2 4\n2 2 2 1\n-2 3 1 0\n")
-        assert main(["--max-nodes", "72", "fundamental", str(path)]) == 10
-        capsys.readouterr()
-        code = main(["--jobs", "2", "--max-nodes", "72", "holes", str(path)])
-        captured = capsys.readouterr()
-        assert code == 4
-        assert captured.out == ""
-        assert captured.err.startswith("error: resource limit exceeded: completion search")
-
-    def test_workers_capped_at_task_count(self, capsys, ns35_file, monkeypatch):
-        # a pool started by fork starts all of its workers at once
-        pools = []
-
-        class SequentialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
-        expected = run(capsys, "holes", ns35_file)
-        assert run(capsys, "--jobs", "64", "holes", ns35_file) == expected
-        assert pools == [2]
 
 
 class TestDeterminism:

@@ -39,6 +39,13 @@ from conftest import (
 WALKTHROUGH = Path(__file__).resolve().parents[1] / "scripts" / "example1_walkthrough.py"
 
 
+def graded_rows(n, d, top, low, high):
+    """d rows of n entries: the first in 1..top, the others in low..high."""
+    first = st.lists(st.integers(1, top), min_size=n, max_size=n)
+    other = st.lists(st.integers(low, high), min_size=n, max_size=n)
+    return st.tuples(first, *[other] * (d - 1))
+
+
 def numerical_problem(a, b):
     return SemigroupProblem.build(IntMatrix.from_rows([[a, b]]))
 
@@ -166,11 +173,18 @@ class TestSaturationPoints:
         assert all(p[0] < window // 2 for p in result.points)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([3, 4]).flatmap(lambda n: st.tuples(
-        st.lists(st.integers(1, 3), min_size=n, max_size=n),
-        st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+    @given(st.sampled_from([3, 4]).flatmap(lambda n: graded_rows(n, 2, 3, -3, 3)))
     def test_two_rows_against_oracle(self, rows):
-        # 2-row matrices with a positive first row, which grades Q.  A hole
+        self._check_against_oracle(rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([4, 5]).flatmap(lambda n: graded_rows(n, 3, 2, -1, 2)))
+    def test_three_rows_against_oracle(self, rows):
+        self._check_against_oracle(rows)
+
+    @staticmethod
+    def _check_against_oracle(rows):
+        # matrices with a positive first row, which grades Q.  A hole
         # is a fundamental hole f plus a point of Q, so s in Q is a
         # saturation point when every s + f is in Q.  Those points are
         # closed under adding Q, so s is Q-minimal among them when no
@@ -336,7 +350,7 @@ class TestComputedOnce:
                             counted(calls, "kernel", holes.graver_basis))
         problem = numerical_problem(1, 2)
         assert holes_representation(problem).cells == ()
-        assert saturation_points(problem, jobs=2).ideal.is_unit
+        assert saturation_points(problem).ideal.is_unit
         assert not calls
 
     def test_resource_limit_stores_no_kernel(self):
@@ -351,38 +365,17 @@ class TestComputedOnce:
             holes_representation(problem, Limits(max_nodes=2))
         assert problem._derived["graver"] == ((-5, 3), (5, -3))
 
-    def test_parallel_ideals_share_the_kernel(self, monkeypatch):
-        calls = Counter()
-        monkeypatch.setattr(holes, "graver_basis",
-                            counted(calls, "kernel", holes.graver_basis))
-        problem = numerical_problem(3, 5)
-        assert (holes_representation(problem, jobs=2)
-                == holes_representation(numerical_problem(3, 5)))
-        assert calls == {"kernel": 2}  # once here, once for the sequential problem
-
-    def test_pool_with_a_wrapped_search(self, monkeypatch):
-        # a closure bound to the name, as a tracer binds one, does not
-        # pickle; the pool's task is a module-level name that looks it up
-        original = holes.minimal_inhomogeneous_solutions
-
-        def wrapped(*args, **kwargs):
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(holes, "minimal_inhomogeneous_solutions", wrapped)
-        assert (holes_representation(numerical_problem(3, 5), jobs=2)
-                == holes_representation(numerical_problem(3, 5)))
-
-    def test_resource_limit_in_a_worker_stores_no_ideal(self):
+    def test_resource_limit_stores_no_ideal(self):
         # with the Graver basis stored, the hole ideals of 3 5 need 3 states each
-        # (the start and one reduced sum for each of the 2 solutions) and run
-        # in two worker processes
+        # (the start and one reduced sum for each of the 2 solutions)
         problem = numerical_problem(3, 5)
         fundamental_holes(problem)
         holes._graver(problem, Limits())
         with pytest.raises(ResourceLimitError):
-            holes_representation(problem, Limits(max_nodes=2), jobs=2)
-        assert not any(key[0] == "ideal" for key in problem._derived if isinstance(key, tuple))
-        assert holes_representation(problem, Limits(max_nodes=3), jobs=2) == \
+            holes_representation(problem, Limits(max_nodes=2))
+        assert not any(key[0] in ("ideal", "solutions")
+                       for key in problem._derived if isinstance(key, tuple))
+        assert holes_representation(problem, Limits(max_nodes=3)) == \
             holes_representation(numerical_problem(3, 5))
 
     def test_resource_limit_stores_nothing(self):
