@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb, gcd
 
 from .errors import RankDeficientError, ResourceLimitError
@@ -68,26 +68,25 @@ def primitive_vector(v) -> IntVector:
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, row-major, immutable and hashable.  Its columns,
-    their nonzero (row, entry) pairs and its HNF over the identity are kept
-    once derived, apart from the entries that ==, hash and repr read."""
+    their nonzero (row, entry) pairs, its HNF over the identity and the
+    lattice basis read off that HNF are kept once derived, apart from the
+    entries that ==, hash and repr read."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        # operator.index is lossless: floats are rejected, not truncated
+        entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged matrix rows")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
+            raise ValueError("ragged matrix rows")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        # operator.index is lossless: floats are rejected, not truncated
-        return cls(tuple(tuple(map(operator.index, row)) for row in rows))
+        return cls(rows)
 
     @property
     def rows(self) -> int:
@@ -109,6 +108,13 @@ class IntMatrix:
     def _stacked_hnf(self) -> "IntMatrix":
         n = self.cols
         return hermite_normal_form(IntMatrix(self.entries + tuple(unit_vector(n, i) for i in range(n))))
+
+    @cached_property
+    def _lattice(self) -> "LatticeBasis":
+        d = self.rows
+        images = tuple(takewhile(any, (column[:d] for column in self._stacked_hnf._columns)))
+        pivots = tuple(next(i for i, x in enumerate(image) if x) for image in images)
+        return LatticeBasis(d, len(images), images, pivots)
 
     def col(self, j: int) -> IntVector:
         return self._columns[j]
@@ -244,17 +250,17 @@ class LatticeBasis:
 
 
 def lattice_basis(a: IntMatrix) -> LatticeBasis:
-    """Basis of the lattice generated by the columns of a."""
-    h = hermite_normal_form(a)
-    columns = []
-    pivots = []
-    for j in range(h.cols):
-        column = h.col(j)
-        if vec_is_zero(column):
-            break
-        columns.append(column)
-        pivots.append(next(i for i, x in enumerate(column) if x))
-    return LatticeBasis(a.rows, len(columns), tuple(columns), tuple(pivots))
+    """Basis of the lattice generated by the columns of a: the nonzero
+    columns of its HNF, read off the HNF over the identity kept on a.
+
+    hermite_normal_form works row by row, and in each of the top d rows its
+    pivot choice and xgcd column operations depend only on that row, so on
+    [a; I] it makes the moves it makes on a.  The later pivot rows swap only
+    columns >= r = rank a and reduce earlier ones by multiples of kernel
+    columns, whose top d entries are 0.  So the top d rows of the first r
+    columns are exactly the nonzero columns of hermite_normal_form(a).
+    """
+    return a._lattice
 
 
 def integer_kernel(a: IntMatrix, f=None) -> tuple[tuple[IntVector, ...], IntVector | None]:
@@ -267,17 +273,14 @@ def integer_kernel(a: IntMatrix, f=None) -> tuple[tuple[IntVector, ...], IntVect
     basis of a, and the others are 0.  So a U y = 0 exactly when y_j = 0
     for j < r, and the last n - r columns of U are a basis of the integer
     kernel.  f = sum c_j h_j with integer c_j exactly when f lies in the
-    lattice of a, and then x = sum c_j U_j.  H is kept on a (IntMatrix).
+    lattice of a, and then x = sum c_j U_j.  H and that basis are kept on a.
     """
     d, n = a.rows, a.cols
-    columns = a._stacked_hnf.columns()
-    rank = sum(1 for column in columns if any(column[:d]))
-    kernel = tuple(column[d:] for column in columns[rank:])
+    columns = a._stacked_hnf._columns
+    kernel = tuple(column[d:] for column in columns[a._lattice.rank:])
     if f is None:
         return kernel, (0,) * n
-    images = tuple(column[:d] for column in columns[:rank])
-    pivots = tuple(next(i for i, x in enumerate(image) if x) for image in images)
-    coeffs = LatticeBasis(d, rank, images, pivots).contains(tuple(map(operator.index, f)))
+    coeffs = a._lattice.contains(tuple(map(operator.index, f)))
     if coeffs is None:
         return kernel, None
     x = [0] * n

@@ -279,18 +279,21 @@ class TestMember:
 
 
 class TestHermiteNormalForms:
-    @pytest.mark.parametrize("command", ["holes", "saturation", "bound"])
-    def test_two_per_matrix(self, capsys, monkeypatch, tmp_path, command):
-        # one for the lattice basis and one for the integer kernel, which
-        # the Graver basis and every hole fiber read from the matrix
+    @pytest.mark.parametrize("command, extra, code", [
+        ("fundamental", (), 10), ("holes", (), 10), ("saturation", (), 10),
+        ("bound", (), 10), ("member", ("23",), 0)],
+        ids=["fundamental", "holes", "saturation", "bound", "member"])
+    def test_one_per_matrix(self, capsys, monkeypatch, tmp_path, command, extra, code):
+        # the HNF of the matrix over the identity: the lattice basis, the
+        # integer kernel of the Graver basis and every hole fiber read it
         path = tmp_path / "n1112.txt"
         path.write_text("1 2\n11 12\n")
         calls = []
         inner = intlinalg.hermite_normal_form
         monkeypatch.setattr(intlinalg, "hermite_normal_form",
                             lambda m: calls.append(m.rows) or inner(m))
-        assert run(capsys, command, str(path))[0] == 10
-        assert calls == [1, 3]
+        assert run(capsys, command, str(path), *extra)[0] == code
+        assert calls == [3]
 
 
 class TestTransport:

@@ -331,6 +331,17 @@ class TestHolesRepresentation:
     @settings(max_examples=40, deadline=None)
     @given(pointed_two_row())
     def test_union_matches_box_oracle(self, rows):
+        self._check_union(rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([4, 5]).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 2), min_size=n, max_size=n),
+        *[st.lists(st.integers(-1, 2), min_size=n, max_size=n)] * 2)))
+    def test_three_rows_union_matches_box_oracle(self, rows):
+        self._check_union([list(row) for row in rows])
+
+    @staticmethod
+    def _check_union(rows):
         # every hole up to the grading of the sum of the distinct columns,
         # which covers the half-open zonotope and so every fundamental hole
         grading = brute_grading(rows)

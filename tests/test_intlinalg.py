@@ -1,6 +1,7 @@
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,13 @@ from monoid_holes import (
     solve_rational_affine,
 )
 from monoid_holes import intlinalg
-from monoid_holes.intlinalg import gauss_jordan, integer_determinant, integer_kernel
+from monoid_holes.intlinalg import (
+    LatticeBasis,
+    gauss_jordan,
+    integer_determinant,
+    integer_kernel,
+    vec_is_zero,
+)
 from monoid_holes.limits import Limits
 
 from conftest import (
@@ -59,6 +66,21 @@ def sparse_matrices(draw):
             for i, row in enumerate(rows)]
 
 
+def hnf_lattice_basis(a):
+    """The lattice basis read off hermite_normal_form(a) alone: its nonzero
+    columns, which come first, with the row of each one's first nonzero."""
+    h = hermite_normal_form(a)
+    columns = []
+    pivots = []
+    for j in range(h.cols):
+        column = h.col(j)
+        if vec_is_zero(column):
+            break
+        columns.append(column)
+        pivots.append(next(i for i, x in enumerate(column) if x))
+    return LatticeBasis(a.rows, len(columns), tuple(columns), tuple(pivots))
+
+
 def dense_columns(rows):
     return [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
 
@@ -100,12 +122,21 @@ class TestIntMatrix:
         assert copy.columns() == dense_columns(rows)
         assert copy.mul_vector([1] * copy.cols) == dense_product(rows, [1] * copy.cols)
 
-    @pytest.mark.parametrize("entry", [1.5, 2.0, "1", Fraction(2)],
-                             ids=["float", "integral-float", "str", "fraction"])
-    def test_from_rows_rejects_non_integers(self, entry):
-        # read losslessly: a float is rejected, not truncated
+    @pytest.mark.parametrize("build, entry", [
+        pytest.param(build, entry, id=prefix + name)
+        for prefix, build in [("", IntMatrix.from_rows),
+                              ("entries-", lambda rows: IntMatrix(tuple(map(tuple, rows))))]
+        for name, entry in [("float", 1.5), ("integral-float", 2.0), ("str", "1"),
+                            ("fraction", Fraction(2))]])
+    def test_from_rows_rejects_non_integers(self, build, entry):
+        # read losslessly by either constructor: a float is rejected, not truncated
         with pytest.raises(TypeError):
-            IntMatrix.from_rows([[1, 0], [entry, 1]])
+            build([[1, 0], [entry, 1]])
+
+    def test_entries_are_read_as_int(self):
+        m = IntMatrix(((True, 0), (False, np.int64(2))))
+        assert m == IntMatrix.from_rows([[1, 0], [0, 2]])
+        assert all(type(x) is int for row in m.entries for x in row)
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
@@ -139,8 +170,10 @@ class TestIntMatrix:
         monkeypatch.setattr(intlinalg, "hermite_normal_form",
                             lambda m: calls.append(m) or inner(m))
         a = IntMatrix.from_rows([[1, 1, 1, 1], [0, 2, 3, 4]])
+        basis = lattice_basis(a)
         for f in [(0, 0), (1, 1), (5, 3), None]:
             integer_kernel(a, f)
+        assert lattice_basis(a) == basis
         assert len(calls) == 1
         integer_kernel(pickle.loads(pickle.dumps(a)), (2, 2))
         assert len(calls) == 1
@@ -228,6 +261,14 @@ class TestLatticeBasis:
         coeffs = basis.contains(z)
         assert coeffs is not None
         assert basis.from_coordinates(coeffs) == z
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_matrices, tall_matrices, sparse_matrices(),
+                     sparse_matrices().map(lambda rows: [row + row[-1:] for row in rows])))
+    def test_matches_the_hnf_of_the_matrix_alone(self, rows):
+        # mixed signs, rank deficient, zero and repeated columns
+        m = IntMatrix.from_rows(rows)
+        assert lattice_basis(m) == hnf_lattice_basis(m)
 
 
 class TestIntegerKernel:
