@@ -6,7 +6,7 @@ and timing go to stderr.  Exit codes: 0 no holes / membership holds,
 10 holes exist / infeasible, 2 parse error, 3 non-pointed cone,
 4 resource limit hit (a configured ceiling, the interpreter's recursion
 limit, memory exhaustion) or interrupted by Ctrl-C, 1 any other
-computation error.
+computation error or a closed stdout.
 
 Every report is built from the same parts: `key: value` lines, sections
 written by `_section` (a `<name>-size: n` line, a `<name>:` line, one
@@ -18,6 +18,7 @@ indented line per item), and `limit-status: ok` as its last line, which
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -89,7 +90,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -348,7 +349,16 @@ def main(argv=None) -> int:
         print(f"error: {exc if message is None else message}", file=sys.stderr)
         return code
     lines.append("limit-status: ok")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot raise again (the recipe of Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"elapsed-ms: {elapsed:.1f}", file=sys.stderr)
     return code

@@ -34,7 +34,6 @@ every column off the ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, ge, index, le, mul
 from typing import TYPE_CHECKING
 
@@ -47,13 +46,13 @@ from .intlinalg import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .polyhedra import parallelepiped_points, placing_triangulation
+from .records import Record
 
 if TYPE_CHECKING:
     from .holes import SemigroupProblem
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(Record):
     """Minimal generating set of a monoid of solutions."""
 
     elements: tuple[IntVector, ...]
@@ -65,8 +64,7 @@ class HilbertBasis:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class MinimalSolutionSet:
+class MinimalSolutionSet(Record):
     """Componentwise-minimal (lam, mu) solving f + A lam = A mu."""
 
     solutions: tuple[tuple[IntVector, IntVector], ...]

@@ -11,7 +11,6 @@ the hole ideal of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import index
 
 from .dioph import (
@@ -33,10 +32,10 @@ from .intlinalg import (
 from .limits import DEFAULT_LIMITS, Limits
 from .monomials import MonomialIdeal, StandardPair, standard_pairs
 from .polyhedra import Cone, cone_facets, cone_generators, positive_functional
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SemigroupProblem:
+class SemigroupProblem(Record):
     """A matrix together with its lattice, its generators (the distinct
     nonzero columns) and its cone, each computed once.
 
@@ -50,7 +49,10 @@ class SemigroupProblem:
     lattice: LatticeBasis
     cone: Cone
     generators: tuple[IntVector, ...]  # the distinct nonzero columns
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict  # the stored stages, outside ==, hash and repr
+
+    def __post_init__(self):
+        object.__setattr__(self, "_derived", {})
 
     @classmethod
     def build(cls, a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> "SemigroupProblem":
@@ -73,8 +75,7 @@ class SemigroupProblem:
         return self._derived[key]
 
 
-@dataclass(frozen=True)
-class FundamentalHoleSet:
+class FundamentalHoleSet(Record):
     holes: tuple[IntVector, ...]
     hilbert_basis: HilbertBasis
     basis_holes: tuple[IntVector, ...]
@@ -86,8 +87,7 @@ class FundamentalHoleSet:
         return len(self.holes)
 
 
-@dataclass(frozen=True)
-class HoleCell:
+class HoleCell(Record):
     """shift + monoid(generators), a batch of holes with its provenance."""
 
     shift: IntVector
@@ -96,8 +96,7 @@ class HoleCell:
     pair: StandardPair
 
 
-@dataclass(frozen=True)
-class HoleRepresentation:
+class HoleRepresentation(Record):
     cells: tuple[HoleCell, ...]
     fundamental_set: FundamentalHoleSet
 

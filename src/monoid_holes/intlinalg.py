@@ -12,7 +12,6 @@ where an answer is read off.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, takewhile
@@ -20,6 +19,7 @@ from math import comb, gcd
 
 from .errors import RankDeficientError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
+from .records import Record
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -65,8 +65,7 @@ def primitive_vector(v) -> IntVector:
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense integer matrix, row-major, immutable and hashable.  Its columns,
     their nonzero (row, entry) pairs, its HNF over the identity and the
     lattice basis read off that HNF are kept once derived, apart from the
@@ -210,8 +209,7 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # lattices
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """Basis of the integer column span of a matrix, in column HNF."""
 
     ambient_dim: int

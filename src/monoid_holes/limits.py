@@ -8,14 +8,15 @@ call.
 
 from __future__ import annotations
 
+import operator
 import os
-from dataclasses import dataclass, replace
+
+from .records import Record
 
 ENV_VAR = "MONOID_HOLES_LIMITS"
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     max_basis: int = 10**6       # Graver working set, fiber solutions, saturation Hilbert basis
     max_nodes: int = 10**7       # search nodes, reduced sums + 1, simplices + parallelepiped points
     max_pairs: int = 10**5       # standard pairs emitted per ideal
@@ -23,13 +24,16 @@ class Limits:
     max_rays: int = 10**5        # intermediate rays in facet enumeration
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 1:
-                raise ValueError(f"limit {name} must be at least 1, got {getattr(self, name)}")
+        for name in self._fields:
+            # operator.index is lossless: floats and strs are rejected, not truncated
+            value = operator.index(getattr(self, name))
+            object.__setattr__(self, name, value)
+            if value < 1:
+                raise ValueError(f"limit {name} must be at least 1, got {value}")
 
     def override(self, **kwargs) -> "Limits":
         fields = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **fields) if fields else self
+        return self._replace(**fields) if fields else self
 
 
 def limits_from_env(base: Limits | None = None) -> Limits:
@@ -45,7 +49,7 @@ def limits_from_env(base: Limits | None = None) -> Limits:
             continue
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in Limits.__dataclass_fields__:
+        if key not in Limits._fields:
             raise ValueError(f"{ENV_VAR}: unknown limit {key!r}")
         try:
             parsed[key] = int(value.strip())

@@ -4,10 +4,9 @@ complement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
+from .records import Record
 
 Monomial = tuple[int, ...]
 
@@ -29,8 +28,7 @@ def _minimal_antichain(gens) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Monomial ideal given by its unique minimal generating antichain.
 
     No generators means the zero ideal; the single all-zero exponent
@@ -60,8 +58,7 @@ class MonomialIdeal:
         return any(all(e == 0 for e in g) for g in self.generators)
 
 
-@dataclass(frozen=True)
-class StandardPair:
+class StandardPair(Record):
     """Cell root + Z_+ moves on free_vars, describing standard monomials.
 
     Cells produced by standard_pairs are pairwise disjoint; to achieve

@@ -20,7 +20,6 @@ infeasibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
@@ -40,10 +39,10 @@ from .intlinalg import (
     vec_is_zero,
 )
 from .limits import DEFAULT_LIMITS, Limits
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """{z : e.z = 0 for every e in equations, w.z >= 0 for every w in
     facets}, each row a primitive integer vector."""
 
@@ -59,8 +58,7 @@ class Cone:
                 and all(vec_dot(w, z) >= 0 for w in self.facets))
 
 
-@dataclass(frozen=True)
-class FeasibilitySystem:
+class FeasibilitySystem(Record):
     """The equations matrix x = rhs over variables x >= 0, all data integer."""
 
     matrix: IntMatrix
@@ -103,8 +101,7 @@ class FeasibilitySystem:
                 and vec_dot(multipliers, self.rhs) > 0)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     status: str                 # "optimal" | "infeasible" | "unbounded"
     optimum: Fraction | None
     witness: RatVector | None
@@ -383,8 +380,9 @@ class Simplex(NamedTuple):
     whose matrix V holds them as columns.  normals[k] is row k of
     det * V^-1, where det = |det V|: it vanishes on every vertex but the
     k-th, where it is det, so it is the inward normal of the facet
-    opposite vertex k.  A named tuple, which a package import builds
-    faster than a dataclass."""
+    opposite vertex k.  A named tuple, not a Record: a triangulation
+    builds one per placing step, thousands on a transportation cone, and
+    a tuple is the cheapest immutable value to build."""
 
     vertices: tuple[int, ...]
     det: int

@@ -4,8 +4,6 @@ inside the semigroup)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dioph import semigroup_contains
 from .errors import InternalInconsistencyError
 from .holes import (
@@ -26,10 +24,10 @@ from .intlinalg import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .monomials import Monomial, MonomialIdeal, intersect
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Ingredients and value of the finite-case hole-entry bound."""
 
     d_plus_1: int
@@ -38,8 +36,7 @@ class BoundReport:
     bound: int
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(Record):
     ideal: MonomialIdeal
     points: tuple[IntVector, ...]
     generator_map: tuple[tuple[Monomial, IntVector], ...]

@@ -10,7 +10,6 @@ whose translates form an infinite hole family.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dioph import nonnegative_solution
@@ -24,15 +23,18 @@ from .intlinalg import (
     vec_add,
 )
 from .limits import DEFAULT_LIMITS, Limits
+from .records import Record
 
 
-@dataclass(frozen=True)
-class TransportDims:
+class TransportDims(Record):
     r: int
     s: int
     t: int
 
     def __post_init__(self):
+        # operator.index is lossless: floats are rejected, not truncated
+        for name in self._fields:
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if min(self.r, self.s, self.t) < 1:
             raise ValueError("table dimensions must be positive")
 
@@ -60,8 +62,7 @@ class TransportDims:
         return [(i, j, k) for i in range(self.r) for j in range(self.s) for k in range(self.t)]
 
 
-@dataclass(frozen=True)
-class MarginTriple:
+class MarginTriple(Record):
     """Two-dimensional margins: u over (j,k), v over (i,k), w over (i,j)."""
 
     u: tuple[tuple[int, ...], ...]
@@ -190,8 +191,7 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
 # ---------------------------------------------------------------------------
 # the verification pipeline for the 3 x 4 x 6 hole
 
-@dataclass(frozen=True)
-class VlachConclusions:
+class VlachConclusions(Record):
     f_is_hole: bool
     f_is_fundamental_checked: bool
     unique_real_solution: bool
@@ -202,8 +202,7 @@ class VlachConclusions:
                 and self.unique_real_solution and self.holes_are_f_plus_monoid_a_prime)
 
 
-@dataclass(frozen=True)
-class VlachReport:
+class VlachReport(Record):
     f: IntVector
     z_star: RatVector | None
     support: tuple[tuple[int, int, int], ...]

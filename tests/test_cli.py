@@ -531,6 +531,34 @@ class TestErrorPaths:
         assert main([a.format(**files) for a in argv]) == code
         assert capsys.readouterr() == ("", f"error: {message.format(**files)}\n")
 
+    @pytest.mark.parametrize("argv", [("holes",), ("transport", "--margins")])
+    def test_file_not_utf8_is_bad_input(self, capsys, tmp_path, argv):
+        # a UTF-16 byte-order mark is not UTF-8: one error line, not a traceback
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe2 4\n")
+        assert main([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_closed_stdout_exits_1_without_traceback(self, example_file):
+        # the read end of the pipe is closed before the command writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(monoid_holes.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "monoid_holes.cli", "holes", example_file],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+
 
 class TestLimitsConfiguration:
     def test_env_var_sets_ceilings(self, capsys, example_file, monkeypatch):
@@ -569,10 +597,18 @@ class TestLimitsConfiguration:
         assert "--jobs" not in build_parser().format_help()
 
     def test_limits_reject_nonpositive_ceilings(self):
-        for name in Limits.__dataclass_fields__:
+        for name in Limits._fields:
             with pytest.raises(ValueError, match=name):
                 Limits(**{name: 0})
         assert Limits(max_nodes=1).max_nodes == 1
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "5"])
+    def test_limits_reject_non_integers(self, value):
+        # a float or a str fails when the Limits is built, not in a comparison later
+        with pytest.raises(TypeError):
+            Limits(max_nodes=value)
+        with pytest.raises(TypeError):
+            Limits().override(max_pairs=value)
 
     def test_nonpositive_env_var_is_bad_input(self, capsys, example_file, monkeypatch):
         monkeypatch.setenv("MONOID_HOLES_LIMITS", "max_pairs=0")

@@ -80,6 +80,12 @@ class TestTransportationMatrix:
         a = transportation_matrix(TransportDims(2, 2, 2))
         assert (a.rows, a.cols) == (12, 8)
 
+    @pytest.mark.parametrize("dims", [(2.0, 2, 2), (2, 2, 2.5), (2, "2", 2)])
+    def test_dims_reject_non_integers(self, dims):
+        # rejected when built, not as a float column count or inside range
+        with pytest.raises(TypeError):
+            TransportDims(*dims)
+
     def test_margin_vector_roundtrip(self):
         dims = TransportDims(2, 3, 2)
         rng = random.Random(7)
