@@ -30,7 +30,7 @@ def main():
     problem = SemigroupProblem.build(a)
     fund = fundamental_holes(problem)
     print("\nHilbert basis of the saturation:")
-    for b in fund.hilbert_basis:
+    for b in fund.hilbert_basis.elements:
         print(" ", b)
 
     print("\nbasis holes:", list(fund.basis_holes))

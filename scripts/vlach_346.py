@@ -41,16 +41,15 @@ def main():
 
     print("\nsupport size:", len(report.support))
     print("integer witnesses for incremented margins:", len(report.non_hole_witnesses))
-    c = report.conclusions
-    print("unique real solution:", c.unique_real_solution)
-    print("margins are a hole:", c.f_is_hole)
-    print("margins are a fundamental hole:", c.f_is_fundamental_checked)
+    print("unique real solution:", report.unique_real_solution)
+    print("margins are a hole:", report.f_is_hole)
+    print("margins are a fundamental hole:", report.f_is_fundamental_checked)
     print("holes above margins = margins + monoid(support columns):",
-          c.holes_are_f_plus_monoid_a_prime)
+          report.holes_are_f_plus_monoid_a_prime)
     for diag in report.diagnostics:
         print("diagnostic:", diag)
     print(f"\nverified in {elapsed * 1000:.0f} ms")
-    return 0 if c.all_true() and not report.diagnostics else 1
+    return 0 if report.all_true() and not report.diagnostics else 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ holes first appeared.
 
 from .dioph import (
     HilbertBasis,
-    MinimalSolutionSet,
     hilbert_basis_cone_lattice,
     minimal_inhomogeneous_solutions,
     semigroup_contains,
@@ -72,7 +71,6 @@ from .saturation import (
 from .transport import (
     MarginTriple,
     TransportDims,
-    VlachConclusions,
     VlachReport,
     table_feasible,
     transportation_matrix,

@@ -166,7 +166,7 @@ def cmd_fundamental(args, limits: Limits) -> tuple[list[str], int]:
     problem = SemigroupProblem.build(a, limits)
     fund = fundamental_holes(problem, limits)
     lines.append(f"lattice-rank: {problem.lattice.rank}")
-    _section(lines, "hilbert-basis", fund.hilbert_basis)
+    _section(lines, "hilbert-basis", fund.hilbert_basis.elements)
     _section(lines, "basis-holes", fund.basis_holes)
     _section(lines, "fundamental-holes", fund.holes)
     lines.append(f"verdict: {'holes-exist' if fund.holes else 'normal'}")
@@ -243,16 +243,14 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
         lines.append(f"margin-vector: {_fmt_vec(report.f)}")
         _section(lines, "support", report.support)
         lines.append(f"witnesses-size: {len(report.non_hole_witnesses)}")
-        c = report.conclusions
-        lines.append(f"flag-unique-real-solution: {str(c.unique_real_solution).lower()}")
-        lines.append(f"flag-margin-is-hole: {str(c.f_is_hole).lower()}")
-        lines.append(f"flag-margin-is-fundamental: {str(c.f_is_fundamental_checked).lower()}")
+        lines.append(f"flag-unique-real-solution: {str(report.unique_real_solution).lower()}")
+        lines.append(f"flag-margin-is-hole: {str(report.f_is_hole).lower()}")
+        lines.append(f"flag-margin-is-fundamental: {str(report.f_is_fundamental_checked).lower()}")
         lines.append(
             "flag-holes-are-margin-plus-support-monoid: "
-            f"{str(c.holes_are_f_plus_monoid_a_prime).lower()}")
-        for diag in report.diagnostics:
-            lines.append(f"diagnostic: {diag}")
-        return lines, (EXIT_HOLES if c.all_true() else 1)
+            f"{str(report.holes_are_f_plus_monoid_a_prime).lower()}")
+        lines.extend(f"diagnostic: {diag}" for diag in report.diagnostics)
+        return lines, (EXIT_HOLES if report.all_true() else 1)
 
     margins = read_margins_file(args.margins) if args.margins else None
     if args.dims:
@@ -336,6 +334,23 @@ def _limits(args) -> Limits:
         raise MatrixParseError(str(exc)) from exc
 
 
+def _emit(stream, text: str) -> bool:
+    """Print text to stream; False when it cannot.  A stream closed at
+    startup is None (print would fall back to stdout); one that fails is
+    pointed at devnull, so that the flush at exit cannot raise again (the
+    recipe of Python's signal docs)."""
+    if stream is None:
+        return False
+    try:
+        print(text, file=stream, flush=True)
+    except OSError:  # a reader that went away, or a descriptor not open for writing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
@@ -346,21 +361,13 @@ def main(argv=None) -> int:
         lines, code = _COMMANDS[args.cmd](args, _limits(args))
     except tuple(_FAILURES) as exc:
         code, message = next(_FAILURES[kind] for kind in type(exc).__mro__ if kind in _FAILURES)
-        print(f"error: {exc if message is None else message}", file=sys.stderr)
+        _emit(sys.stderr, f"error: {exc if message is None else message}")
         return code
     lines.append("limit-status: ok")
-    try:
-        print("\n".join(lines))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull, so that the flush
-        # at exit cannot raise again (the recipe of Python's signal docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    if not _emit(sys.stdout, "\n".join(lines)):
         return 1
-    elapsed = (time.perf_counter() - started) * 1000.0
-    print(f"elapsed-ms: {elapsed:.1f}", file=sys.stderr)
+    # timing is a diagnostic: a stderr that cannot take it leaves the exit code alone
+    _emit(sys.stderr, f"elapsed-ms: {(time.perf_counter() - started) * 1000.0:.1f}")
     return code
 
 

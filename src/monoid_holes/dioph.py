@@ -57,27 +57,6 @@ class HilbertBasis(Record):
 
     elements: tuple[IntVector, ...]
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-class MinimalSolutionSet(Record):
-    """Componentwise-minimal (lam, mu) solving f + A lam = A mu."""
-
-    solutions: tuple[tuple[IntVector, IntVector], ...]
-
-    def __len__(self):
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def lam_parts(self) -> tuple[IntVector, ...]:
-        return tuple(lam for lam, _ in self.solutions)
-
 
 def _signs(x) -> tuple[int, int]:
     """Bit masks of the positive and of the negative coordinates of x."""
@@ -164,8 +143,8 @@ def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVect
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
-                                    graver=None) -> MinimalSolutionSet:
-    """All minimal (lam, mu) in Z^{2n}_+ with f + a@lam = a@mu: the
+                                    graver=None) -> tuple[tuple[IntVector, IntVector], ...]:
+    """All minimal (lam, mu) in Z^{2n}_+ with f + a@lam = a@mu, sorted: the
     (x^-, x^+) of the minimal x with a@x = f, by a walk over the fiber
     with graver = graver_basis(a), computed here when not given.
 
@@ -197,7 +176,7 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
         raise ValueError("inhomogeneous term has wrong dimension")
     _, x = integer_kernel(a, f)
     if x is None:
-        return MinimalSolutionSet(())
+        return ()
     if graver is None:
         graver = graver_basis(a, limits)
     basis = [(*_signs(g), g) for g in graver]
@@ -216,7 +195,7 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
                     if len(found) > limits.max_basis:
                         raise ResourceLimitError("minimal solution count", limits.max_basis)
     pairs = ((tuple(max(-v, 0) for v in s), tuple(max(v, 0) for v in s)) for s in found)
-    return MinimalSolutionSet(tuple(sorted(pairs)))
+    return tuple(sorted(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +325,11 @@ def nonnegative_solution(lines, budget, limits: Limits = DEFAULT_LIMITS) -> list
                 return value
             cap = min([left[ln] // w for ln, w in lines[col]])
             frames.append((state, col, iter(range(cap, -1, -1))))
-        # back up to the deepest frame with a value left to try
-        while frames and (val := next(frames[-1][2], None)) is None:
-            frames.pop()
+        # back up to the deepest frame: each has a value left, as its values
+        # run down to 0 (no budget is negative, so cap >= 0) and taking 0 pops it
         if not frames:
             return None
+        val = next(frames[-1][2])
         if val:
             (value, left, pending), col, _ = frames[-1]
             state = (value[:], left[:], pending[:])

@@ -15,7 +15,6 @@ from operator import index
 
 from .dioph import (
     HilbertBasis,
-    MinimalSolutionSet,
     graver_basis,
     hilbert_basis_cone_lattice,
     minimal_inhomogeneous_solutions,
@@ -80,12 +79,6 @@ class FundamentalHoleSet(Record):
     hilbert_basis: HilbertBasis
     basis_holes: tuple[IntVector, ...]
 
-    def __iter__(self):
-        return iter(self.holes)
-
-    def __len__(self):
-        return len(self.holes)
-
 
 class HoleCell(Record):
     """shift + monoid(generators), a batch of holes with its provenance."""
@@ -147,8 +140,8 @@ def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> Fundamenta
 
 
 def hole_solutions(problem: SemigroupProblem, f,
-                   limits: Limits = DEFAULT_LIMITS) -> MinimalSolutionSet:
-    """The minimal (lam, mu) with f + A lam = A mu, searched once per hole."""
+                   limits: Limits = DEFAULT_LIMITS) -> tuple[tuple[IntVector, IntVector], ...]:
+    """The sorted minimal (lam, mu) with f + A lam = A mu, searched once per hole."""
     f = tuple(map(index, f))
     return problem._derive(("solutions", f), lambda: minimal_inhomogeneous_solutions(
         problem.matrix, f, limits, _graver(problem, limits)))
@@ -160,7 +153,7 @@ def hole_ideal(problem: SemigroupProblem, f, limits: Limits = DEFAULT_LIMITS) ->
     monomials enumerate the holes above f."""
     f = tuple(map(index, f))
     return problem._derive(("ideal", f), lambda: MonomialIdeal.from_generators(
-        problem.matrix.cols, hole_solutions(problem, f, limits).lam_parts()))
+        problem.matrix.cols, [lam for lam, _ in hole_solutions(problem, f, limits)]))
 
 
 def _graver(problem: SemigroupProblem, limits: Limits) -> tuple[IntVector, ...]:

@@ -23,7 +23,7 @@ from .intlinalg import (
     vec_sub,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .monomials import Monomial, MonomialIdeal, intersect
+from .monomials import MonomialIdeal, intersect
 from .records import Record
 
 
@@ -38,8 +38,7 @@ class BoundReport(Record):
 
 class SaturationResult(Record):
     ideal: MonomialIdeal
-    points: tuple[IntVector, ...]
-    generator_map: tuple[tuple[Monomial, IntVector], ...]
+    points: tuple[IntVector, ...]  # the Q-minimal images A g of ideal.generators
     removed_by_filter: tuple[IntVector, ...]
 
 
@@ -97,8 +96,7 @@ def saturation_points(problem: SemigroupProblem,
     ideal = MonomialIdeal.unit(a.cols)
     for f in fund.holes:
         ideal = intersect(ideal, hole_ideal(problem, f, limits))
-    generator_map = tuple(sorted((g, a.mul_vector(g)) for g in ideal.generators))
-    points = sorted({point for _, point in generator_map})
+    points = sorted({a.mul_vector(g) for g in ideal.generators})
     removed = []
     kept = []
     for s in points:
@@ -110,5 +108,5 @@ def saturation_points(problem: SemigroupProblem,
             removed.append(s)
         else:
             kept.append(s)
-    return SaturationResult(ideal, tuple(kept), generator_map, tuple(removed))
+    return SaturationResult(ideal, tuple(kept), tuple(removed))
 

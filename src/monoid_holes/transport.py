@@ -191,30 +191,24 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
 # ---------------------------------------------------------------------------
 # the verification pipeline for the 3 x 4 x 6 hole
 
-class VlachConclusions(Record):
+class VlachReport(Record):
+    f: IntVector
+    z_star: RatVector | None
+    support: tuple[tuple[int, int, int], ...]
+    non_hole_witnesses: tuple[tuple[tuple[int, int, int], IntVector], ...]
     f_is_hole: bool
     f_is_fundamental_checked: bool
     unique_real_solution: bool
-    holes_are_f_plus_monoid_a_prime: bool
+    holes_are_f_plus_monoid_a_prime: bool  # A' is the support columns
+    diagnostics: tuple[str, ...]
 
     def all_true(self) -> bool:
         return (self.f_is_hole and self.f_is_fundamental_checked
                 and self.unique_real_solution and self.holes_are_f_plus_monoid_a_prime)
 
 
-class VlachReport(Record):
-    f: IntVector
-    z_star: RatVector | None
-    support: tuple[tuple[int, int, int], ...]
-    a_prime: IntMatrix | None
-    non_hole_witnesses: tuple[tuple[tuple[int, int, int], IntVector], ...]
-    conclusions: VlachConclusions
-    diagnostics: tuple[str, ...]
-
-
 def _refuted(f: IntVector, diagnostic: str) -> VlachReport:
-    return VlachReport(f, None, (), None, (), VlachConclusions(False, False, False, False),
-                       (diagnostic,))
+    return VlachReport(f, None, (), (), False, False, False, False, (diagnostic,))
 
 
 def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
@@ -242,10 +236,9 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
                          if not any(a.entries[i][c] for i in zero_rows))
     off_support = tuple(c for c in range(a.cols) if c not in support_cols)
     triples = dims.triples()
-    a_prime = IntMatrix.from_rows([[a.entries[i][c] for c in support_cols]
-                                   for i in range(a.rows)])
     solved = solve_rational_affine(
-        IntMatrix.from_rows([row for row, x in zip(a_prime.entries, f) if x]), [x for x in f if x])
+        IntMatrix.from_rows([[row[c] for c in support_cols] for row, x in zip(a.entries, f) if x]),
+        [x for x in f if x])
     if solved is not None and solved[1]:
         return _refuted(f, "support columns are rank deficient: "
                            "the real point is not proved unique")
@@ -296,11 +289,8 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
         diagnostics.append("fundamentality is not certified: the real point "
                            "has a coordinate of at least 1")
 
-    conclusions = VlachConclusions(
-        f_is_hole=f_is_hole,
-        f_is_fundamental_checked=f_is_hole and fundamental,
-        unique_real_solution=True,
-        holes_are_f_plus_monoid_a_prime=holes_flag and not failed,
-    )
-    return VlachReport(f, z_star, tuple(triples[c] for c in support_cols), a_prime,
-                       tuple(witnesses), conclusions, tuple(diagnostics + failed))
+    return VlachReport(f, z_star, tuple(triples[c] for c in support_cols), tuple(witnesses),
+                       f_is_hole=f_is_hole, f_is_fundamental_checked=f_is_hole and fundamental,
+                       unique_real_solution=True,
+                       holes_are_f_plus_monoid_a_prime=holes_flag and not failed,
+                       diagnostics=tuple(diagnostics + failed))

@@ -28,6 +28,7 @@ from monoid_holes import (
     standard_pairs,
     verify_vlach,
 )
+from monoid_holes.transport import VLACH_DIMS
 
 from conftest import numerical_gaps, numerical_member
 from test_transport import known_half_integral_point
@@ -76,7 +77,7 @@ def test_criterion_2_minimal_solutions():
             ((0, 0, 1, 0), (0, 2, 0, 0)),
             ((0, 0, 0, 1), (0, 1, 1, 0)),
         }
-        assert set(sols.solutions) == expected
+        assert set(sols) == expected
 
 
 def test_criterion_3_end_to_end():
@@ -134,15 +135,16 @@ def test_criterion_5_vlach_346():
         assert sum(1 for x in report.z_star if x == half) == 24
         assert sum(1 for x in report.z_star if x == 0) == 48
         assert len(report.support) == 24
-        assert report.a_prime is not None and report.a_prime.cols == 24
+        # the support columns, A', are the cells where z* is not 0
+        assert report.support == tuple(
+            cell for cell, x in zip(VLACH_DIMS.triples(), report.z_star) if x)
         assert len(report.non_hole_witnesses) == 48
         for triple, mu in report.non_hole_witnesses:
             assert all(x >= 0 for x in mu)
-        c = report.conclusions
-        assert c.unique_real_solution
-        assert c.f_is_hole
-        assert c.f_is_fundamental_checked
-        assert c.holes_are_f_plus_monoid_a_prime
+        assert report.unique_real_solution
+        assert report.f_is_hole
+        assert report.f_is_fundamental_checked
+        assert report.holes_are_f_plus_monoid_a_prime
         assert report.diagnostics == ()
 
 

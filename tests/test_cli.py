@@ -559,6 +559,31 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr
         assert "BrokenPipeError" not in proc.stderr
 
+    # 2>&- leaves the interpreter no stderr (sys.stderr is None); 2</dev/null
+    # leaves it one open for reading only, whose writes fail, as a wrapper
+    # script's descriptor that took over fd 2 does
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("argv, code, out", [
+        (("member", "{example}", "1 1"), 10,
+         "command: member\ninput-matrix: 2 4\n  1 1 1 1\n  0 2 3 4\nvector: 1 1\n"
+         "status: hole\nlimit-status: ok\n"),
+        (("holes", "{utf16}"), 2, ""),
+    ], ids=["member", "not-utf8"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, example_file,
+                                                   redirect, argv, code, out):
+        utf16 = tmp_path / "utf16.txt"
+        utf16.write_bytes(b"\xff\xfe2 4\n")
+        files = {"example": example_file, "utf16": str(utf16)}
+        src = str(Path(monoid_holes.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "monoid_holes.cli",
+             *(a.format(**files) for a in argv)],
+            stdout=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert "Traceback" not in proc.stdout
+
 
 class TestLimitsConfiguration:
     def test_env_var_sets_ceilings(self, capsys, example_file, monkeypatch):

@@ -231,17 +231,17 @@ class TestMinimalInhomogeneousSolutions:
             ((0, 0, 1, 0), (0, 2, 0, 0)),
             ((0, 0, 0, 1), (0, 1, 1, 0)),
         }
-        assert set(sols.solutions) == expected
+        assert set(sols) == expected
 
     def test_zero_rhs(self, example_matrix):
         sols = minimal_inhomogeneous_solutions(example_matrix, (0, 0))
-        assert sols.solutions == (((0, 0, 0, 0), (0, 0, 0, 0)),)
+        assert sols == (((0, 0, 0, 0), (0, 0, 0, 0)),)
 
     def test_two_three_rhs_one(self):
         a = IntMatrix.from_rows([[2, 3]])
         sols = minimal_inhomogeneous_solutions(a, (1,))
-        assert set(sols.solutions) == set(brute_minimal_inhomogeneous([[2, 3]], (1,), 4))
-        assert set(sols.solutions) == {((1, 0), (0, 1)), ((0, 1), (2, 0))}
+        assert set(sols) == set(brute_minimal_inhomogeneous([[2, 3]], (1,), 4))
+        assert set(sols) == {((1, 0), (0, 1)), ((0, 1), (2, 0))}
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=2, max_size=2),
@@ -251,10 +251,10 @@ class TestMinimalInhomogeneousSolutions:
         sols = minimal_inhomogeneous_solutions(IntMatrix.from_rows(rows), (f,))
         box = 6
         brute = set(brute_minimal_inhomogeneous(rows, (f,), box))
-        ours = {s for s in sols.solutions if max(max(s[0]), max(s[1]), 0) <= box}
+        ours = {s for s in sols if max(max(s[0]), max(s[1]), 0) <= box}
         assert ours == brute
         a = IntMatrix.from_rows(rows)
-        for lam, mu in sols.solutions:
+        for lam, mu in sols:
             lhs = tuple(x + y for x, y in zip((f,), a.mul_vector(lam)))
             assert lhs == a.mul_vector(mu)
 
@@ -266,13 +266,13 @@ class TestMinimalInhomogeneousSolutions:
         a = IntMatrix.from_rows(rows)
         sols = minimal_inhomogeneous_solutions(a, f)
         box = 4
-        ours = {s for s in sols.solutions if max(s[0] + s[1]) <= box}
+        ours = {s for s in sols if max(s[0] + s[1]) <= box}
         assert ours == set(brute_minimal_inhomogeneous(rows, f, box))
-        for lam, mu in sols.solutions:
+        for lam, mu in sols:
             lhs = tuple(x + y for x, y in zip(f, a.mul_vector(lam)))
             assert lhs == a.mul_vector(mu)
-        for s in sols.solutions:
-            for other in sols.solutions:
+        for s in sols:
+            for other in sols:
                 if other != s:
                     assert not all(x >= y for x, y in zip(s[0] + s[1], other[0] + other[1]))
 
@@ -283,7 +283,7 @@ class TestMinimalInhomogeneousSolutions:
         f = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
         sols = minimal_inhomogeneous_solutions(IntMatrix.from_rows(rows), f)
         box = 4
-        ours = {s for s in sols.solutions if max(s[0] + s[1]) <= box}
+        ours = {s for s in sols if max(s[0] + s[1]) <= box}
         assert ours == set(brute_minimal_inhomogeneous(rows, f, box))
 
     def test_off_lattice_needs_no_graver_basis(self, monkeypatch):
@@ -291,8 +291,8 @@ class TestMinimalInhomogeneousSolutions:
             raise AssertionError("Graver basis computed")
         monkeypatch.setattr(dioph, "graver_basis", no_graver)
         a = IntMatrix.from_rows([[2, 4], [0, 2]])
-        assert minimal_inhomogeneous_solutions(a, (1, 0), Limits(max_nodes=1)).solutions == ()
-        assert minimal_inhomogeneous_solutions(a, (2, 1), Limits(max_nodes=1)).solutions == ()
+        assert minimal_inhomogeneous_solutions(a, (1, 0), Limits(max_nodes=1)) == ()
+        assert minimal_inhomogeneous_solutions(a, (2, 1), Limits(max_nodes=1)) == ()
 
 
 class TestHomogenizationCrossCheck:
@@ -304,7 +304,7 @@ class TestHomogenizationCrossCheck:
         sols = minimal_inhomogeneous_solutions(a, f)
         kernel = kernel_basis([[1, 2, 3, -2, -3]])
         from_kernel = {(s[1:3], s[3:5]) for s in kernel if s[0] == 1}
-        assert set(sols.solutions) == from_kernel
+        assert set(sols) == from_kernel
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monoid_holes import (
     IntMatrix,
+    MonomialIdeal,
     NotPointedError,
     ResourceLimitError,
     SemigroupProblem,
@@ -254,6 +255,19 @@ class TestHoleIdeal:
     def test_example_matrix(self, example_problem):
         ideal = hole_ideal(example_problem, (1, 1))
         assert ideal.generators == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))
+
+    def test_example_solutions_are_a_sorted_tuple(self, example_problem):
+        # the sorted (lam, mu) pairs themselves, and the ideal of their lam parts
+        solutions = hole_solutions(example_problem, (1, 1))
+        assert solutions == (
+            ((0, 0, 0, 1), (0, 1, 1, 0)),
+            ((0, 0, 0, 2), (0, 0, 3, 0)),
+            ((0, 0, 1, 0), (0, 2, 0, 0)),
+            ((0, 0, 1, 0), (1, 0, 0, 1)),
+            ((0, 1, 0, 0), (1, 0, 1, 0)),
+        )
+        assert hole_ideal(example_problem, (1, 1)) == MonomialIdeal.from_generators(
+            4, [lam for lam, _ in solutions])
 
     def test_three_five_hole_two(self):
         ideal = hole_ideal(numerical_problem(3, 5), (2,))

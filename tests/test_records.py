@@ -1,5 +1,5 @@
 """The package's immutable records: construction, equality, hashing,
-printing, immutability and pickling, the same for each of the 20 classes."""
+printing, immutability and pickling, the same for each of the 18 classes."""
 
 import os
 import pickle
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import monoid_holes
-from monoid_holes.dioph import HilbertBasis, MinimalSolutionSet
+from monoid_holes.dioph import HilbertBasis
 from monoid_holes.holes import FundamentalHoleSet, HoleCell, HoleRepresentation, SemigroupProblem
 from monoid_holes.intlinalg import IntMatrix, LatticeBasis
 from monoid_holes.limits import Limits
@@ -19,7 +19,7 @@ from monoid_holes.monomials import MonomialIdeal, StandardPair
 from monoid_holes.polyhedra import Cone, FeasibilitySystem, LPResult
 from monoid_holes.records import Record
 from monoid_holes.saturation import BoundReport, SaturationResult
-from monoid_holes.transport import MarginTriple, TransportDims, VlachConclusions, VlachReport
+from monoid_holes.transport import MarginTriple, TransportDims, VlachReport
 
 M = IntMatrix(((1, 2),))
 LATTICE = LatticeBasis(1, 1, ((1,),), (0,))
@@ -28,13 +28,10 @@ BASIS = HilbertBasis(((1,), (2,)))
 PAIR = StandardPair((0, 1), (0,))
 CELL = HoleCell((3,), ((2,),), (3,), PAIR)
 FUNDAMENTAL = FundamentalHoleSet((), BASIS, ())
-CONCLUSIONS = VlachConclusions(True, True, False, True)
 
 # each class with positional arguments and its repr, as dataclasses printed it
 CASES = [
     (HilbertBasis, (((1,), (2,)),), "HilbertBasis(elements=((1,), (2,)))"),
-    (MinimalSolutionSet, ((((1, 0), (0, 2)),),),
-     "MinimalSolutionSet(solutions=(((1, 0), (0, 2)),))"),
     (SemigroupProblem, (M, LATTICE, CONE, ((1,), (2,))),
      "SemigroupProblem(matrix=IntMatrix(entries=((1, 2),)), lattice=LatticeBasis(ambient_dim=1, "
      "rank=1, columns=((1,),), pivot_rows=(0,)), cone=Cone(equations=(), facets=((1,),)), "
@@ -62,19 +59,15 @@ CASES = [
      "LPResult(status='optimal', optimum=Fraction(1, 2), witness=(Fraction(1, 2), "
      "Fraction(0, 1)), farkas=None)"),
     (BoundReport, (2, 2, 2, 16), "BoundReport(d_plus_1=2, m_f=2, d_a=2, bound=16)"),
-    (SaturationResult, (MonomialIdeal(2, ((1, 0),)), ((1,),), (((1, 0), (1,)),), ()),
+    (SaturationResult, (MonomialIdeal(2, ((1, 0),)), ((1,),), ()),
      "SaturationResult(ideal=MonomialIdeal(num_vars=2, generators=((1, 0),)), points=((1,),), "
-     "generator_map=(((1, 0), (1,)),), removed_by_filter=())"),
+     "removed_by_filter=())"),
     (TransportDims, (1, 2, 3), "TransportDims(r=1, s=2, t=3)"),
     (MarginTriple, (((1,),), ((1,),), ((1,),)), "MarginTriple(u=((1,),), v=((1,),), w=((1,),))"),
-    (VlachConclusions, (True, True, False, True),
-     "VlachConclusions(f_is_hole=True, f_is_fundamental_checked=True, "
-     "unique_real_solution=False, holes_are_f_plus_monoid_a_prime=True)"),
-    (VlachReport, ((1, 2), None, ((0, 0, 0),), None, (), CONCLUSIONS, ("note",)),
-     "VlachReport(f=(1, 2), z_star=None, support=((0, 0, 0),), a_prime=None, "
-     "non_hole_witnesses=(), conclusions=VlachConclusions(f_is_hole=True, "
-     "f_is_fundamental_checked=True, unique_real_solution=False, "
-     "holes_are_f_plus_monoid_a_prime=True), diagnostics=('note',))"),
+    (VlachReport, ((1, 2), None, ((0, 0, 0),), (), True, True, False, True, ("note",)),
+     "VlachReport(f=(1, 2), z_star=None, support=((0, 0, 0),), non_hole_witnesses=(), "
+     "f_is_hole=True, f_is_fundamental_checked=True, unique_real_solution=False, "
+     "holes_are_f_plus_monoid_a_prime=True, diagnostics=('note',))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
@@ -82,7 +75,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 def test_every_record_is_covered():
     declared = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("monoid_holes.")}
     assert declared == {cls for cls, _, _ in CASES}
-    assert len(declared) == 20
+    assert len(declared) == 18
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=IDS)

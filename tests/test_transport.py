@@ -11,7 +11,6 @@ from monoid_holes import (
     ResourceLimitError,
     SemigroupProblem,
     TransportDims,
-    VlachConclusions,
     VlachReport,
     fundamental_holes,
     table_feasible,
@@ -310,19 +309,25 @@ class TestTableFeasible:
         assert table_margins(dims, found) == margins
 
 
+def flags(report):
+    """The four claims of a VlachReport, in field order."""
+    return (report.f_is_hole, report.f_is_fundamental_checked,
+            report.unique_real_solution, report.holes_are_f_plus_monoid_a_prime)
+
+
 class TestVerifyVlach:
     def test_runs_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
             raise AssertionError("the exact LP ran")
 
         monkeypatch.setattr(polyhedra, "_run_simplex", no_lp)
-        assert verify_vlach().conclusions.all_true()
+        assert verify_vlach().all_true()
 
     def test_node_ceiling(self):
         # the costliest of the 48 witness searches takes 4 nodes
         with pytest.raises(ResourceLimitError):
             verify_vlach(Limits(max_nodes=3))
-        assert verify_vlach(Limits(max_nodes=4)).conclusions.all_true()
+        assert verify_vlach(Limits(max_nodes=4)).all_true()
 
     def test_witnesses_put_the_margins_in_the_lattice(self, monkeypatch):
         # a checked witness mu at c gives f = A (mu - e_c), so the Hermite
@@ -332,7 +337,7 @@ class TestVerifyVlach:
 
         monkeypatch.setattr(transport, "lattice_basis", no_hnf)
         report = verify_vlach()
-        assert report.conclusions.all_true()
+        assert report.all_true()
         assert report.diagnostics == ()
 
     @pytest.mark.parametrize("scale", [1, 2], ids=["f", "2f"])
@@ -355,11 +360,11 @@ class TestVerifyVlach:
                         if x == 0)
         assert len(missing) == 48
         if scale == 1:
-            assert report.conclusions == VlachConclusions(True, True, True, False)
+            assert flags(report) == (True, True, True, False)
             assert report.diagnostics == missing
         else:
             # 2f is in Q, and its own diagnostics come first
-            assert report.conclusions == VlachConclusions(False, False, True, False)
+            assert flags(report) == (False, False, True, False)
             assert report.diagnostics == (
                 "real witness is not the expected half-integral point",
                 "fundamentality is not certified: the real point has a coordinate of at least 1",
@@ -383,7 +388,7 @@ class TestVerifyVlach:
         monkeypatch.setattr(transport, "vlach_instance", lambda: (a, doubled))
         report = verify_vlach()
         assert report.z_star == tuple(2 * x for x in known_half_integral_point())
-        assert report.conclusions == VlachConclusions(False, False, True, False)
+        assert flags(report) == (False, False, True, False)
         assert report.diagnostics == (
             "real witness is not the expected half-integral point",
             "fundamentality is not certified: the real point has a coordinate of at least 1")
@@ -397,7 +402,7 @@ class TestVerifyVlach:
         incremented = vec_add(f, a.col(c))
         monkeypatch.setattr(transport, "vlach_instance", lambda: (a, incremented))
         assert verify_vlach() == VlachReport(
-            incremented, None, (), None, (), VlachConclusions(False, False, False, False),
+            incremented, None, (), (), False, False, False, False,
             ("support columns are rank deficient: the real point is not proved unique",))
 
     def test_a_wrong_witness_is_a_mismatch(self, monkeypatch):
@@ -417,7 +422,7 @@ class TestVerifyVlach:
         report = verify_vlach()
         assert len(report.non_hole_witnesses) == 47
         assert cell not in dict(report.non_hole_witnesses)
-        assert report.conclusions == VlachConclusions(True, True, True, False)
+        assert flags(report) == (True, True, True, False)
         assert report.diagnostics == (f"witness margins mismatch at {cell}",)
 
     def test_margins_with_no_real_point(self, monkeypatch):
@@ -428,5 +433,5 @@ class TestVerifyVlach:
         shifted = vec_sub(f, a.col(c))
         monkeypatch.setattr(transport, "vlach_instance", lambda: (a, shifted))
         assert verify_vlach() == VlachReport(
-            shifted, None, (), None, (), VlachConclusions(False, False, False, False),
+            shifted, None, (), (), False, False, False, False,
             ("margin system is not real feasible",))
