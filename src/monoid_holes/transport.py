@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import permutations, product
 
 from .dioph import nonnegative_solution
 from .errors import InternalInconsistencyError
@@ -189,6 +190,63 @@ def table_feasible(dims: TransportDims, margins: MarginTriple,
 
 
 # ---------------------------------------------------------------------------
+# cell permutations that fix a margin vector
+
+def _margin_symmetries(dims: TransportDims, f: IntVector) -> list[tuple[int, ...]]:
+    """The cell permutations g: (i, j, k) -> (pi i, sigma j, tau k) that fix
+    the margin vector f, each as the tuple of g(c) over the columns c, the
+    identity first.
+
+    g permutes the margin rows as well, u(j, k) to u(sigma j, tau k), v(i, k)
+    to v(pi i, tau k) and w(i, j) to w(pi i, sigma j), and it fixes f when
+    u[sigma j][tau k] = u[j][k], v[pi i][tau k] = v[i][k] and
+    w[pi i][sigma j] = w[i][j].  So pi moves the k-columns of v, each read
+    over i, onto the same multiset, and sigma those of u; only such pi and
+    sigma are kept, and each pair is checked on w.  tau then sends each k to
+    a k' whose v- and u-columns are those of k moved by pi and sigma: it maps
+    each class of k with equal column pairs onto one class of the same size,
+    in any order, so the taus are read off the classes and S_t is never
+    enumerated.
+    """
+    r, s, t = dims.r, dims.s, dims.t
+    v_cols = [tuple(f[dims.v_row(i, k)] for i in range(r)) for k in range(t)]
+    u_cols = [tuple(f[dims.u_row(j, k)] for j in range(s)) for k in range(t)]
+    w = [[f[dims.w_row(i, j)] for j in range(s)] for i in range(r)]
+
+    def keeping(cols, n):
+        # (perm, the columns moved by it) for each perm of the n rows that
+        # keeps the multiset of columns; entry x of a column moves to perm[x]
+        kept, want = [], sorted(cols)
+        for perm in permutations(range(n)):
+            inverse = sorted(range(n), key=perm.__getitem__)
+            moved = [tuple(map(col.__getitem__, inverse)) for col in cols]
+            if sorted(moved) == want:
+                kept.append((perm, moved))
+        return kept
+
+    classes: dict[tuple, list[int]] = {}
+    for k, pair in enumerate(zip(v_cols, u_cols)):
+        classes.setdefault(pair, []).append(k)
+    sigmas = keeping(u_cols, s)
+    group = []
+    for pi, v_moved in keeping(v_cols, r):
+        for sigma, u_moved in sigmas:
+            targets = [classes.get((v_moved[ks[0]], u_moved[ks[0]]), ())
+                       for ks in classes.values()]
+            if (any(map(operator.ne, map(len, targets), map(len, classes.values())))
+                    or [[w[p][q] for q in sigma] for p in pi] != w):
+                continue
+            for images in product(*map(permutations, targets)):
+                tau = [0] * t
+                for ks, to in zip(classes.values(), images):
+                    for k, image in zip(ks, to):
+                        tau[k] = image
+                # dims.col(pi i, sigma j, tau k) over the cells in order
+                group.append(tuple((p * s + q) * t + x for p in pi for q in sigma for x in tau))
+    return group
+
+
+# ---------------------------------------------------------------------------
 # the verification pipeline for the 3 x 4 x 6 hole
 
 class VlachReport(Record):
@@ -211,6 +269,14 @@ def _refuted(f: IntVector, diagnostic: str) -> VlachReport:
     return VlachReport(f, None, (), (), False, False, False, False, (diagnostic,))
 
 
+def _moved(mu, g: tuple[int, ...]) -> IntVector:
+    # the table P_g mu, which holds mu[x] at cell g(x)
+    moved = [0] * len(mu)
+    for x, value in zip(g, mu):
+        moved[x] = value
+    return tuple(moved)
+
+
 def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     """Re-derive every claim about the 3 x 4 x 6 hole mechanically, with no LP.
 
@@ -220,6 +286,20 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
     the margin vector in the lattice; conclude it is a hole; derive
     fundamentality from the unique real point; and confirm the remaining
     holes are exactly the support-column translates.
+
+    The witnesses come from one table search per orbit of the cell
+    permutations that fix f (_margin_symmetries): on the paper's f, 24
+    permutations split the 48 off-support cells into orbits of 24, 12 and
+    12, so 3 cells are searched, the first of each orbit in cell order.  A
+    cell permutation g, with P_g e_x = e_g(x), moves the margin rows by a
+    permutation P'_g and maps each column of A to another: A P_g = P'_g A.
+    When P'_g f = f and A mu = f + a_c, the moved table P_g mu, which holds
+    mu[x] at g(x), has A (P_g mu) = P'_g (f + a_c) = f + a_g(c), and it is
+    nonnegative and integral with mu.  Every table, searched or moved, is
+    still checked by A mu = f + a_c, and a failure names its own cell; when
+    a search finds no table, none of its orbit has one, as g is a bijection
+    between the tables of f + a_c and those of f + a_g(c).  The group and
+    the tables are derived in each call.
     """
     dims = VLACH_DIMS
     a, f = vlach_instance()
@@ -252,19 +332,29 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
 
     # explicit witnesses: every off-support increment is integer feasible.
     # f + a_c is nonnegative and lies in the span, as f and a_c do, so the
-    # search needs none of table_feasible's checks
+    # search needs none of table_feasible's checks.  Only the first cell of
+    # each orbit of f's symmetry group is searched, and its table is moved to
+    # the rest of the orbit; every table is checked on the matrix
     witnesses = []
     failed: list[str] = []  # diagnostics, reported after the others
     lines = _margin_lines(dims)
+    group = _margin_symmetries(dims, f)
+    tables: dict[int, IntVector | None] = {}
     for c in off_support:
         incremented = vec_add(f, a.col(c))
-        mu = nonnegative_solution(lines, incremented, limits)
+        if c not in tables:
+            # the identity comes first, so c keeps the table found for it
+            found = nonnegative_solution(lines, incremented, limits)
+            for g in group:
+                if g[c] not in tables:
+                    tables[g[c]] = None if found is None else _moved(found, g)
+        mu = tables[c]
         if mu is None:
             failed.append(f"no integer witness for incremented margins at {triples[c]}")
         elif a.mul_vector(mu) != incremented:
             failed.append(f"witness margins mismatch at {triples[c]}")
         else:
-            witnesses.append((triples[c], tuple(mu)))
+            witnesses.append((triples[c], mu))
 
     # a checked witness mu at c gives f = A (mu - e_c), an integer preimage
     # of f; only without one does the Hermite normal form decide

@@ -2,7 +2,7 @@
 and verify_saturation, a desk-scale check built on its membership search."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -207,6 +207,56 @@ def move_one_unit(solution):
     moved[p] -= 1
     moved[(p + 1) % len(moved)] += 1
     return tuple(moved)
+
+
+def cell_permutation(dims, pi, sigma, tau):
+    """(cell images, row images) of the cell permutation (i, j, k) ->
+    (pi i, sigma j, tau k): the column that each cell moves to, and the
+    margin row that each u, v and w line moves to."""
+    cells = tuple(dims.col(pi[i], sigma[j], tau[k]) for i, j, k in dims.triples())
+    rows = [0] * dims.num_rows
+    for i, j, k in dims.triples():
+        rows[dims.u_row(j, k)] = dims.u_row(sigma[j], tau[k])
+        rows[dims.v_row(i, k)] = dims.v_row(pi[i], tau[k])
+        rows[dims.w_row(i, j)] = dims.w_row(pi[i], sigma[j])
+    return cells, tuple(rows)
+
+
+def permuted(vector, images):
+    """The vector that holds vector[x] at images[x]."""
+    out = [None] * len(vector)
+    for image, x in zip(images, vector):
+        out[image] = x
+    return tuple(out)
+
+
+def brute_margin_stabilizer(dims, f):
+    """The cell images of every (pi, sigma, tau) in S_r x S_s x S_t whose
+    move of the margin rows fixes f: u[sigma j][tau k] = u[j][k],
+    v[pi i][tau k] = v[i][k] and w[pi i][sigma j] = w[i][j], tried one by
+    one over every cell."""
+    found = set()
+    for pi, sigma, tau in product(permutations(range(dims.r)), permutations(range(dims.s)),
+                                  permutations(range(dims.t))):
+        if all(f[dims.u_row(sigma[j], tau[k])] == f[dims.u_row(j, k)]
+               and f[dims.v_row(pi[i], tau[k])] == f[dims.v_row(i, k)]
+               and f[dims.w_row(pi[i], sigma[j])] == f[dims.w_row(i, j)]
+               for i, j, k in dims.triples()):
+            found.add(cell_permutation(dims, pi, sigma, tau)[0])
+    return found
+
+
+def adjacent_transpositions(dims):
+    """(pi, sigma, tau) for each swap of two adjacent indices on one axis,
+    with the other two axes fixed; together they generate
+    S_r x S_s x S_t."""
+    def swaps(n):
+        return [tuple(range(a)) + (a + 1, a) + tuple(range(a + 2, n)) for a in range(n - 1)]
+
+    ids = tuple(range(dims.r)), tuple(range(dims.s)), tuple(range(dims.t))
+    return ([(p, ids[1], ids[2]) for p in swaps(dims.r)]
+            + [(ids[0], q, ids[2]) for q in swaps(dims.s)]
+            + [(ids[0], ids[1], x) for x in swaps(dims.t)])
 
 
 def brute_minimal_inhomogeneous(rows, f, box):

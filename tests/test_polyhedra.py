@@ -29,11 +29,14 @@ from monoid_holes.transport import TransportDims, transportation_matrix, vlach_i
 from conftest import (
     _int_determinant,
     _solve_square,
+    adjacent_transpositions,
     brute_lp,
     brute_satisfies,
+    cell_permutation,
     gauss_determinant,
     gauss_rank,
     in_half_open_zonotope,
+    permuted,
     standard_form_rows,
 )
 
@@ -141,6 +144,23 @@ class TestTransportationCones:
             values = [vec_dot(w, c) for c in columns]
             assert min(values) == 0
             assert gauss_rank([c for c, v in zip(columns, values) if v == 0]) == rank - 1
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4),
+                                      (3, 3, 3), (3, 3, 4)],
+                             ids=["2x2x2", "2x2x3", "2x2x4", "2x3x3", "2x3x4", "3x3x3", "3x3x4"])
+    def test_facets_are_closed_under_the_cell_permutations(self, dims):
+        # a cell permutation (i, j, k) -> (pi i, sigma j, tau k) moves the
+        # margin rows and maps A to itself, so it maps facets to facets, and
+        # a facet's values on the columns move with the cells; the adjacent
+        # transpositions of the three axes generate every such permutation.
+        # Values on the columns do not depend on the equations a facet row
+        # may carry
+        dims = TransportDims(*dims)
+        a = transportation_matrix(dims)
+        values = {tuple(vec_dot(w, c) for c in a.columns()) for w in cone_of(a).facets}
+        for move in adjacent_transpositions(dims):
+            cells = cell_permutation(dims, *move)[0]
+            assert {permuted(v, cells) for v in values} == values
 
     def test_ray_ceiling_is_exact(self):
         # 207 facets, and no step of the 3x3x3 double description holds more

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,15 @@ from monoid_holes.limits import Limits
 from monoid_holes.transport import VLACH_DIMS, margins_to_vector
 from monoid_holes.polyhedra import FeasibilitySystem, lp_exact
 
-from conftest import margin_lists, move_one_unit, vector_to_margins
+from conftest import (
+    adjacent_transpositions,
+    brute_margin_stabilizer,
+    cell_permutation,
+    margin_lists,
+    move_one_unit,
+    permuted,
+    vector_to_margins,
+)
 
 
 def table_margins(dims, table):
@@ -42,6 +52,22 @@ _DOUBLED_POINT_BLOCKS = [
     [[0, 1, 1], [0, 0, 0], [0, 1, 1], [0, 0, 0]],
     [[0, 0, 0], [0, 1, 1], [0, 0, 0], [0, 1, 1]],
 ]
+
+
+# the first cell of each orbit of the paper's f's symmetry group on the
+# cells off the support, in cell order: the cells verify_vlach searches
+_ORBIT_FIRSTS = ((0, 0, 1), (0, 0, 4), (0, 0, 5))
+
+
+@pytest.fixture(scope="module")
+def vlach_stabilizer():
+    """The cell permutations that fix the paper's f, by trying all of
+    S_3 x S_4 x S_6 (about 1 s)."""
+    return brute_margin_stabilizer(VLACH_DIMS, vlach_instance()[1])
+
+
+def off_support_cells():
+    return [c for c, x in enumerate(known_half_integral_point()) if x == 0]
 
 
 def known_half_integral_point():
@@ -109,6 +135,19 @@ class TestTransportationSemigroups:
         found = fundamental_holes(SemigroupProblem.build(a))
         assert found.hilbert_basis.elements == tuple(sorted(a.columns()))
         assert found.holes == found.basis_holes == ()
+
+    def test_333_answers_are_closed_under_the_cell_permutations(self):
+        # a cell permutation moves the margin rows and maps A to itself, so
+        # it maps the semigroup, its saturation and its holes onto
+        # themselves; the adjacent transpositions of the three axes
+        # generate every such permutation
+        dims = TransportDims(3, 3, 3)
+        found = fundamental_holes(SemigroupProblem.build(transportation_matrix(dims)))
+        assert len(found.hilbert_basis.elements) == 27
+        for move in adjacent_transpositions(dims):
+            rows = cell_permutation(dims, *move)[1]
+            for answer in (found.hilbert_basis.elements, found.holes, found.basis_holes):
+                assert {permuted(x, rows) for x in answer} == set(answer)
 
 
 class TestVlachInstance:
@@ -309,6 +348,52 @@ class TestTableFeasible:
         assert table_margins(dims, found) == margins
 
 
+class TestMarginSymmetries:
+    """transport._margin_symmetries, against the brute-force stabilizer over
+    all of S_r x S_s x S_t."""
+
+    SHAPES = list(product(range(1, 4), repeat=3))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["x".join(map(str, x)) for x in SHAPES])
+    def test_equal_margins_are_fixed_by_the_whole_group(self, shape):
+        dims = TransportDims(*shape)
+        f = margins_to_vector(dims, table_margins(dims, [[[2] * dims.t] * dims.s] * dims.r))
+        group = transport._margin_symmetries(dims, f)
+        assert len(group) == len(set(group)) == factorial(dims.r) * factorial(dims.s) * factorial(dims.t)
+        assert set(group) == brute_margin_stabilizer(dims, f)
+
+    def test_margins_of_random_tables(self):
+        rng = random.Random(36)
+        orders = []
+        for shape in self.SHAPES:
+            dims = TransportDims(*shape)
+            for _ in range(4):
+                table = [[[rng.randrange(3) for _ in range(dims.t)]
+                          for _ in range(dims.s)] for _ in range(dims.r)]
+                f = margins_to_vector(dims, table_margins(dims, table))
+                group = transport._margin_symmetries(dims, f)
+                assert group[0] == tuple(range(dims.num_cols))
+                assert len(group) == len(set(group))
+                assert set(group) == brute_margin_stabilizer(dims, f)
+                orders.append(len(group))
+        # 78 of the 108 margin vectors are fixed by the identity alone, and
+        # the rest by groups of 2 to 12
+        assert orders.count(1) == 78 and max(orders) == 12
+
+    def test_the_papers_margins(self, vlach_stabilizer):
+        # 24 permutations fix f, and they split the 48 cells off the support
+        # into orbits of 24, 12 and 12
+        group = transport._margin_symmetries(VLACH_DIMS, vlach_instance()[1])
+        assert len(group) == 24
+        assert set(group) == vlach_stabilizer
+        orbits = {}
+        for c in off_support_cells():
+            orbits.setdefault(min(g[c] for g in group), set()).add(c)
+        triples = VLACH_DIMS.triples()
+        assert [(triples[first], len(orbit)) for first, orbit in sorted(orbits.items())] == [
+            (_ORBIT_FIRSTS[0], 24), (_ORBIT_FIRSTS[1], 12), (_ORBIT_FIRSTS[2], 12)]
+
+
 def flags(report):
     """The four claims of a VlachReport, in field order."""
     return (report.f_is_hole, report.f_is_fundamental_checked,
@@ -324,7 +409,7 @@ class TestVerifyVlach:
         assert verify_vlach().all_true()
 
     def test_node_ceiling(self):
-        # the costliest of the 48 witness searches takes 4 nodes
+        # the costliest of the 3 witness searches takes 4 nodes
         with pytest.raises(ResourceLimitError):
             verify_vlach(Limits(max_nodes=3))
         assert verify_vlach(Limits(max_nodes=4)).all_true()
@@ -370,15 +455,37 @@ class TestVerifyVlach:
                 "fundamentality is not certified: the real point has a coordinate of at least 1",
             ) + missing
 
-    def test_witnesses_are_the_tables_of_table_feasible(self):
+    def test_one_search_per_orbit(self, monkeypatch):
+        # the first cell of each orbit is searched, in cell order
+        a, f = vlach_instance()
+        search = transport.nonnegative_solution
+        searched = []
+        monkeypatch.setattr(transport, "nonnegative_solution",
+                            lambda lines, b, limits: searched.append(b) or search(lines, b, limits))
+        assert verify_vlach().all_true()
+        assert searched == [vec_add(f, a.col(VLACH_DIMS.col(*cell))) for cell in _ORBIT_FIRSTS]
+
+    def test_witnesses_are_the_tables_of_table_feasible(self, vlach_stabilizer):
+        # the searched tables are those of table_feasible; every other table
+        # is the table of its orbit's first cell, moved by a cell
+        # permutation that fixes f
         a, f = vlach_instance()
         dims = VLACH_DIMS
         report = verify_vlach()
-        assert len(report.non_hole_witnesses) == 48
-        for cell, mu in report.non_hole_witnesses:
-            incremented = vec_add(f, a.col(dims.col(*cell)))
-            table = table_feasible(dims, vector_to_margins(dims, incremented))
-            assert mu == tuple(table[i][j][k] for (i, j, k) in dims.triples())
+        triples = dims.triples()
+        assert [cell for cell, _ in report.non_hole_witnesses] == [
+            triples[c] for c in off_support_cells()]
+        tables = {dims.col(*cell): mu for cell, mu in report.non_hole_witnesses}
+        firsts = [dims.col(*cell) for cell in _ORBIT_FIRSTS]
+        for c, mu in tables.items():
+            incremented = vec_add(f, a.col(c))
+            assert a.mul_vector(mu) == incremented
+            if c in firsts:
+                table = table_feasible(dims, vector_to_margins(dims, incremented))
+                assert mu == tuple(table[i][j][k] for (i, j, k) in triples)
+            else:
+                assert any(g[first] == c and permuted(tables[first], g) == mu
+                           for first in firsts for g in vlach_stabilizer)
 
     def test_an_integral_real_point_is_not_a_hole(self, monkeypatch):
         # 2f = A (2 z*) is in Q: the support and its solve are those of f,
@@ -405,12 +512,16 @@ class TestVerifyVlach:
             incremented, None, (), (), False, False, False, False,
             ("support columns are rank deficient: the real point is not proved unique",))
 
-    def test_a_wrong_witness_is_a_mismatch(self, monkeypatch):
+    def test_a_wrong_witness_is_a_mismatch(self, monkeypatch, vlach_stabilizer):
         # the witness check reads the matrix, not the search's margin system,
-        # so one search that returns a wrong table costs its witness
+        # so a search that returns a wrong table costs the witnesses of its
+        # whole orbit: the table moved to each cell of the orbit is wrong
+        # there too.  The first cell off the support, (0, 0, 1), heads the
+        # orbit of 24
         a, f = vlach_instance()
-        c = next(c for c, x in enumerate(known_half_integral_point()) if x == 0)
-        cell = VLACH_DIMS.triples()[c]
+        c = off_support_cells()[0]
+        orbit = {g[c] for g in vlach_stabilizer}
+        triples = VLACH_DIMS.triples()
         wrong_margins = vec_add(f, a.col(c))
         search = transport.nonnegative_solution
 
@@ -420,10 +531,12 @@ class TestVerifyVlach:
 
         monkeypatch.setattr(transport, "nonnegative_solution", one_wrong_table)
         report = verify_vlach()
-        assert len(report.non_hole_witnesses) == 47
-        assert cell not in dict(report.non_hole_witnesses)
+        assert len(orbit) == 24 and triples[c] == _ORBIT_FIRSTS[0]
+        assert [cell for cell, _ in report.non_hole_witnesses] == [
+            triples[x] for x in off_support_cells() if x not in orbit]
         assert flags(report) == (True, True, True, False)
-        assert report.diagnostics == (f"witness margins mismatch at {cell}",)
+        assert report.diagnostics == tuple(
+            f"witness margins mismatch at {triples[x]}" for x in off_support_cells() if x in orbit)
 
     def test_margins_with_no_real_point(self, monkeypatch):
         # f - a_c for a cell c of the support lowers three margins of 1 to 0,
