@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
 """Survey all coprime pairs 2 <= a < b <= 12 as 1x2 instances.
 
-For each numerical semigroup <a, b> the library's hole representation,
-fundamental holes, and saturation points are compared against a direct
-sieve over the integers.  The output is a table of per-pair statistics;
-a mismatching pair is marked NO and makes the script exit with status 1.
+For each numerical semigroup Q = <a, b> the library's answers are
+compared against a direct sieve over the integers:
+
+- the cells of the hole representation cover exactly the gaps, the
+  integers not in Q, and every gap is at most the hole bound;
+- the fundamental holes are the gaps f with f - h not in Q for every
+  other gap h;
+- the saturation points are the Q-minimal integers of the saturation
+  c + N, c the conductor: the s >= c with s - q < c for every q in Q
+  other than 0.
+
+The output is a table of per-pair statistics; a mismatching pair is
+marked NO and makes the script exit with status 1.
 """
 
 import sys
@@ -37,7 +46,14 @@ def main():
         covered = sorted({cell.shift[0] for cell in rep.cells})
         sat = saturation_points(problem)
         bound = hole_bound(problem.matrix).bound
-        ok = covered == gaps and all(g <= bound for g in gaps)
+        fundamental = [f for f in gaps
+                       if not any(f > h and reachable[f - h] for h in gaps if h != f)]
+        conductor = max(gaps) + 1
+        minimal = [z for z in range(conductor, a * b + 1)
+                   if all(z - q < conductor for q in range(1, z + 1) if reachable[q])]
+        ok = (covered == gaps and all(g <= bound for g in gaps)
+              and sorted(h[0] for h in rep.fundamental_set.holes) == fundamental
+              and sorted(p[0] for p in sat.points) == minimal)
         mismatches += 0 if ok else 1
         print(f"{a:>3} {b:>3} {len(gaps):>6} {len(rep.fundamental_set.holes):>5} "
               f"{max(gaps):>9} {min(p[0] for p in sat.points):>8} {bound:>6} "

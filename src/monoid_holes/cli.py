@@ -274,7 +274,7 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     table = table_feasible(dims, margins, limits)
     if table is None:
         a = transportation_matrix(dims)
-        feas = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min").status == "optimal"
+        feas = lp_exact(FeasibilitySystem(a, f)).status == "feasible"
         lines.append("integer-feasible: no")
         lines.append(f"real-feasible: {'yes' if feas else 'no'}")
         return lines, EXIT_HOLES

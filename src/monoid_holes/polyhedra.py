@@ -3,19 +3,21 @@
 The equations and facets of a finitely generated cone from one double
 description on its dual, a grading certifying pointedness read off those
 facets, a placing triangulation of a full-dimensional cone with the
-integer points of each simplex's fundamental parallelepiped, and a
-two-phase exact simplex with Bland's anti-cycling rule for systems
-A x = b, x >= 0 with integer data.
+integer points of each simplex's fundamental parallelepiped, and an
+exact one-phase simplex with Bland's anti-cycling rule that decides
+whether a system A x = b, x >= 0 with integer data has a solution.
 
 The simplex runs on an integer-preserving tableau (Bareiss/Edmonds pivots
 over one common denominator), so its pivot loop does no rational
 arithmetic; its row update is that of intlinalg.gauss_jordan, the one
 elimination of the package, which also gives the first simplex of a
 triangulation.  Forcing rows, zero-rhs rows of one sign, fix their
-columns at 0 and stay out of the tableau.  Each LP verdict comes with a
+columns at 0 and stay out of the tableau.  Each verdict comes with a
 certificate that is checked on the caller's full system before the
 verdict is returned: a feasible point, or Farkas multipliers proving
-infeasibility.
+infeasibility.  Maximizing an objective is one more such check, of the
+primal-dual system whose points are optimal pairs (LP duality), so its
+verdicts are certified the same way.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .intlinalg import (
     unit_vector,
     vec_dot,
     vec_is_zero,
+    vec_scale,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .records import Record
@@ -102,22 +105,24 @@ class FeasibilitySystem(Record):
 
 
 class LPResult(Record):
-    status: str                 # "optimal" | "infeasible" | "unbounded"
-    optimum: Fraction | None
-    witness: RatVector | None
+    # lp_exact: "feasible" | "infeasible";
+    # maximize_each: "optimal" | "unbounded" | "infeasible"
+    status: str
+    optimum: Fraction | None     # c.x at an "optimal" verdict
+    witness: RatVector | None    # a point of the region, unless it is empty
     farkas: tuple | None = None  # equation multipliers refuting an infeasible system
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase simplex on an integer-preserving tableau
+# exact phase-1 simplex on an integer-preserving tableau
 #
 # Every tableau row, the objective row included, holds integers: the true
 # rational row times D, the determinant of the current basis (Bareiss 1968,
-# Edmonds 1967).  Pivoting on entry p of row y makes p the new D and sets
-# every other row x to (p*x - f*y) // D, where f is x's entry in the pivot
-# column: intlinalg.eliminate, exact by the argument of gauss_jordan.  When
-# p = D only the rows with f != 0 change.  D stays positive, so every sign
-# test and ratio comparison, and so every pivot choice, is that of the
+# Edmonds 1967).  Pivoting on entry p > 0 of row y makes p the new D and
+# sets every other row x to (p*x - f*y) // D, where f is x's entry in the
+# pivot column: intlinalg.eliminate, exact by the argument of gauss_jordan.
+# When p = D only the rows with f != 0 change.  D stays positive, so every
+# sign test and ratio comparison, and so every pivot choice, is that of the
 # rational tableau.
 
 def _pivot(tab, zrow, basis, d, leave, enter) -> int:
@@ -127,10 +132,6 @@ def _pivot(tab, zrow, basis, d, leave, enter) -> int:
     """
     prow = tab[leave]
     p = prow[enter]
-    if p < 0:
-        # only driving artificials out pivots on a negative entry
-        tab[leave] = prow = [-x for x in prow]
-        p = -p
     support = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
     changed = range(len(tab))
     if p == d:
@@ -139,45 +140,37 @@ def _pivot(tab, zrow, basis, d, leave, enter) -> int:
     for i in changed:
         if i != leave:
             tab[i] = eliminate(tab[i], prow, support, p, d, enter)
-    if zrow is not None:
-        zrow[:] = eliminate(zrow, prow, support, p, d, enter)
+    zrow[:] = eliminate(zrow, prow, support, p, d, enter)
     basis[leave] = enter
     return p
 
 
-def _run_simplex(tab, basis, zrow, d, allowed_cols) -> tuple[str, int]:
-    """Minimize over the tableau in place. Bland's rule throughout.
+def _run_simplex(tab, basis, zrow, d) -> int:
+    """Minimize over the tableau in place by Bland's rule; zrow is the
+    priced-out objective row.  Returns the final denominator.
 
-    zrow is the priced-out objective row; returns the status and the final
-    denominator.
+    The phase-1 objective is bounded below by 0, so a column that prices
+    negative has a positive entry in some row.
     """
     while True:
-        enter = None
-        for j in allowed_cols:
-            if zrow[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(len(zrow) - 1) if zrow[j] < 0), None)
         if enter is None:
-            return "optimal", d
+            return d
         leave = None
         for i, row in enumerate(tab):
             t = row[enter]
-            if t > 0:
-                # compare row[-1] / t with best_b / best_t; both t are positive
-                if leave is None:
-                    leave, best_b, best_t = i, row[-1], t
-                    continue
-                lhs, rhs = row[-1] * best_t, best_b * t
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_b, best_t = i, row[-1], t
-        if leave is None:
-            return "unbounded", d
+            # the least ratio row[-1] / t, against best_b / best_t with both t
+            # positive, and on a tie the least basic variable
+            if t > 0 and (leave is None or
+                          (row[-1] * best_t, basis[i]) < (best_b * t, basis[leave])):
+                leave, best_b, best_t = i, row[-1], t
         d = _pivot(tab, zrow, basis, d, leave, enter)
 
 
-def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResult:
-    """Exact rational LP over {x >= 0 : matrix x = rhs}: phase 1 finds a
-    feasible basis, and phase 2 optimizes the objective from it.
+def lp_exact(system: FeasibilitySystem) -> LPResult:
+    """Whether {x >= 0 : matrix x = rhs} is empty, by phase 1 of an exact
+    simplex: "feasible" with a basic point of the region as witness, or
+    "infeasible" with Farkas multipliers.
 
     A forcing row has rhs 0 and nonzero entries of one sign sigma_i (0 for
     a row of zeros), so every solution is 0 on its columns (Brearley,
@@ -186,21 +179,16 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
     one-signed only on the kept columns is left to the simplex.  With no
     forcing row the tableau is that of the full system.
 
-    Every verdict is checked on the full system before it is returned: the
-    witness, 0 on the fixed columns, or, for an infeasible system whatever
-    the objective, the Farkas multipliers in `farkas`, one per equation.
-    Those of the kept rows, y', lift to y = y' there and y_i = -M sigma_i
-    on forcing row i: y.b = y'.b' > 0, a kept column sees y' alone, and a
-    fixed column c, where s_c = sum_i sigma_i a_ic > 0, gets
-    y.a_c = y'.a_c - M s_c <= 0 for M = max(0, max_c ceil(y'.a_c / s_c)).
+    Either verdict is checked on the full system before it is returned:
+    the witness, read off the final tableau with 0 on the fixed columns
+    (an artificial still basic there sits at level 0), or the multipliers
+    in `farkas`, one per equation.  Those of the kept rows, y', lift to
+    y = y' there and y_i = -M sigma_i on forcing row i: y.b = y'.b' > 0, a
+    kept column sees y' alone, and a fixed column c, where
+    s_c = sum_i sigma_i a_ic > 0, gets y.a_c = y'.a_c - M s_c <= 0 for
+    M = max(0, max_c ceil(y'.a_c / s_c)).
     """
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
     entries, rhs, columns = system.matrix.entries, system.rhs, system.matrix._sparse_columns
-    if len(objective) != len(columns):
-        raise ValueError("objective length does not match variable count")
-    if not all(isinstance(c, (int, Fraction)) for c in objective):
-        raise TypeError("objective entries must be int or Fraction")
     # forcing row i -> sigma_i; the tableau holds rows and cols, in order
     forcing = {i: (max(row) > 0) - (min(row) < 0) for i, (row, b) in enumerate(zip(entries, rhs))
                if b == 0 and (min(row) >= 0 or max(row) <= 0)}
@@ -212,19 +200,15 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
     # rows with a negative rhs are negated, so the artificials start
     # feasible; artificial k is column n + k
     signs = [-1 if rhs[i] < 0 else 1 for i in rows]
-    tab = []
-    for k, (s, i) in enumerate(zip(signs, rows)):
-        artificials = [0] * m
-        artificials[k] = 1
-        tab.append([s * x for x in compress(entries[i], free)] + artificials + [s * rhs[i]])
+    tab = [[s * x for x in compress(entries[i], free)] + list(unit_vector(m, k)) + [s * rhs[i]]
+           for k, (s, i) in enumerate(zip(signs, rows))]
     basis = list(range(n, n + m))
     # cost 1 on every artificial, priced out against the artificial basis:
     # minus the column sums of the real columns and of the rhs, all 0 when
     # every row is forcing
     zrow = [-sum(column) for column in zip(*tab)] or [0] * (n + 1)
     zrow[n:n + m] = [0] * m
-    status, d = _run_simplex(tab, basis, zrow, 1, range(n + m))
-    assert status == "optimal"  # phase 1 objective is bounded below by 0
+    d = _run_simplex(tab, basis, zrow, 1)
     if zrow[-1] != 0:
         # the dual of phase 1 has y_i = 1 - z_i on artificial i, and
         # y.A <= 0 < y.b at the optimum
@@ -239,42 +223,57 @@ def lp_exact(system: FeasibilitySystem, objective, sense: str = "min") -> LPResu
             raise InternalInconsistencyError(
                 "LP infeasibility certificate failed its integer check")
         return LPResult("infeasible", None, None, farkas)
-    # drive artificials out of the basis, dropping redundant rows
-    keep = []
-    for i in range(len(tab)):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if tab[i][j] != 0), None)
-            if enter is None:
-                continue  # redundant row
-            d = _pivot(tab, None, basis, d, i, enter)
-        keep.append(i)
-    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # minimize sign * scale * objective, an integer cost with the same pivots
-    sign = 1 if sense == "min" else -1
-    scale = lcm(*(c.denominator for c in objective))
-    cost = [sign * c.numerator * (scale // c.denominator) for c in compress(objective, free)]
-    zrow = [d * c for c in cost] + [0]
-    for row, bi in zip(tab, basis):
-        if cost[bi]:
-            cb = cost[bi]
-            zrow = [z - cb * x for z, x in zip(zrow, row)]
-    status, d = _run_simplex(tab, basis, zrow, d, range(n))
-    point = [0] * len(columns)
-    for row, bi in zip(tab, basis):
-        point[cols[bi]] = row[-1]
-    witness = tuple(Fraction(x, d) for x in point)
+    # the levels of the basic real columns; an artificial left basic is at 0
+    level = {cols[bi]: row[-1] for row, bi in zip(tab, basis) if bi < n}
+    witness = tuple(Fraction(level.get(j, 0), d) for j in range(len(columns)))
     if not system.satisfied_by(witness):
         raise InternalInconsistencyError("LP witness violates its own system")
-    if status == "unbounded":
-        return LPResult("unbounded", None, witness)
-    return LPResult("optimal", Fraction(-sign * zrow[-1], d * scale), witness)
+    return LPResult("feasible", None, witness)
 
 
 def maximize_each(system: FeasibilitySystem, objectives) -> list[LPResult]:
-    """Maximize each objective over one feasible region."""
-    return [lp_exact(system, objective, "max") for objective in objectives]
+    """Maximize each objective c, int or Fraction entries, over the region
+    {x >= 0 : A x = b} of system, every verdict by lp_exact checks.
+
+    One lp_exact of the region: an empty region is "infeasible" for every
+    objective, with the region's multipliers.  Otherwise each c, scaled to
+    integers, gets one lp_exact of the primal-dual system
+
+        A x = b,  A^T (y+ - y-) - s = c,  c.x - b.(y+ - y-) = 0
+
+    over x, y+, y-, s >= 0 (Schrijver 1986, section 7.4).  Weak duality
+    puts c.x' <= b.y for every x' of the region and every y with
+    A^T y >= c, so a checked point (x, y, s) proves x optimal: "optimal"
+    with optimum c.x and witness x.  By strong duality the system has a
+    point whenever the dual min b.y, A^T y >= c has one, the region being
+    non-empty; so checked multipliers refuting it prove the dual empty and
+    c unbounded on the region: "unbounded" with the region's witness.
+    """
+    objectives, a, b, n = list(objectives), system.matrix, system.rhs, system.num_vars
+    for objective in objectives:
+        if len(objective) != n:
+            raise ValueError("objective length does not match variable count")
+        if not all(isinstance(c, (int, Fraction)) for c in objective):
+            raise TypeError("objective entries must be int or Fraction")
+    region = lp_exact(system)
+    if region.status == "infeasible":
+        return [region] * len(objectives)
+    # the rows of A x = b and A^T (y+ - y-) - s = c over (x, y+, y-, s)
+    rows = [row + (0,) * (2 * a.rows + n) for row in a.entries]
+    rows += [(0,) * n + col + vec_scale(-1, col) + vec_scale(-1, unit_vector(n, j))
+             for j, col in enumerate(a.columns())]
+    results = []
+    for objective in objectives:
+        scale = lcm(*(x.denominator for x in objective))
+        c = tuple(x.numerator * (scale // x.denominator) for x in objective)
+        gap = c + vec_scale(-1, b) + b + (0,) * n
+        pair = lp_exact(FeasibilitySystem(IntMatrix(rows + [gap]), b + c + (0,)))
+        if pair.status == "infeasible":
+            results.append(LPResult("unbounded", None, region.witness))
+        else:
+            x = pair.witness[:n]
+            results.append(LPResult("optimal", vec_dot(objective, x), x))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -332,19 +332,20 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
 
     # explicit witnesses: every off-support increment is integer feasible.
     # f + a_c is nonnegative and lies in the span, as f and a_c do, so the
-    # search needs none of table_feasible's checks.  Only the first cell of
-    # each orbit of f's symmetry group is searched, and its table is moved to
-    # the rest of the orbit; every table is checked on the matrix
+    # search needs none of table_feasible's checks, and it runs on the
+    # sparse columns of the matrix, the margin lines of table_feasible.
+    # Only the first cell of each orbit of f's symmetry group is searched,
+    # and its table is moved to the rest of the orbit; every table is
+    # checked on the matrix
     witnesses = []
     failed: list[str] = []  # diagnostics, reported after the others
-    lines = _margin_lines(dims)
     group = _margin_symmetries(dims, f)
     tables: dict[int, IntVector | None] = {}
     for c in off_support:
         incremented = vec_add(f, a.col(c))
         if c not in tables:
             # the identity comes first, so c keeps the table found for it
-            found = nonnegative_solution(lines, incremented, limits)
+            found = nonnegative_solution(a._sparse_columns, incremented, limits)
             for g in group:
                 if g[c] not in tables:
                     tables[g[c]] = None if found is None else _moved(found, g)

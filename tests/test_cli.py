@@ -523,11 +523,26 @@ class TestErrorPaths:
          "resource limit exceeded: triangulation simplices and parallelepiped points (limit 1)"),
         (("transport", "--margins", "{example}"), 2,
          "{example}: expected three margin blocks, got 1"),
-    ], ids=["missing-file", "bad-vector", "vector-first", "not-pointed", "ceiling", "margins"])
+        (("holes", "{token}"), 2,
+         "{token}: non-integer token: invalid literal for int() with base 10: 'x'"),
+        (("holes", "{header}"), 2, "{header}: expected a 'rows cols' header"),
+        (("holes", "{empty}"), 2, "{empty}: dimensions must be positive"),
+        (("transport", "--margins", "{ragged}"), 2, "{ragged}: ragged margin block"),
+        (("member", "{example}", "1 x"), 2,
+         "bad vector literal '1 x': invalid literal for int() with base 10: 'x'"),
+        (("transport", "--dims", "2", "2", "2", "--margins", "{single}"), 2,
+         "margins file does not match --dims"),
+        (("transport",), 2, "transport needs --vlach, --dims or --margins"),
+    ], ids=["missing-file", "bad-vector", "vector-first", "not-pointed", "ceiling", "margins",
+            "token", "header", "nonpositive-dims", "ragged", "bad-literal", "dims-mismatch",
+            "no-instance"])
     def test_failure_messages(self, capsys, tmp_path, example_file, argv, code, message):
-        line = tmp_path / "line.txt"
-        line.write_text("1 2\n1 -1\n")
-        files = {"example": example_file, "line": str(line)}
+        files = {"example": example_file}
+        for name, text in [("line", "1 2\n1 -1\n"), ("token", "2 2\n1 x 3 4\n"),
+                           ("header", "5\n"), ("empty", "0 2\n"),
+                           ("ragged", "1 1\n1\n\n1\n\n1\n"), ("single", "1\n\n1\n\n1\n")]:
+            files[name] = str(tmp_path / f"{name}.txt")
+            Path(files[name]).write_text(text)
         assert main([a.format(**files) for a in argv]) == code
         assert capsys.readouterr() == ("", f"error: {message.format(**files)}\n")
 

@@ -15,6 +15,7 @@ from monoid_holes import (
 )
 from monoid_holes import polyhedra
 from monoid_holes.polyhedra import (
+    LPResult,
     Simplex,
     cone_generators,
     maximize_each,
@@ -64,6 +65,16 @@ def standard_systems(draw):
     return rows, rhs
 
 
+def optimized(system, objective, sense):
+    """maximize_each's verdict on objective; a min is the max of -objective,
+    its optimum negated back."""
+    sign = 1 if sense == "max" else -1
+    result = maximize_each(system, [tuple(sign * c for c in objective)])[0]
+    if result.optimum is None:
+        return result
+    return result._replace(optimum=sign * result.optimum)
+
+
 def assert_matches_oracle(rows, rhs, result, objective, sense):
     oracle_rows = standard_form_rows(rows, rhs)
     assert (result.status, result.optimum) == brute_lp(oracle_rows, objective, sense)
@@ -72,6 +83,12 @@ def assert_matches_oracle(rows, rhs, result, objective, sense):
     assert (result.farkas is None) == (result.status != "infeasible")
     if result.farkas is not None:
         assert system_of(rows, rhs).refuted_by(result.farkas)
+    # lp_exact's verdict on the region, with the same certificates
+    region = lp_exact(system_of(rows, rhs))
+    assert (region.status == "infeasible") == (result.status == "infeasible")
+    assert region.farkas == result.farkas
+    if region.witness is not None:
+        assert brute_satisfies(oracle_rows, region.witness)
 
 
 class TestConeFacets:
@@ -280,27 +297,31 @@ class TestIsPointed:
 
 class TestLpExact:
     def test_min_with_lower_bound(self):
-        # min x subject to x - s = 3
-        res = lp_exact(system_of([[1, -1]], (3,)), (1, 0), "min")
+        # min x subject to x - s = 3, the max of -x
+        system = system_of([[1, -1]], (3,))
+        res = optimized(system, (1, 0), "min")
         assert res.status == "optimal"
         assert res.optimum == 3
         assert res.witness == (3, 0)
+        assert lp_exact(system) == LPResult("feasible", None, (3, 0))
 
     def test_infeasible(self):
         # x - s = 1 and x + t = 0
-        res = lp_exact(system_of([[1, -1, 0], [1, 0, 1]], (1, 0)), (1, 0, 0), "max")
+        system = system_of([[1, -1, 0], [1, 0, 1]], (1, 0))
+        res = lp_exact(system)
         assert res.status == "infeasible"
+        assert maximize_each(system, [(1, 0, 0)]) == [res]
 
     def test_unbounded(self):
         # max x subject to x - s = 0, a zero-rhs row of mixed signs, which
-        # is no forcing row
-        res = lp_exact(system_of([[1, -1]], (0,)), (1, 0), "max")
-        assert res.status == "unbounded"
+        # is no forcing row; the witness is a point of the region
+        res = optimized(system_of([[1, -1]], (0,)), (1, 0), "max")
+        assert (res.status, res.witness) == ("unbounded", (0, 0))
 
     def test_exact_rational_optimum(self):
         # min x + y subject to 3x + y - s = 1, x + 3y - t = 1
         system = system_of([[3, 1, -1, 0], [1, 3, 0, -1]], (1, 1))
-        res = lp_exact(system, (1, 1, 0, 0), "min")
+        res = optimized(system, (1, 1, 0, 0), "min")
         assert res.status == "optimal"
         assert res.optimum == Fraction(1, 2)
         assert res.witness == (Fraction(1, 4), Fraction(1, 4), 0, 0)
@@ -308,14 +329,16 @@ class TestLpExact:
     def test_equality_with_free_variable(self):
         # x + y = 5 with x and y free, split into nonnegative parts: min y
         system = system_of([[1, -1, 1, -1]], (5,))
-        res = lp_exact(system, (0, 0, 1, -1), "min")
+        res = optimized(system, (0, 0, 1, -1), "min")
         assert res.status == "unbounded"
 
     def test_degenerate_terminates(self):
         # heavily degenerate feasibility at a single point: x + y = 0 is a
         # forcing row that fixes both columns, and x - y = 0 is left with none
+        system = system_of([[1, 1], [1, -1]], (0, 0))
+        assert lp_exact(system) == LPResult("feasible", None, (0, 0))
         for objective, sense in [((1, 0), "max"), ((1, 0), "min"), ((-1, 3), "max")]:
-            res = lp_exact(system_of([[1, 1], [1, -1]], (0, 0)), objective, sense)
+            res = optimized(system, objective, sense)
             assert res.status == "optimal"
             assert res.optimum == 0
             assert res.witness == (0, 0)
@@ -324,36 +347,43 @@ class TestLpExact:
         system = system_of([[1, 1, 1]], (4,))
         objectives = [unit_vector(3, j) for j in range(3)]
         batched = maximize_each(system, objectives)
-        singles = [lp_exact(system, obj, "max") for obj in objectives]
-        for b, s in zip(batched, singles):
-            assert (b.status, b.optimum) == (s.status, s.optimum)
-            assert b.optimum == 4
+        singles = [maximize_each(system, [obj])[0] for obj in objectives]
+        assert batched == singles
+        assert [b.optimum for b in batched] == [4, 4, 4]
 
     @pytest.mark.parametrize("rhs", [(4,), (-4,)])
     def test_objective_length_is_checked(self, rhs):
-        # on a feasible and on an infeasible system alike, both entry points
-        # reject an objective of the wrong length
+        # on a feasible and on an infeasible system alike, an objective of
+        # the wrong length is rejected
         system = system_of([[1, 1, 1]], rhs)
         with pytest.raises(ValueError, match="objective length"):
             maximize_each(system, [(1,)])
         with pytest.raises(ValueError, match="objective length"):
-            lp_exact(system, (1,), "max")
+            maximize_each(system, [(1, 0, 0), (1,)])
 
     @pytest.mark.parametrize("entry", [1.5, "1"], ids=["float", "str"])
     def test_objective_entries_are_checked(self, entry):
         # an exact LP takes int and Fraction costs only
         with pytest.raises(TypeError, match="objective entries"):
-            lp_exact(system_of([[1, 1]], (2,)), (entry, 0))
+            maximize_each(system_of([[1, 1]], (2,)), [(entry, 0)])
+
+    @pytest.mark.parametrize("rhs, error, message", [
+        ((1, 2), ValueError, "rhs length"), ((), ValueError, "rhs length"),
+        ((1.0,), TypeError, "rhs entries"), ((Fraction(1, 2),), TypeError, "rhs entries")])
+    def test_system_checks_its_rhs(self, rhs, error, message):
+        with pytest.raises(error, match=message):
+            FeasibilitySystem(IntMatrix.from_rows([[1, 1]]), rhs)
 
     def test_maximize_each_pinned_optima(self):
-        # each objective runs its own phase 2: the second ends at another
-        # vertex than the first, and the third, equal to the first, at its
+        # each objective runs its own primal-dual check: the second ends at
+        # another vertex than the first, and the third, equal to the first,
+        # at its
         system = system_of([[0, 1, 1], [2, 0, 1]], (4, 6))
         objectives = [(2, 2, 1), (2, 1, 3), (2, 2, 1)]
         results = maximize_each(system, objectives)
         assert [(r.optimum, r.witness) for r in results] == [
             (14, (3, 4, 0)), (14, (1, 0, 4)), (14, (3, 4, 0))]
-        assert results == [lp_exact(system, o, "max") for o in objectives]
+        assert results == [maximize_each(system, [o])[0] for o in objectives]
 
 
 class TestPinnedAnswers:
@@ -366,10 +396,10 @@ class TestPinnedAnswers:
     def test_vlach_margin_witness(self):
         # the unique real point of the 3x4x6 margin polytope, half-integral
         a, f = vlach_instance()
-        result = lp_exact(FeasibilitySystem(a, f), (0,) * a.cols, "min")
+        result = lp_exact(FeasibilitySystem(a, f))
         support = [0, 2, 7, 8, 13, 15, 18, 21, 24, 28, 31, 35, 37, 40, 42, 47,
                    50, 52, 56, 59, 63, 64, 69, 71]
-        assert (result.status, result.optimum) == ("optimal", 0)
+        assert result.status == "feasible"
         assert result.witness == tuple(Fraction(1, 2) if c in support else 0
                                        for c in range(a.cols))
 
@@ -377,7 +407,7 @@ class TestPinnedAnswers:
         # the margins minus the first column are not real feasible
         a, f = vlach_instance()
         system = FeasibilitySystem(a, vec_sub(f, a.col(0)))
-        result = lp_exact(system, (0,) * a.cols, "min")
+        result = lp_exact(system)
         assert result.status == "infeasible"
         # 21 of its margins are 0 and fix 52 of the 72 cells, so the
         # multipliers are lifted from the reduced system
@@ -388,19 +418,21 @@ class TestPinnedAnswers:
         assert system.refuted_by(result.farkas)
 
     def test_pivot_that_changes_the_denominator(self, monkeypatch):
-        # max 3x + 4y subject to 2x + y <= 7 and x + 3y <= 9; its pivots
-        # include some whose pivot entry differs from the denominator, so
-        # every row is rescaled
+        # 2x + y <= 7 and x + 3y <= 9: both pivots of its phase 1 have a
+        # pivot entry other than the denominator, so every row is rescaled
         pivots = []
         pivot = polyhedra._pivot
 
         def logged(tab, zrow, basis, d, leave, enter):
-            pivots.append((abs(tab[leave][enter]), d))
+            pivots.append((tab[leave][enter], d))
             return pivot(tab, zrow, basis, d, leave, enter)
         monkeypatch.setattr(polyhedra, "_pivot", logged)
         system = system_of([[2, 1, 1, 0], [1, 3, 0, 1]], (7, 9))
-        result = lp_exact(system, (3, 4, 0, 0), "max")
-        assert any(p != d for p, d in pivots)
+        result = lp_exact(system)
+        assert pivots == [(2, 1), (5, 2)]
+        assert result == LPResult("feasible", None, (Fraction(12, 5), Fraction(11, 5), 0, 0))
+        # max 3x + 4y is attained there
+        result = maximize_each(system, [(3, 4, 0, 0)])[0]
         assert (result.status, result.optimum) == ("optimal", 16)
         assert result.witness == (Fraction(12, 5), Fraction(11, 5), 0, 0)
 
@@ -413,7 +445,7 @@ class TestLpOracle:
         n = len(rows[0])
         objective = tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
         sense = data.draw(st.sampled_from(["min", "max"]))
-        result = lp_exact(system_of(rows, rhs), objective, sense)
+        result = optimized(system_of(rows, rhs), objective, sense)
         assert_matches_oracle(rows, rhs, result, objective, sense)
 
     @settings(max_examples=60, deadline=None)
@@ -437,7 +469,7 @@ class TestLpOracle:
         objective = (1_000_000, 999_907, -3, 0, 0)
         results = {}
         for sense in ("min", "max"):
-            results[sense] = lp_exact(system_of(rows, rhs), objective, sense)
+            results[sense] = optimized(system_of(rows, rhs), objective, sense)
             assert_matches_oracle(rows, rhs, results[sense], objective, sense)
         assert results["max"].status == "unbounded"
         assert results["min"].optimum.denominator > 10**6
@@ -471,13 +503,13 @@ class TestForcingRows:
         objective = tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
         sense = data.draw(st.sampled_from(["min", "max"]))
         # the oracle checks the witness and the multipliers on the full system
-        result = lp_exact(system_of(rows, rhs), objective, sense)
+        result = optimized(system_of(rows, rhs), objective, sense)
         assert_matches_oracle(rows, rhs, result, objective, sense)
 
     def test_zero_row_with_nonzero_rhs(self):
         # 0 = 3 is no forcing row, and the simplex refutes it
         system = system_of([[0, 0, 0], [1, 1, 0], [0, 0, 0]], (3, 0, 0))
-        result = lp_exact(system, (0, 0, 1), "max")
+        result = lp_exact(system)
         assert result.status == "infeasible"
         assert system.refuted_by(result.farkas)
         assert result.farkas[0] > 0 and result.farkas[2] == 0
@@ -486,7 +518,7 @@ class TestForcingRows:
         # x + y = 0 fixes x and y, and -z = 1 is refuted by y' = 1 alone;
         # that multiplier sees x with 1, so the forcing row gets -1
         system = system_of([[1, 1, 0], [1, 0, -1]], (0, 1))
-        result = lp_exact(system, (0, 0, 0), "min")
+        result = lp_exact(system)
         assert result.farkas == (-1, 1)
         assert not system.refuted_by((0, 1))
 
@@ -496,7 +528,7 @@ class TestForcingRows:
         a, f = vlach_instance()
         for column in a.columns():
             system = FeasibilitySystem(a, vec_sub(f, column))
-            result = lp_exact(system, (0,) * a.cols, "min")
+            result = lp_exact(system)
             assert result.status == "infeasible"
             assert system.refuted_by(result.farkas)
 
@@ -540,7 +572,7 @@ class TestCertificates:
         [[1, 1, -1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]), (3, 1, 1))
 
     def test_infeasible_box_is_refuted(self):
-        result = lp_exact(self.BOX, (0,) * 5, "min")
+        result = lp_exact(self.BOX)
         assert result.status == "infeasible"
         assert self.BOX.refuted_by(result.farkas)
         assert self.BOX.refuted_by((1, -1, -1))
@@ -553,7 +585,7 @@ class TestCertificates:
     def test_negative_rhs_and_sign_rows(self):
         # x + y = -1 over x, y >= 0: one multiplier, on the one equation
         system = system_of([[1, 1]], (-1,))
-        result = lp_exact(system, (0, 0), "min")
+        result = lp_exact(system)
         assert result.status == "infeasible"
         assert len(result.farkas) == 1
         assert result.farkas[0] < 0
@@ -580,18 +612,40 @@ class TestCertificates:
     def test_maximize_each_shares_certificate(self):
         results = maximize_each(self.BOX, [unit_vector(5, 0), unit_vector(5, 1)])
         assert [r.status for r in results] == ["infeasible", "infeasible"]
+        assert all(r.farkas == lp_exact(self.BOX).farkas for r in results)
         assert all(self.BOX.refuted_by(r.farkas) for r in results)
 
     def test_failed_certificate_check_raises(self, monkeypatch):
         monkeypatch.setattr(FeasibilitySystem, "refuted_by", lambda self, y: False)
         with pytest.raises(InternalInconsistencyError):
-            lp_exact(self.BOX, (0,) * 5, "min")
+            lp_exact(self.BOX)
 
     def test_failed_witness_check_raises(self, monkeypatch):
         system = system_of([[1, -1]], (3,))
         monkeypatch.setattr(FeasibilitySystem, "satisfied_by", lambda self, x: False)
         with pytest.raises(InternalInconsistencyError):
-            lp_exact(system, (1, 0), "min")
+            lp_exact(system)
+
+    @pytest.mark.parametrize("verdict", ["optimal", "unbounded", "infeasible"])
+    def test_maximize_each_checks_each_verdict(self, monkeypatch, verdict):
+        # over x - s = 3, max -x is optimal and max x unbounded; each verdict
+        # raises when the check of its own certificate fails: the point of
+        # the primal-dual system (it has more variables than the region),
+        # the multipliers refuting that system, or those refuting the region
+        system, objective = {
+            "optimal": (system_of([[1, -1]], (3,)), (-1, 0)),
+            "unbounded": (system_of([[1, -1]], (3,)), (1, 0)),
+            "infeasible": (self.BOX, (1, 0, 0, 0, 0)),
+        }[verdict]
+        assert maximize_each(system, [objective])[0].status == verdict
+        satisfied_by = FeasibilitySystem.satisfied_by
+        if verdict == "optimal":
+            monkeypatch.setattr(FeasibilitySystem, "satisfied_by", lambda self, x: (
+                self.num_vars == system.num_vars and satisfied_by(self, x)))
+        else:
+            monkeypatch.setattr(FeasibilitySystem, "refuted_by", lambda self, y: False)
+        with pytest.raises(InternalInconsistencyError):
+            maximize_each(system, [objective])
 
 
 class TestHalfOpenZonotope:
