@@ -41,7 +41,7 @@ def main():
 
     print("\nsupport size:", len(report.support))
     print("integer witnesses for incremented margins:", len(report.non_hole_witnesses))
-    print("unique real solution:", report.unique_real_solution)
+    print("unique real solution:", report.z_star is not None)
     print("margins are a hole:", report.f_is_hole)
     print("margins are a fundamental hole:", report.f_is_fundamental_checked)
     print("holes above margins = margins + monoid(support columns):",

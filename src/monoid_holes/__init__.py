@@ -45,7 +45,7 @@ from .intlinalg import (
     row_sum_bound,
     solve_rational_affine,
 )
-from .limits import DEFAULT_LIMITS, Limits, limits_from_env
+from .limits import DEFAULT_LIMITS, Limits
 from .monomials import (
     Monomial,
     MonomialIdeal,

@@ -8,6 +8,10 @@ and timing go to stderr.  Exit codes: 0 no holes / membership holds,
 limit, memory exhaustion) or interrupted by Ctrl-C, 1 any other
 computation error or a closed stdout.
 
+The --max-... flags are the only configuration, and each input has one
+source: `transport` reads the table dimensions off its margins file, and
+`transport --vlach` takes no margins.
+
 Every report is built from the same parts: `key: value` lines, sections
 written by `_section` (a `<name>-size: n` line, a `<name>:` line, one
 indented line per item), and `limit-status: ok` as its last line, which
@@ -31,12 +35,11 @@ from .errors import (
 )
 from .holes import SemigroupProblem, fundamental_holes, holes_representation
 from .intlinalg import IntMatrix
-from .limits import DEFAULT_LIMITS, Limits, limits_from_env
+from .limits import Limits
 from .polyhedra import FeasibilitySystem, lp_exact
 from .saturation import certify_infinite, problem_bound, saturation_points
 from .transport import (
     MarginTriple,
-    TransportDims,
     margins_to_vector,
     table_feasible,
     transportation_matrix,
@@ -236,14 +239,14 @@ def cmd_member(args, limits: Limits) -> tuple[list[str], int]:
 def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
     lines = ["command: transport"]
     if args.vlach:
-        if args.dims is not None or args.margins is not None:
-            raise MatrixParseError("--vlach takes no --dims or --margins")
+        if args.margins is not None:
+            raise MatrixParseError("--vlach takes no --margins")
         report = verify_vlach(limits)
         lines.append("instance: 3 4 6")
         lines.append(f"margin-vector: {_fmt_vec(report.f)}")
         _section(lines, "support", report.support)
         lines.append(f"witnesses-size: {len(report.non_hole_witnesses)}")
-        lines.append(f"flag-unique-real-solution: {str(report.unique_real_solution).lower()}")
+        lines.append(f"flag-unique-real-solution: {str(report.z_star is not None).lower()}")
         lines.append(f"flag-margin-is-hole: {str(report.f_is_hole).lower()}")
         lines.append(f"flag-margin-is-fundamental: {str(report.f_is_fundamental_checked).lower()}")
         lines.append(
@@ -252,23 +255,12 @@ def cmd_transport(args, limits: Limits) -> tuple[list[str], int]:
         lines.extend(f"diagnostic: {diag}" for diag in report.diagnostics)
         return lines, (EXIT_HOLES if report.all_true() else 1)
 
-    margins = read_margins_file(args.margins) if args.margins else None
-    if args.dims:
-        try:
-            dims = TransportDims(*args.dims)
-        except ValueError as exc:
-            raise MatrixParseError(f"--dims: {exc}") from exc
-        if margins is not None and margins.dims() != dims:
-            raise MatrixParseError("margins file does not match --dims")
-    elif margins is not None:
-        dims = margins.dims()
-    else:
-        raise MatrixParseError("transport needs --vlach, --dims or --margins")
-
+    if args.margins is None:
+        raise MatrixParseError("transport needs --vlach or --margins")
+    margins = read_margins_file(args.margins)
+    dims = margins.dims()
     lines.append(f"instance: {dims.r} {dims.s} {dims.t}")
     lines.append(f"matrix-shape: {dims.num_rows} {dims.num_cols}")
-    if margins is None:
-        return lines, EXIT_OK
     f = margins_to_vector(dims, margins)
     lines.append(f"margin-vector: {_fmt_vec(f)}")
     table = table_feasible(dims, margins, limits)
@@ -307,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transport")
     p.add_argument("--vlach", action="store_true",
                    help="verify the 3x4x6 fundamental hole pipeline")
-    p.add_argument("--dims", type=int, nargs=3, metavar=("R", "S", "T"))
     p.add_argument("--margins", help="margins file: u, v, w blocks separated by blank lines")
     return parser
 
@@ -326,10 +317,10 @@ _PARSER: argparse.ArgumentParser | None = None  # built by the first main call
 
 
 def _limits(args) -> Limits:
-    """The defaults, then MONOID_HOLES_LIMITS, then the ceiling flags."""
+    """The defaults, with each ceiling flag that was given in place of its own."""
     try:
-        return limits_from_env(DEFAULT_LIMITS).override(
-            **{name: getattr(args, name) for name in _CEILINGS})
+        return Limits(**{name: getattr(args, name) for name in _CEILINGS
+                         if getattr(args, name) is not None})
     except ValueError as exc:
         raise MatrixParseError(str(exc)) from exc
 

@@ -38,10 +38,12 @@ class SemigroupProblem(Record):
     """A matrix together with its lattice, its generators (the distinct
     nonzero columns) and its cone, each computed once.
 
-    The stages derived from it later (the fundamental hole set, each hole
-    ideal, the hole representation, the entry bound) are stored on it the
-    first time they succeed.  Limits only decide whether a stage aborts,
-    never what it answers, so a stored stage is valid under any limits.
+    The stages derived from it later (the Graver basis, the fundamental
+    hole set, the hole solutions and the hole ideal of each hole, the hole
+    representation, the entry bound and the membership system) are stored
+    on it the first time they succeed.  Limits only decide whether a stage
+    aborts, never what it answers, so a stored stage is valid under any
+    limits.
     """
 
     matrix: IntMatrix

@@ -1,19 +1,15 @@
 """Resource ceilings for the potentially explosive computations.
 
 Every ceiling is at least 1 and aborts with ResourceLimitError instead of
-returning a wrong answer.  Defaults can be overridden by the
-MONOID_HOLES_LIMITS environment variable ("key=value,key=value") or per
-call.
+returning a wrong answer.  A caller passes its own Limits; the command line
+sets a ceiling by its --max-... flag.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 
 from .records import Record
-
-ENV_VAR = "MONOID_HOLES_LIMITS"
 
 
 class Limits(Record):
@@ -31,32 +27,5 @@ class Limits(Record):
             if value < 1:
                 raise ValueError(f"limit {name} must be at least 1, got {value}")
 
-    def override(self, **kwargs) -> "Limits":
-        fields = {k: v for k, v in kwargs.items() if v is not None}
-        return self._replace(**fields) if fields else self
-
-
-def limits_from_env(base: Limits | None = None) -> Limits:
-    """Build Limits from MONOID_HOLES_LIMITS, falling back to defaults."""
-    limits = base or Limits()
-    raw = os.environ.get(ENV_VAR, "")
-    if not raw.strip():
-        return limits
-    parsed = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in Limits._fields:
-            raise ValueError(f"{ENV_VAR}: unknown limit {key!r}")
-        try:
-            parsed[key] = int(value.strip())
-        except ValueError:
-            raise ValueError(f"{ENV_VAR}: bad integer for {key!r}: {value!r}") from None
-    return limits.override(**parsed)
-
 
 DEFAULT_LIMITS = Limits()
-

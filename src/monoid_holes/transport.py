@@ -251,22 +251,21 @@ def _margin_symmetries(dims: TransportDims, f: IntVector) -> list[tuple[int, ...
 
 class VlachReport(Record):
     f: IntVector
-    z_star: RatVector | None
+    z_star: RatVector | None  # the unique real point; None when it is not proved
     support: tuple[tuple[int, int, int], ...]
     non_hole_witnesses: tuple[tuple[tuple[int, int, int], IntVector], ...]
     f_is_hole: bool
     f_is_fundamental_checked: bool
-    unique_real_solution: bool
     holes_are_f_plus_monoid_a_prime: bool  # A' is the support columns
     diagnostics: tuple[str, ...]
 
     def all_true(self) -> bool:
         return (self.f_is_hole and self.f_is_fundamental_checked
-                and self.unique_real_solution and self.holes_are_f_plus_monoid_a_prime)
+                and self.z_star is not None and self.holes_are_f_plus_monoid_a_prime)
 
 
 def _refuted(f: IntVector, diagnostic: str) -> VlachReport:
-    return VlachReport(f, None, (), (), False, False, False, False, (diagnostic,))
+    return VlachReport(f, None, (), (), False, False, False, (diagnostic,))
 
 
 def _moved(mu, g: tuple[int, ...]) -> IntVector:
@@ -382,6 +381,5 @@ def verify_vlach(limits: Limits = DEFAULT_LIMITS) -> VlachReport:
 
     return VlachReport(f, z_star, tuple(triples[c] for c in support_cols), tuple(witnesses),
                        f_is_hole=f_is_hole, f_is_fundamental_checked=f_is_hole and fundamental,
-                       unique_real_solution=True,
                        holes_are_f_plus_monoid_a_prime=holes_flag and not failed,
                        diagnostics=tuple(diagnostics + failed))

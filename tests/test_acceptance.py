@@ -141,7 +141,7 @@ def test_criterion_5_vlach_346():
         assert len(report.non_hole_witnesses) == 48
         for triple, mu in report.non_hole_witnesses:
             assert all(x >= 0 for x in mu)
-        assert report.unique_real_solution
+        assert report.z_star is not None
         assert report.f_is_hole
         assert report.f_is_fundamental_checked
         assert report.holes_are_f_plus_monoid_a_prime

@@ -64,9 +64,9 @@ CASES = [
      "removed_by_filter=())"),
     (TransportDims, (1, 2, 3), "TransportDims(r=1, s=2, t=3)"),
     (MarginTriple, (((1,),), ((1,),), ((1,),)), "MarginTriple(u=((1,),), v=((1,),), w=((1,),))"),
-    (VlachReport, ((1, 2), None, ((0, 0, 0),), (), True, True, False, True, ("note",)),
+    (VlachReport, ((1, 2), None, ((0, 0, 0),), (), True, True, True, ("note",)),
      "VlachReport(f=(1, 2), z_star=None, support=((0, 0, 0),), non_hole_witnesses=(), "
-     "f_is_hole=True, f_is_fundamental_checked=True, unique_real_solution=False, "
+     "f_is_hole=True, f_is_fundamental_checked=True, "
      "holes_are_f_plus_monoid_a_prime=True, diagnostics=('note',))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]

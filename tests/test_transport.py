@@ -403,9 +403,10 @@ class TestMarginSymmetries:
 
 
 def flags(report):
-    """The four claims of a VlachReport, in field order."""
+    """The four claims of a VlachReport, in the order of the CLI's flag
+    lines; the unique real point is proved when z_star is not None."""
     return (report.f_is_hole, report.f_is_fundamental_checked,
-            report.unique_real_solution, report.holes_are_f_plus_monoid_a_prime)
+            report.z_star is not None, report.holes_are_f_plus_monoid_a_prime)
 
 
 class TestVerifyVlach:
@@ -517,7 +518,7 @@ class TestVerifyVlach:
         incremented = vec_add(f, a.col(c))
         monkeypatch.setattr(transport, "vlach_instance", lambda: (a, incremented))
         assert verify_vlach() == VlachReport(
-            incremented, None, (), (), False, False, False, False,
+            incremented, None, (), (), False, False, False,
             ("support columns are rank deficient: the real point is not proved unique",))
 
     def test_a_wrong_witness_is_a_mismatch(self, monkeypatch, vlach_stabilizer):
@@ -554,5 +555,5 @@ class TestVerifyVlach:
         shifted = vec_sub(f, a.col(c))
         monkeypatch.setattr(transport, "vlach_instance", lambda: (a, shifted))
         assert verify_vlach() == VlachReport(
-            shifted, None, (), (), False, False, False, False,
+            shifted, None, (), (), False, False, False,
             ("margin system is not real feasible",))
