@@ -894,6 +894,22 @@ class TestGoldenOutput:
             argv = [command, str(path), *rest]
         assert run(capsys, *argv) == GOLDEN[key]
 
+    # argv that the parser refuses: exit 2, nothing on stdout, and the
+    # last line of stderr (the usage lines above it wrap with the terminal)
+    REFUSALS = {
+        ("transport", "--dims", "3", "4", "6"):
+            "monoid-holes: error: unrecognized arguments: --dims 3 4 6\n",
+    }
+
+    @pytest.mark.parametrize("argv", list(REFUSALS), ids="-".join)
+    def test_refusal_bytes(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines(keepends=True)[-1] == self.REFUSALS[argv]
+
 
 class TestCeilings:
     """A ceiling, however low, ends a run in exit 4 with nothing on stdout,
