@@ -63,9 +63,6 @@ class Record:
             raise TypeError(f"{name}() missing arguments: {', '.join(map(repr, missing))}")
         return tuple(values[key] if key in values else cls._defaults[key] for key in cls._fields)
 
-    def _replace(self, **changes):
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -72,7 +72,7 @@ def optimized(system, objective, sense):
     result = maximize_each(system, [tuple(sign * c for c in objective)])[0]
     if result.optimum is None:
         return result
-    return result._replace(optimum=sign * result.optimum)
+    return LPResult(result.status, sign * result.optimum, result.witness, result.farkas)
 
 
 def assert_matches_oracle(rows, rhs, result, objective, sense):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -106,8 +107,10 @@ class TestTransportationMatrix:
         assert (a.rows, a.cols) == (12, 8)
 
     def test_margin_lines_are_the_sparse_columns(self):
-        # table_feasible searches on the margin lines and verify_vlach on the
-        # matrix's sparse columns: the two builders give one system
+        # table_feasible and verify_vlach search and check on the margin
+        # lines, and the matrix is built from the margin rows separately:
+        # the two builders give one system, so the checks on the lines lose
+        # no independence from the matrix
         for r, s, t in product(range(1, 4), range(1, 5), range(1, 7)):
             dims = TransportDims(r, s, t)
             assert transport._margin_lines(dims) == list(
@@ -402,6 +405,12 @@ class TestMarginSymmetries:
             (_ORBIT_FIRSTS[0], 24), (_ORBIT_FIRSTS[1], 12), (_ORBIT_FIRSTS[2], 12)]
 
 
+def feed_margins(monkeypatch, f):
+    """Make verify_vlach read the margin vector f, through vlach_margins."""
+    margins = vector_to_margins(VLACH_DIMS, f)
+    monkeypatch.setattr(transport, "vlach_margins", lambda: margins)
+
+
 def flags(report):
     """The four claims of a VlachReport, in the order of the CLI's flag
     lines; the unique real point is proved when z_star is not None."""
@@ -434,6 +443,38 @@ class TestVerifyVlach:
         assert report.all_true()
         assert report.diagnostics == ()
 
+    def test_a_passing_witness_builds_no_matrix(self, monkeypatch):
+        # the support, the solve, the searches and the checks run on the
+        # margin lines; the dense matrix is left to the no-witness path
+        def no_matrix(*args):
+            raise AssertionError("the transportation matrix was built")
+
+        monkeypatch.setattr(transport, "transportation_matrix", no_matrix)
+        monkeypatch.setattr(transport, "vlach_instance", no_matrix)
+        report = verify_vlach()
+        assert report.all_true()
+        assert len(report.non_hole_witnesses) == 48
+
+    def test_each_call_derives_its_group_and_tables(self, monkeypatch):
+        # nothing is kept across calls: each call derives the group once
+        # and makes its 3 searches
+        symmetries, search = transport._margin_symmetries, transport.nonnegative_solution
+        calls = []
+        monkeypatch.setattr(transport, "_margin_symmetries",
+                            lambda *args: calls.append("group") or symmetries(*args))
+        monkeypatch.setattr(transport, "nonnegative_solution",
+                            lambda *args: calls.append("search") or search(*args))
+        assert verify_vlach() == verify_vlach()
+        assert calls == 2 * ["group", "search", "search", "search"]
+
+    def test_witness_tables_are_pinned(self):
+        # the witness tables depend on the order of the group, whose first
+        # element that reaches a cell moves its table there; a change to
+        # that order must not move a table unnoticed
+        witnesses = repr(tuple(verify_vlach().non_hole_witnesses)).encode()
+        assert hashlib.sha256(witnesses).hexdigest() == (
+            "45856f26aa506a2b26642b83f6469a9911c1ee8c920b35a1024e2d0699b3ee5a")
+
     @pytest.mark.parametrize("scale", [1, 2], ids=["f", "2f"])
     def test_without_witnesses_the_lattice_basis_decides(self, monkeypatch, scale):
         # every search comes back empty: f is still in the lattice, by its
@@ -441,13 +482,17 @@ class TestVerifyVlach:
         # after the other diagnostics, in cell order
         a, f = vlach_instance()
         scaled = tuple(scale * x for x in f)
-        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, scaled))
+        feed_margins(monkeypatch, scaled)
         monkeypatch.setattr(transport, "nonnegative_solution", lambda *args: None)
-        basis = transport.lattice_basis
-        calls = []
+        basis, build = transport.lattice_basis, transport.transportation_matrix
+        calls, built = [], []
         monkeypatch.setattr(transport, "lattice_basis", lambda m: calls.append(m) or basis(m))
+        monkeypatch.setattr(transport, "transportation_matrix",
+                            lambda dims: built.append(dims) or build(dims))
         report = verify_vlach()
+        assert report.f == scaled
         assert calls == [a]
+        assert built == [VLACH_DIMS]
         assert report.non_hole_witnesses == ()
         missing = tuple(f"no integer witness for incremented margins at {cell}"
                         for cell, x in zip(VLACH_DIMS.triples(), known_half_integral_point())
@@ -499,10 +544,10 @@ class TestVerifyVlach:
     def test_an_integral_real_point_is_not_a_hole(self, monkeypatch):
         # 2f = A (2 z*) is in Q: the support and its solve are those of f,
         # and the unique real point 2 z* is integral
-        a, f = vlach_instance()
-        doubled = tuple(2 * x for x in f)
-        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, doubled))
+        doubled = tuple(2 * x for x in margins_to_vector(VLACH_DIMS, vlach_margins()))
+        feed_margins(monkeypatch, doubled)
         report = verify_vlach()
+        assert report.f == doubled
         assert report.z_star == tuple(2 * x for x in known_half_integral_point())
         assert flags(report) == (False, False, True, False)
         assert report.diagnostics == (
@@ -516,17 +561,17 @@ class TestVerifyVlach:
         a, f = vlach_instance()
         c = next(c for c, x in enumerate(known_half_integral_point()) if x == 0)
         incremented = vec_add(f, a.col(c))
-        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, incremented))
+        feed_margins(monkeypatch, incremented)
         assert verify_vlach() == VlachReport(
             incremented, None, (), (), False, False, False,
             ("support columns are rank deficient: the real point is not proved unique",))
 
     def test_a_wrong_witness_is_a_mismatch(self, monkeypatch, vlach_stabilizer):
-        # the witness check reads the matrix, not the search's margin system,
-        # so a search that returns a wrong table costs the witnesses of its
-        # whole orbit: the table moved to each cell of the orbit is wrong
-        # there too.  The first cell off the support, (0, 0, 1), heads the
-        # orbit of 24
+        # the witness check recomputes the margins of each table rather
+        # than trust the search, so a search that returns a wrong table
+        # costs the witnesses of its whole orbit: the table moved to each
+        # cell of the orbit is wrong there too.  The first cell off the
+        # support, (0, 0, 1), heads the orbit of 24
         a, f = vlach_instance()
         c = off_support_cells()[0]
         orbit = {g[c] for g in vlach_stabilizer}
@@ -547,13 +592,27 @@ class TestVerifyVlach:
         assert report.diagnostics == tuple(
             f"witness margins mismatch at {triples[x]}" for x in off_support_cells() if x in orbit)
 
+    def test_a_nonzero_margin_with_no_cell_on_the_support(self, monkeypatch):
+        # the margins of the table that is 1 on every cell with j > 0, with
+        # w(0, 0) raised from 0 to 1: each cell on w(0, 0) meets a zero u
+        # margin, so no support cell is on it, and the support solve must
+        # still read its row, which no real table meets
+        dims = VLACH_DIMS
+        table = [int(j > 0) for (i, j, k) in dims.triples()]
+        raised = list(transportation_matrix(dims).mul_vector(table))
+        raised[dims.w_row(0, 0)] += 1
+        feed_margins(monkeypatch, tuple(raised))
+        assert verify_vlach() == VlachReport(
+            tuple(raised), None, (), (), False, False, False,
+            ("margin system is not real feasible",))
+
     def test_margins_with_no_real_point(self, monkeypatch):
         # f - a_c for a cell c of the support lowers three margins of 1 to 0,
         # and then no nonnegative real table has the margins
         a, f = vlach_instance()
         c = next(c for c, x in enumerate(known_half_integral_point()) if x != 0)
         shifted = vec_sub(f, a.col(c))
-        monkeypatch.setattr(transport, "vlach_instance", lambda: (a, shifted))
+        feed_margins(monkeypatch, shifted)
         assert verify_vlach() == VlachReport(
             shifted, None, (), (), False, False, False,
             ("margin system is not real feasible",))
