@@ -75,7 +75,6 @@ from .transport import (
     table_feasible,
     transportation_matrix,
     verify_vlach,
-    vlach_instance,
     vlach_margins,
 )
 

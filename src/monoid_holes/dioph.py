@@ -1,19 +1,19 @@
 """Hilbert bases and minimal solutions of linear Diophantine systems.
 
-Two exact procedures work in the conformal order: y [= x when every y_j
-has the sign of x_j and |y_j| <= |x_j|.  Both start from the integer
-kernel basis and the integer solution of intlinalg.integer_kernel, and
-both reduce a vector s by a set G, subtracting elements g [= s of G
-until none is left.  Their docstrings prove them complete.
+One completion, _complete (Pottier 1996), works in the conformal order:
+y [= x when every y_j has the sign of x_j and |y_j| <= |x_j|.  It closes
+a set under sums, each reduced by a set G: elements g [= s of G are
+subtracted from s until none is left.  Both of its seedings start from
+intlinalg.integer_kernel, and their docstrings prove them complete.
 
 - graver_basis: the Graver basis of A, the minimal nonzero x with
-  A x = 0, by Pottier's completion from +- the kernel basis.
+  A x = 0, from +- the kernel basis, reduced by the set itself.
 - minimal_inhomogeneous_solutions: the minimal (lam, mu) in Z^{2n}_+
   with f + A lam = A mu.  They have disjoint supports, since
   (lam - e_j, mu - e_j) would also solve the system, and on disjoint
   supports (lam, mu) <= (lam', mu') exactly when mu - lam [= mu' - lam';
-  so they are the (x^-, x^+) of the minimal x with A x = f, found by a
-  walk over that fiber with the Graver basis.
+  so they are the (x^-, x^+) of the minimal x with A x = f, found from
+  the integer solution, reduced by the Graver basis.
 
 The Hilbert basis of a saturation needs no search: a placing
 triangulation of the cone, the integer points of each simplex's
@@ -88,11 +88,35 @@ def _reduce(s, basis) -> IntVector:
     return s
 
 
-def _count_node(nodes: int, limits: Limits) -> int:
-    nodes += 1
-    if nodes > limits.max_nodes:
-        raise ResourceLimitError("completion search states", limits.max_nodes)
-    return nodes
+def _complete(work: list, moves: list, start: int, limits: Limits) -> list:
+    """work[start:] closed under s -> s + g reduced by moves (_reduce), for
+    each g of moves before s with a coordinate of sign opposite to s's: a
+    remainder that is nonzero and not yet in work joins it.  work and moves
+    hold (positive mask, negative mask, vector) triples, and moves may be
+    work itself.  A remainder is never in moves, as a move [= it would have
+    been subtracted.  The start counts one against max_nodes and each
+    reduced sum one more; max_basis caps len(work) - start.
+    """
+    if len(work) - start > limits.max_basis:
+        raise ResourceLimitError("minimal solution count", limits.max_basis)
+    nodes = 1  # the start; every limit is at least 1
+    seen = {v for *_, v in work[start:]}
+    i = start
+    while i < len(work):  # work grows while it is walked
+        spos, sneg, s = work[i]
+        for gpos, gneg, g in moves[:i]:
+            if spos & gneg or sneg & gpos:
+                nodes += 1
+                if nodes > limits.max_nodes:
+                    raise ResourceLimitError("completion search states", limits.max_nodes)
+                r = _reduce(tuple(map(add, s, g)), moves)
+                if any(r) and r not in seen:
+                    seen.add(r)
+                    work.append((*_signs(r), r))
+                    if len(work) - start > limits.max_basis:
+                        raise ResourceLimitError("minimal solution count", limits.max_basis)
+        i += 1
+    return work[start:]
 
 
 def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVector, ...]:
@@ -105,35 +129,20 @@ def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVect
     so every kernel vector is a sum of elements of G with nonnegative
     integer coefficients.  For each pair f, g of G with a coordinate of
     opposite signs, f + g is reduced by G (_reduce) and the remainder, if
-    nonzero, joins G.  Then f + g is a sum of elements of G that are all
-    [= f + g.  Take any kernel vector v written as such a sum of elements
-    of G; while two summands f, g have opposite signs somewhere, replace
-    them by that sum for f + g, which lowers the sum of the summands'
-    1-norms, since |f + g|_1 < |f|_1 + |g|_1.  The sum ends with all
-    summands [= v, so a minimal v is itself in G, and the minimal
-    elements of G are the Graver basis.  The completion ends by Gordan-
-    Dickson: no remainder is above an earlier element of G.
-
-    Each reduced sum counts one against max_nodes, and the start one more;
-    max_basis caps the size of G.
+    nonzero, joins G: this is _complete with G as its own moves.  Then
+    f + g is a sum of elements of G that are all [= f + g.  Take any
+    kernel vector v written as such a sum of elements of G; while two
+    summands f, g have opposite signs somewhere, replace them by that sum
+    for f + g, which lowers the sum of the summands' 1-norms, since
+    |f + g|_1 < |f|_1 + |g|_1.  The sum ends with all summands [= v, so a
+    minimal v is itself in G, and the minimal elements of G are the
+    Graver basis.  The completion ends by Gordan-Dickson: no remainder is
+    above an earlier element of G.  _complete counts the work against
+    max_nodes and max_basis.
     """
     kernel, _ = integer_kernel(a)
     work = [(*_signs(g), g) for b in kernel for g in (b, tuple(-x for x in b))]
-    if len(work) > limits.max_basis:
-        raise ResourceLimitError("minimal solution count", limits.max_basis)
-    nodes = _count_node(0, limits)
-    i = 0
-    while i < len(work):  # work grows while it is walked
-        ipos, ineg, f = work[i]
-        for jpos, jneg, g in work[:i]:
-            if ipos & jneg or ineg & jpos:
-                nodes = _count_node(nodes, limits)
-                s = _reduce(tuple(map(add, f, g)), work)
-                if any(s):
-                    work.append((*_signs(s), s))
-                    if len(work) > limits.max_basis:
-                        raise ResourceLimitError("minimal solution count", limits.max_basis)
-        i += 1
+    work = _complete(work, work, 0, limits)
     # an element above another is longer, so it comes later in this order
     kept: list[tuple[int, int, IntVector]] = []
     for t in sorted(work, key=lambda t: sum(map(abs, t[2]))):
@@ -156,20 +165,18 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
 
     The walk starts at the reduced integer solution of integer_kernel and
     closes the set M it has found under m -> reduced m + g, for every
-    g in G with a coordinate of sign opposite to m's.  This is the
-    completion of graver_basis on L' = {(x, t) : a@x = t f}, started from
-    G x {0} and (x_0, 1), and truncated to |t| <= 1 (Hemmecke 2003): the
-    pairs of G reduce to 0, sums with t = 2 are cut, and (m, 1) + (m', -1)
-    is a kernel vector, reduced to 0 by G.  Write (x, 1) as a sum of
-    elements (g, 0), (m, 1) and (-m, -1).  While two summands have
-    opposite signs somewhere, replace them: a summand with t = -1 has a
-    partner with t = +1, which cancels on t; without one, every pair sums
-    to |t| <= 1.  Each replacement lowers the sum of 1-norms, so the sum
-    ends conformal, and its one summand (m, 1) has m [= x.  A minimal x
-    is then in M.
-
-    Each reduced sum counts one against max_nodes, and the start one
-    more; max_basis caps the size of M.
+    g in G with a coordinate of sign opposite to m's: _complete on
+    [*G, x_0] with G as its moves.  This is the completion of graver_basis
+    on L' = {(x, t) : a@x = t f}, started from G x {0} and (x_0, 1), and
+    truncated to |t| <= 1 (Hemmecke 2003): the pairs of G reduce to 0,
+    sums with t = 2 are cut, and (m, 1) + (m', -1) is a kernel vector,
+    reduced to 0 by G.  Write (x, 1) as a sum of elements (g, 0), (m, 1)
+    and (-m, -1).  While two summands have opposite signs somewhere,
+    replace them: a summand with t = -1 has a partner with t = +1, which
+    cancels on t; without one, every pair sums to |t| <= 1.  Each
+    replacement lowers the sum of 1-norms, so the sum ends conformal, and
+    its one summand (m, 1) has m [= x.  A minimal x is then in M.
+    _complete counts the work against max_nodes and max_basis.
     """
     f = tuple(map(index, f))  # lossless: floats are rejected, not truncated
     if len(f) != a.rows:
@@ -180,21 +187,9 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
     if graver is None:
         graver = graver_basis(a, limits)
     basis = [(*_signs(g), g) for g in graver]
-    nodes = _count_node(0, limits)
-    found = [_reduce(x, basis)]
-    seen = set(found)
-    for m in found:  # found grows while it is walked
-        mpos, mneg = _signs(m)
-        for gpos, gneg, g in basis:
-            if mpos & gneg or mneg & gpos:
-                nodes = _count_node(nodes, limits)
-                s = _reduce(tuple(map(add, m, g)), basis)
-                if s not in seen:
-                    seen.add(s)
-                    found.append(s)
-                    if len(found) > limits.max_basis:
-                        raise ResourceLimitError("minimal solution count", limits.max_basis)
-    pairs = ((tuple(max(-v, 0) for v in s), tuple(max(v, 0) for v in s)) for s in found)
+    x = _reduce(x, basis)
+    found = _complete([*basis, (*_signs(x), x)], basis, len(basis), limits)
+    pairs = ((tuple(max(-v, 0) for v in s), tuple(max(v, 0) for v in s)) for *_, s in found)
     return tuple(sorted(pairs))
 
 

@@ -143,12 +143,6 @@ def vlach_margins() -> MarginTriple:
     return MarginTriple(_VLACH_U, _VLACH_V, _VLACH_W)
 
 
-def vlach_instance() -> tuple[IntMatrix, IntVector]:
-    """The 3 x 4 x 6 constraint matrix and the margin vector that is real-
-    but not integer-feasible."""
-    return transportation_matrix(VLACH_DIMS), margins_to_vector(VLACH_DIMS, vlach_margins())
-
-
 # ---------------------------------------------------------------------------
 # integer feasibility for margin triples
 

@@ -1,5 +1,6 @@
-"""Shared brute-force oracles, kept independent of the library internals,
-and verify_saturation, a desk-scale check built on its membership search."""
+"""Shared brute-force oracles, kept independent of the library internals;
+verify_saturation, a desk-scale check built on its membership search; and
+vlach_instance, the paper's 3x4x6 instance."""
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -8,6 +9,12 @@ from math import gcd
 import pytest
 
 from monoid_holes import IntMatrix, MarginTriple, fundamental_holes, semigroup_contains
+from monoid_holes.transport import (
+    VLACH_DIMS,
+    margins_to_vector,
+    transportation_matrix,
+    vlach_margins,
+)
 
 
 def gauss_determinant(rows):
@@ -576,3 +583,9 @@ def verify_saturation(problem, s, box_radius=0):
 def example_matrix():
     """The 2x4 running example with one fundamental hole."""
     return IntMatrix.from_rows([[1, 1, 1, 1], [0, 2, 3, 4]])
+
+
+def vlach_instance():
+    """The 3x4x6 constraint matrix and the paper's margin vector f, which
+    is real- but not integer-feasible."""
+    return transportation_matrix(VLACH_DIMS), margins_to_vector(VLACH_DIMS, vlach_margins())

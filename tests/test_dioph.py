@@ -5,6 +5,7 @@ from monoid_holes import (
     IntMatrix,
     Limits,
     NotPointedError,
+    ResourceLimitError,
     SemigroupProblem,
     hilbert_basis_cone_lattice,
     minimal_inhomogeneous_solutions,
@@ -285,6 +286,27 @@ class TestMinimalInhomogeneousSolutions:
         box = 4
         ours = {s for s in sols if max(s[0] + s[1]) <= box}
         assert ours == set(brute_minimal_inhomogeneous(rows, f, box))
+
+    @pytest.mark.parametrize("rows, f, nodes, size", [
+        ([[1, 1, 1, 1], [0, 2, 3, 4]], (1, 1), 32, 5),
+        ([[2, 2, 2, 1], [-2, 3, 1, 0]], (1, -1), 80, 8),
+    ])
+    def test_fiber_ceilings_are_exact(self, rows, f, nodes, size):
+        # with the Graver basis passed in, only the walk counts: its start
+        # and 31 (79) reduced sums against max_nodes, and its 5 (8) points,
+        # all of them minimal, against max_basis; one unit fewer is a
+        # resource limit, never a shorter answer
+        a = IntMatrix.from_rows(rows)
+        graver = graver_basis(a)
+        for limits, what in ((Limits(max_nodes=nodes - 1), "completion search states"),
+                             (Limits(max_basis=size - 1), "minimal solution count")):
+            with pytest.raises(ResourceLimitError) as raised:
+                minimal_inhomogeneous_solutions(a, f, limits, graver)
+            assert raised.value.what == what
+        expected = minimal_inhomogeneous_solutions(a, f, graver=graver)
+        assert len(expected) == size
+        for limits in (Limits(max_nodes=nodes), Limits(max_basis=size)):
+            assert minimal_inhomogeneous_solutions(a, f, limits, graver) == expected
 
     def test_off_lattice_needs_no_graver_basis(self, monkeypatch):
         def no_graver(*args):

@@ -25,7 +25,7 @@ from monoid_holes.polyhedra import (
 )
 from monoid_holes.intlinalg import unit_vector, vec_dot, vec_is_zero, vec_sub
 from monoid_holes.limits import Limits
-from monoid_holes.transport import TransportDims, transportation_matrix, vlach_instance
+from monoid_holes.transport import TransportDims, transportation_matrix
 
 from conftest import (
     _int_determinant,
@@ -39,6 +39,7 @@ from conftest import (
     in_half_open_zonotope,
     permuted,
     standard_form_rows,
+    vlach_instance,
 )
 
 coefficients = st.one_of(
