@@ -9,6 +9,11 @@ which lies above the Frobenius number:
 
 - the cells of the hole representation cover exactly the gaps, the
   integers not in Q, and every gap is at most the hole bound;
+- above each fundamental hole f, a gap g is the shift of as many cells
+  as there are lam >= 0 with a . lam = g - f: the standard monomials of
+  the hole ideal of f, each one a cell.  Cells above different
+  fundamental holes may share a shift (7 = 1 + 6 = 2 + 5 in <3,5>), so
+  the cells are counted per fundamental hole, not against the gaps;
 - the fundamental holes are the gaps f with f - h not in Q for every
   other gap h;
 - the saturation points are the Q-minimal integers of the saturation
@@ -21,6 +26,7 @@ semigroup is marked NO and makes the script exit with status 1.
 
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -33,6 +39,15 @@ def sieve(generators, limit):
     for z in range(1, limit + 1):
         reachable[z] = any(z >= g and reachable[z - g] for g in generators)
     return reachable
+
+
+def denumerants(generators, limit):
+    """ways[z] for z <= limit: the number of lam >= 0 with a . lam = z."""
+    ways = [1] + [0] * limit
+    for g in generators:
+        for z in range(g, limit + 1):
+            ways[z] += ways[z - g]
+    return ways
 
 
 def semigroups():
@@ -61,8 +76,13 @@ def main():
         conductor = max(gaps) + 1
         minimal = [z for z in range(conductor, limit + 1)
                    if all(z - q < conductor for q in range(1, z + 1) if reachable[q])]
+        ways = denumerants(gens, limit)
+        cells = Counter((cell.fundamental_hole[0], cell.shift[0]) for cell in rep.cells)
+        expected = Counter({(f, g): ways[g - f] for f in fundamental for g in gaps
+                            if g >= f and ways[g - f]})
         # Q has finitely many gaps, so every cell is a single point
         ok = (covered == gaps and not any(cell.generators for cell in rep.cells)
+              and cells == expected
               and all(g <= bound for g in gaps)
               and sorted(h[0] for h in rep.fundamental_set.holes) == fundamental
               and sorted(p[0] for p in sat.points) == minimal)

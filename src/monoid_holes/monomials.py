@@ -4,6 +4,8 @@ complement."""
 
 from __future__ import annotations
 
+from operator import le
+
 from .errors import ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
 from .records import Record
@@ -11,21 +13,21 @@ from .records import Record
 Monomial = tuple[int, ...]
 
 
-def divides(g: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(g, m))
-
-
 def lcm_monomial(g: Monomial, h: Monomial) -> Monomial:
     return tuple(max(a, b) for a, b in zip(g, h))
 
 
 def _minimal_antichain(gens) -> tuple[Monomial, ...]:
-    ordered = sorted(set(gens), key=lambda g: (sum(g), g))
+    """The sorted minimal elements under divisibility."""
     kept: list[Monomial] = []
-    for g in ordered:
-        if not any(divides(h, g) for h in kept):
+    for g in sorted(set(gens), key=sum):
+        for h in kept:
+            if all(map(le, h, g)):
+                break
+        else:
             kept.append(g)
-    return tuple(sorted(kept))
+    kept.sort()
+    return tuple(kept)
 
 
 class MonomialIdeal(Record):
@@ -55,7 +57,7 @@ class MonomialIdeal(Record):
 
     @property
     def is_unit(self) -> bool:
-        return any(all(e == 0 for e in g) for g in self.generators)
+        return (0,) * self.num_vars in self.generators
 
 
 class StandardPair(Record):
@@ -82,36 +84,45 @@ def standard_pairs(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> tup
     """Disjoint cells whose union is exactly the staircase complement.
 
     A worklist holds cells (generators, active variables, root), starting
-    from the whole ideal.  A cell with no generators is a standard pair;
-    one holding the unit ideal has no standard monomials.  Any other cell
-    takes the lexicographically first minimal generator g and its lowest
-    support variable j, and splits on the exponent of x_j being
-    0, ..., g_j - 1 (variable j becomes fixed in those cells) or >= g_j
-    (generators are shifted down in j).  Each split strictly shrinks either
-    the active variable set or the total generator degree.  Every cell
-    taken from the worklist counts one against max_pairs.
+    from the whole ideal.  A cell with generators takes the lexicographically
+    first one, g, and its lowest support variable j, and splits on the
+    exponent of x_j being k = 0, ..., g_j - 1 (slice k: x_j is fixed and the
+    h with h_j <= k remain) or >= g_j (the shift: generators are shifted
+    down in j).  Each split shrinks the active variables or the total
+    generator degree.  An empty slice is a standard pair, and the shift is
+    the unit ideal, with no standard monomials, exactly when g = g_j e_j;
+    no slice is, as c e_j with c < g_j would precede g.  Both are settled
+    where the split makes them.  Every cell counts one against max_pairs,
+    a split's g_j + 1 at once, so the ceiling is met exactly when the total
+    exceeds it, in any order; the pairs are sorted at the end, by root, as
+    disjoint cells have distinct roots.
     """
     n = ideal.num_vars
-    pairs: list[StandardPair] = []
-    cells = [(ideal.generators, frozenset(range(n)), (0,) * n)]
-    taken = 0
+    zero, whole = (0,) * n, (1 << n) - 1
+    if zero in ideal.generators:
+        return ()
+    pairs = [] if ideal.generators else [(zero, whole)]
+    cells = [(tuple(sorted(ideal.generators)), whole, zero)] if ideal.generators else []
+    taken = 1
     while cells:
         gens, active, root = cells.pop()
-        taken += 1
+        g = gens[0]
+        j = next(v for v, e in enumerate(g) if e)
+        gj = g[j]
+        taken += gj + 1
         if taken > limits.max_pairs:
             raise ResourceLimitError("standard pair cells", limits.max_pairs)
-        if not gens:
-            pairs.append(StandardPair(root, tuple(sorted(active))))
-            continue
-        if any(all(e == 0 for e in g) for g in gens):
-            continue  # unit ideal: no standard monomials here
-        g = min(gens)
-        j = next(v for v, e in enumerate(g) if e)
-        for k in range(g[j]):
+        head, rj, tail = root[:j], root[j], root[j + 1:]
+        fixed = active & ~(1 << j)
+        for k in range(gj):
             sliced = [h[:j] + (0,) + h[j + 1:] for h in gens if h[j] <= k]
-            cells.append((_minimal_antichain(sliced), active - {j},
-                          root[:j] + (root[j] + k,) + root[j + 1:]))
-        shifted = [h[:j] + (max(h[j] - g[j], 0),) + h[j + 1:] for h in gens]
-        cells.append((_minimal_antichain(shifted), active,
-                       root[:j] + (root[j] + g[j],) + root[j + 1:]))
-    return tuple(sorted(pairs, key=lambda p: (p.root, p.free_vars)))
+            if sliced:
+                cells.append((_minimal_antichain(sliced), fixed, head + (rj + k,) + tail))
+            else:
+                pairs.append((head + (rj + k,) + tail, fixed))
+        if sum(g) != gj:
+            shifted = [h[:j] + (h[j] - gj if h[j] > gj else 0,) + h[j + 1:] for h in gens]
+            cells.append((_minimal_antichain(shifted), active, head + (rj + gj,) + tail))
+    pairs.sort()
+    free = {mask: tuple(v for v in range(n) if mask >> v & 1) for mask in {m for _, m in pairs}}
+    return tuple(StandardPair(root, free[mask]) for root, mask in pairs)

@@ -412,6 +412,25 @@ class TestErrorPaths:
         # never a wrong verdict
         assert main([*argv, example_file]) == code
 
+    @pytest.mark.parametrize("matrix, pairs", [
+        ("2 4\n1 1 1 1\n0 2 3 4\n", 7),
+        ("2 4\n2 2 2 1\n-2 3 1 0\n", 19),
+        ("1 2\n3 5\n", 8),
+        ("1 2\n11 12\n", 44),
+    ], ids=["example", "mxa", "ns35", "ns1112"])
+    def test_pair_ceiling_is_exact(self, capsys, tmp_path, matrix, pairs):
+        # max_pairs caps the standard pair cells of each hole ideal, pairs
+        # and unit cells among them, and the ideal with the most cells
+        # needs all of its own: one fewer is a resource limit, never fewer
+        # cells
+        path = tmp_path / "matrix.txt"
+        path.write_text(matrix)
+        assert main(["--max-pairs", str(pairs - 1), "holes", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resource limit exceeded: standard pair cells")
+        assert main(["--max-pairs", str(pairs), "holes", str(path)]) == 10
+
     def test_hole_fiber_node_ceiling_is_exact(self, capsys, tmp_path):
         # [[2,2,2,1],[-2,3,1,0]] has three fundamental holes; they need 11
         # states and the Graver basis 72, and one of the hole ideals needs 80
@@ -749,6 +768,26 @@ saturation-points:
 verdict: holes-exist
 limit-status: ok
 """),
+    ("mixed", "holes"): (10, "command: holes\n" + MIXED_HEADER + """\
+fundamental-holes-size: 3
+fundamental-holes:
+  1 -1
+  1 1
+  2 2
+cells-size: 9
+cells:
+  1 -1 | 2 3
+  1 1 | 2 3
+  2 -1 | 2 -2
+  2 2 | 2 3
+  3 -3 | 2 -2
+  3 -1 | 2 -2
+  3 -1 | 2 -2
+  3 2 | 2 3
+  3 2 | 2 3
+hole-set: infinite
+limit-status: ok
+"""),
     ("mixed", "member", "5 5"): (10, "command: member\n" + MIXED_HEADER + """\
 vector: 5 5
 status: hole
@@ -768,6 +807,24 @@ holes:
   7
 max-hole-entry: 7
 verdict: holes-finite
+limit-status: ok
+"""),
+    ("ns35", "holes"): (10, """\
+command: holes
+input-matrix: 1 2
+  3 5
+fundamental-holes-size: 2
+fundamental-holes:
+  1
+  2
+cells-size: 5
+cells:
+  1 |
+  2 |
+  4 |
+  7 |
+  7 |
+hole-set: finite
 limit-status: ok
 """),
     ("identity", "bound"): (0, """\

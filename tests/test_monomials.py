@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -20,6 +22,27 @@ def contains(ideal, m):
 
 def member(pair, m):
     return in_standard_cell(pair.root, pair.free_vars, m)
+
+
+def least_max_pairs(ideal):
+    """The least max_pairs under which standard_pairs passes, by bisection:
+    a ceiling that passes passes at every larger value."""
+    def passes(m):
+        try:
+            standard_pairs(ideal, Limits(max_pairs=m))
+        except ResourceLimitError:
+            return False
+        return True
+    fails, passing = 0, 1
+    while not passes(passing):
+        fails, passing = passing, 2 * passing
+    while passing - fails > 1:
+        mid = (fails + passing) // 2
+        if passes(mid):
+            passing = mid
+        else:
+            fails = mid
+    return passing
 
 
 def staircase_points(ideal, box):
@@ -148,6 +171,34 @@ class TestStandardPairs:
             j = sum(p.root)
             assert p.root == (1,) * j + (0,) * (n - j)
             assert p.free_vars == tuple(v for v in range(n) if v != j)
+
+    @pytest.mark.parametrize("num_vars, gens, expected, cells", [
+        # a settled slice keeps its free variables; the shift is the unit ideal
+        (3, [(3, 0, 0)], [((0, 0, 0), (1, 2)), ((1, 0, 0), (1, 2)), ((2, 0, 0), (1, 2))], 5),
+        # the top shift is the unit ideal, and so is the shift of the one
+        # slice that splits again
+        (2, [(1, 1), (0, 2)], [((0, 0), (0,)), ((0, 1), ())], 6),
+    ], ids=["x0^3", "x0x1,x1^2"])
+    def test_settled_cells(self, num_vars, gens, expected, cells):
+        ideal = MonomialIdeal.from_generators(num_vars, gens)
+        pairs = standard_pairs(ideal, Limits(max_pairs=cells))
+        assert [(p.root, p.free_vars) for p in pairs] == expected
+        with pytest.raises(ResourceLimitError):
+            standard_pairs(ideal, Limits(max_pairs=cells - 1))
+
+    def test_seeded_corpus(self):
+        # 300 seeded ideals in 1-5 variables: each one's sorted pairs and
+        # its least passing max_pairs, pinned by one digest
+        rng = random.Random(20261022)
+        rows = []
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+            ideal = MonomialIdeal.from_generators(n, gens)
+            pairs = [(p.root, p.free_vars) for p in standard_pairs(ideal)]
+            rows.append((ideal.generators, pairs, least_max_pairs(ideal)))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "4b1c333b5bacce647cace05962740e3317620d5a56dad6b43d8186d3058abdbe"
 
     @settings(max_examples=60, deadline=None)
     @given(ideals)
