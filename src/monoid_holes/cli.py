@@ -73,7 +73,7 @@ _CEILINGS = {
 
 
 def _fmt_vec(v) -> str:
-    return " ".join(str(x) for x in v)
+    return " ".join(map(str, v))
 
 
 def _fmt_cell(cell) -> str:

@@ -34,7 +34,8 @@ every column off the ray.
 
 from __future__ import annotations
 
-from operator import add, ge, index, le, mul
+from itertools import compress, islice
+from operator import add, floordiv, index, le, sub
 from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistencyError, ResourceLimitError
@@ -58,61 +59,99 @@ class HilbertBasis(Record):
     elements: tuple[IntVector, ...]
 
 
-def _signs(x) -> tuple[int, int]:
-    """Bit masks of the positive and of the negative coordinates of x."""
+def _entry(x) -> tuple:
+    """(positive mask, negative mask, x, |x|, |x|_1): the bit masks of the
+    positive and of the negative coordinates of x, their absolute values
+    and the sum of those."""
     pos = neg = 0
-    for j, v in enumerate(x):
+    bit = 1
+    for v in x:
         if v > 0:
-            pos |= 1 << j
+            pos |= bit
         elif v < 0:
-            neg |= 1 << j
-    return pos, neg
+            neg |= bit
+        bit <<= 1
+    size = tuple(map(abs, x))
+    return pos, neg, x, size, sum(size)
 
 
-def _reduce(s, basis) -> IntVector:
-    """s after subtracting elements g [= s of basis, (positive mask,
-    negative mask, g) triples, until none is left.
+def _fitting(by_pattern: dict, moves: list, pos: int, neg: int) -> list:
+    """The moves whose masks lie inside pos and neg, in the order of moves.
 
-    One pass suffices: subtracting k g [= s leaves s' [= s, and a g' not
-    [= s is not [= s' either; k is the largest with k g [= s.
+    by_pattern keeps, for each sign pattern met so far, that list and the
+    number of moves it has looked at; moves may have grown since, and the
+    list takes in the new ones that fit.
     """
-    pos, neg = _signs(s)
-    for gpos, gneg, g in basis:
-        # g [= s: the support of g lies in that of s, sign by sign, and
-        # g_j s_j >= g_j^2 on it
-        if gpos & ~pos or gneg & ~neg or not all(map(ge, map(mul, g, s), map(mul, g, g))):
-            continue
-        k = min(x // y for x, y in zip(s, g) if y)
-        s = tuple(x - k * y for x, y in zip(s, g))
-        pos, neg = _signs(s)
-    return s
+    slot = by_pattern.get((pos, neg))
+    if slot is None:
+        slot = by_pattern[pos, neg] = [[], 0]
+    fit, looked = slot
+    if looked < len(moves):
+        off_pos, off_neg = ~pos, ~neg
+        fit += [m for m in islice(moves, looked, None) if not (m[0] & off_pos or m[1] & off_neg)]
+        slot[1] = len(moves)
+    return fit
+
+
+def _reduce(entry, moves: list, by_pattern: dict) -> tuple:
+    """The _entry of s after subtracting elements g [= s of moves, _entry
+    tuples, until none is left, or entry itself when none is [= s; entry
+    is the _entry of s, and by_pattern holds _fitting's lists for moves.
+
+    One pass over moves suffices: subtracting k g [= s leaves s' [= s,
+    and a g' not [= s is not [= s' either; k is the largest with k g [= s.
+    The pass visits only the moves whose masks lie inside those of s: any
+    other g is not [= s, nor [= a remainder, whose masks lie inside them.
+    For one that fits, g [= s exactly when |g| <= |s|, and the same holds
+    for a remainder s', which keeps the sign of s where it is not 0, with
+    |s'| = |s| - k |g|.  |g|_1 <= |s|_1 is tested first, as it is cheaper
+    and most moves that fit fail it.
+    """
+    pos, neg, s, size, norm = entry
+    for _, _, g, gsize, gnorm in _fitting(by_pattern, moves, pos, neg):
+        if gnorm <= norm and all(map(le, gsize, size)):
+            k = min(map(floordiv, compress(size, gsize), filter(None, gsize)))
+            s = tuple(map(sub, s, map(k.__mul__, g)))
+            size = tuple(map(sub, size, map(k.__mul__, gsize)))
+            norm -= k * gnorm
+    return entry if s is entry[2] else _entry(s)
 
 
 def _complete(work: list, moves: list, start: int, limits: Limits) -> list:
     """work[start:] closed under s -> s + g reduced by moves (_reduce), for
     each g of moves before s with a coordinate of sign opposite to s's: a
     remainder that is nonzero and not yet in work joins it.  work and moves
-    hold (positive mask, negative mask, vector) triples, and moves may be
-    work itself.  A remainder is never in moves, as a move [= it would have
-    been subtracted.  The start counts one against max_nodes and each
-    reduced sum one more; max_basis caps len(work) - start.
+    hold _entry tuples, and moves may be work itself.  A remainder is never
+    in moves, as a move [= it would have been subtracted.  The start counts
+    one against max_nodes and each reduced sum one more; max_basis caps
+    len(work) - start.
+
+    Each sum is reduced by the moves whose sign masks lie inside its own
+    (_fitting), listed per sign pattern for this completion and extended
+    as moves grows.  By _reduce's one-pass argument a move that does not
+    fit the sum's pattern fits none of the smaller patterns of its
+    remainders, so the same moves are subtracted in the same order as by
+    a scan over all of moves: the remainders, and the node and basis
+    counts, do not change.
     """
     if len(work) - start > limits.max_basis:
         raise ResourceLimitError("minimal solution count", limits.max_basis)
     nodes = 1  # the start; every limit is at least 1
-    seen = {v for *_, v in work[start:]}
+    seen = {e[2] for e in work[start:]}
+    by_pattern: dict = {}
     i = start
     while i < len(work):  # work grows while it is walked
-        spos, sneg, s = work[i]
-        for gpos, gneg, g in moves[:i]:
+        spos, sneg, s, _, _ = work[i]
+        for gpos, gneg, g, _, _ in islice(moves, i):
             if spos & gneg or sneg & gpos:
                 nodes += 1
                 if nodes > limits.max_nodes:
                     raise ResourceLimitError("completion search states", limits.max_nodes)
-                r = _reduce(tuple(map(add, s, g)), moves)
-                if any(r) and r not in seen:
-                    seen.add(r)
-                    work.append((*_signs(r), r))
+                t = _entry(tuple(map(add, s, g)))
+                r = _reduce(t, moves, by_pattern)
+                if (r[0] or r[1]) and r[2] not in seen:
+                    seen.add(r[2])
+                    work.append(r)
                     if len(work) - start > limits.max_basis:
                         raise ResourceLimitError("minimal solution count", limits.max_basis)
         i += 1
@@ -141,14 +180,15 @@ def graver_basis(a: IntMatrix, limits: Limits = DEFAULT_LIMITS) -> tuple[IntVect
     max_nodes and max_basis.
     """
     kernel, _ = integer_kernel(a)
-    work = [(*_signs(g), g) for b in kernel for g in (b, tuple(-x for x in b))]
+    work = [_entry(g) for b in kernel for g in (b, tuple(-x for x in b))]
     work = _complete(work, work, 0, limits)
     # an element above another is longer, so it comes later in this order
-    kept: list[tuple[int, int, IntVector]] = []
-    for t in sorted(work, key=lambda t: sum(map(abs, t[2]))):
-        if _reduce(t[2], kept) == t[2]:
+    kept: list[tuple] = []
+    kept_patterns: dict = {}
+    for t in sorted(work, key=lambda t: t[4]):
+        if _reduce(t, kept, kept_patterns) is t:
             kept.append(t)
-    return tuple(sorted(g for *_, g in kept))
+    return tuple(sorted(t[2] for t in kept))
 
 
 def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LIMITS,
@@ -186,10 +226,13 @@ def minimal_inhomogeneous_solutions(a: IntMatrix, f, limits: Limits = DEFAULT_LI
         return ()
     if graver is None:
         graver = graver_basis(a, limits)
-    basis = [(*_signs(g), g) for g in graver]
-    x = _reduce(x, basis)
-    found = _complete([*basis, (*_signs(x), x)], basis, len(basis), limits)
-    pairs = ((tuple(max(-v, 0) for v in s), tuple(max(v, 0) for v in s)) for *_, s in found)
+    basis = [_entry(g) for g in graver]
+    found = _complete([*basis, _reduce(_entry(x), basis, {})], basis, len(basis), limits)
+    zeros = (0,) * a.cols
+    pairs = []
+    for _, _, s, size, _ in found:
+        plus = tuple(map(max, s, zeros))  # x^+, and x^- = |x| - x^+
+        pairs.append((tuple(map(sub, size, plus)), plus))
     return tuple(sorted(pairs))
 
 

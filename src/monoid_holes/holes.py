@@ -11,7 +11,8 @@ the hole ideal of f.
 
 from __future__ import annotations
 
-from operator import index
+from itertools import repeat
+from operator import add, ge, index
 
 from .dioph import (
     HilbertBasis,
@@ -26,7 +27,7 @@ from .intlinalg import (
     LatticeBasis,
     lattice_basis,
     vec_add,
-    vec_sub,
+    vec_dot,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .monomials import MonomialIdeal, StandardPair, standard_pairs
@@ -123,22 +124,34 @@ def fundamental_holes(problem: SemigroupProblem, limits: Limits = DEFAULT_LIMITS
 
 
 def _search_fundamental(problem: SemigroupProblem, limits: Limits) -> FundamentalHoleSet:
+    """The search of fundamental_holes, on facet values.
+
+    z - g lies in the cone exactly when F z >= F g, F the facet rows: the
+    cone's equations E hold on z - g already, as z and g both lie in the
+    cone (z is a sum of Hilbert basis elements), so E z = E g = 0.  So F g
+    is taken once per generator, and F z is carried along the sums, as
+    F (z + b) = F z + F b.
+    """
     basis = hilbert_basis_cone_lattice(problem, limits)
     basis_holes = tuple(sorted(set(basis.elements) - set(problem.generators)))
+    facets = problem.cone.facets
+    floors = [tuple(vec_dot(w, g) for w in facets) for g in problem.generators]
 
-    def fundamental(z):
-        return not any(problem.in_cone(vec_sub(z, g)) for g in problem.generators)
+    def fundamental(values):
+        return not any(all(map(ge, values, floor)) for floor in floors)
 
-    seeds = [b for b in basis_holes if fundamental(b)]
-    found, seen = list(seeds), set(seeds)
-    for z in found:  # breadth first: found grows while it is walked
-        for b in seeds:
+    seeds = [(b, v) for b in basis_holes
+             for v in [tuple(vec_dot(w, b) for w in facets)] if fundamental(v)]
+    found, seen = list(seeds), {b for b, _ in seeds}
+    for z, zv in found:  # breadth first: found grows while it is walked
+        for b, bv in seeds:
             y = vec_add(z, b)
             if y not in seen:
                 seen.add(y)
-                if fundamental(y):
-                    found.append(y)
-    return FundamentalHoleSet(tuple(sorted(found)), basis, basis_holes)
+                yv = vec_add(zv, bv)
+                if fundamental(yv):
+                    found.append((y, yv))
+    return FundamentalHoleSet(tuple(sorted(z for z, _ in found)), basis, basis_holes)
 
 
 def hole_solutions(problem: SemigroupProblem, f,
@@ -172,14 +185,22 @@ def holes_representation(problem: SemigroupProblem,
 def _cells(problem: SemigroupProblem, limits: Limits) -> HoleRepresentation:
     fund = fundamental_holes(problem, limits)
     a = problem.matrix
+    # the generators of each set of free variables, built once per set
+    monoids: dict = {}
     cells = []
     # all hole ideals before any standard pairs, so a search ceiling is met first
     ideals = [hole_ideal(problem, f, limits) for f in fund.holes]
     for f, ideal in zip(fund.holes, ideals):
         for pair in standard_pairs(ideal, limits):
-            shift = vec_add(f, a.mul_vector(pair.root))
-            free = {a.col(j) for j in pair.free_vars}
-            gens = tuple(sorted(g for g in problem.generators if g in free))
-            cells.append(HoleCell(shift, gens, f, pair))
-    cells.sort(key=lambda c: (c.shift, c.generators, c.fundamental_hole, c.pair.root))
-    return HoleRepresentation(tuple(cells), fund)
+            gens = monoids.get(pair.free_vars)
+            if gens is None:
+                free = {a.col(j) for j in pair.free_vars}
+                gens = monoids[pair.free_vars] = tuple(sorted(g for g in problem.generators
+                                                              if g in free))
+            shift = tuple(map(add, f, map(vec_dot, a.entries, repeat(pair.root))))
+            cells.append((shift, gens, f, pair.root, pair))
+    # the roots of one ideal's pairs are distinct, so no two tuples tie
+    # before their pairs, which are never compared
+    cells.sort()
+    return HoleRepresentation(tuple(HoleCell(shift, gens, f, pair)
+                                    for shift, gens, f, _, pair in cells), fund)

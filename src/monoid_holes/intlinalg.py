@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, takewhile
+from itertools import combinations, repeat, takewhile
 from math import comb, gcd
 
 from .errors import RankDeficientError, ResourceLimitError
@@ -29,19 +29,19 @@ RatVector = tuple[Fraction, ...]
 # small vector helpers (tuples in, tuples out)
 
 def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_scale(k, v) -> tuple:
-    return tuple(k * a for a in v)
+    return tuple(map(operator.mul, repeat(k), v))
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_is_zero(v) -> bool:

@@ -14,7 +14,7 @@ Monomial = tuple[int, ...]
 
 
 def lcm_monomial(g: Monomial, h: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(g, h))
+    return tuple(map(max, g, h))
 
 
 def _minimal_antichain(gens) -> tuple[Monomial, ...]:

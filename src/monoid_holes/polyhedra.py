@@ -23,9 +23,9 @@ verdicts are certified the same way.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, NotPointedError, ResourceLimitError
@@ -57,8 +57,8 @@ class Cone(Record):
         first = self.equations[:1] or self.facets[:1]
         if first and len(z) != len(first[0]):
             raise ValueError("vector dimension does not match the cone")
-        return (all(vec_dot(e, z) == 0 for e in self.equations)
-                and all(vec_dot(w, z) >= 0 for w in self.facets))
+        return (not any(map(vec_dot, self.equations, repeat(z)))
+                and all(map(ge, map(vec_dot, self.facets, repeat(z)), repeat(0))))
 
 
 class FeasibilitySystem(Record):

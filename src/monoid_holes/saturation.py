@@ -4,6 +4,8 @@ inside the semigroup)."""
 
 from __future__ import annotations
 
+from operator import ge
+
 from .dioph import semigroup_contains
 from .errors import InternalInconsistencyError
 from .holes import (
@@ -19,6 +21,7 @@ from .intlinalg import (
     max_abs_subdeterminant,
     row_sum_bound,
     vec_add,
+    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -90,6 +93,12 @@ def saturation_points(problem: SemigroupProblem,
     [[2,2,2,1],[-2,3,1,0]] the image (4,1) is (3,1) + (1,0).  A
     Q-minimality filter drops such points and records them in
     removed_by_filter.
+
+    A point s is dropped when s - t lies in Q for another point t.  That
+    needs s - t in the cone, so F s >= F t on the facet rows F, and the
+    membership search runs only on the pairs that pass this test; a pair
+    that passes may still have s - t outside Q, and the search decides it.
+    The facet values of each point are taken once.
     """
     a = problem.matrix
     fund = fundamental_holes(problem, limits)
@@ -97,16 +106,18 @@ def saturation_points(problem: SemigroupProblem,
     for f in fund.holes:
         ideal = intersect(ideal, hole_ideal(problem, f, limits))
     points = sorted({a.mul_vector(g) for g in ideal.generators})
+    facets = problem.cone.facets
+    valued = [(s, tuple(vec_dot(w, s) for w in facets)) for s in points]
     removed = []
     kept = []
-    for s in points:
+    for s, sv in valued:
         reducible = any(
-            s != t and semigroup_contains(problem, vec_sub(s, t), limits) is not None
-            for t in points
+            s != t and all(map(ge, sv, tv))
+            and semigroup_contains(problem, vec_sub(s, t), limits) is not None
+            for t, tv in valued
         )
         if reducible:
             removed.append(s)
         else:
             kept.append(s)
     return SaturationResult(ideal, tuple(kept), tuple(removed))
-

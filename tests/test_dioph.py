@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -315,6 +318,63 @@ class TestMinimalInhomogeneousSolutions:
         a = IntMatrix.from_rows([[2, 4], [0, 2]])
         assert minimal_inhomogeneous_solutions(a, (1, 0), Limits(max_nodes=1)) == ()
         assert minimal_inhomogeneous_solutions(a, (2, 1), Limits(max_nodes=1)) == ()
+
+
+def least_passing(run, name):
+    """The least value of the limit name under which run(limits) passes, by
+    bisection: a ceiling that passes passes at every larger value."""
+    def passes(m):
+        try:
+            run(Limits(**{name: m}))
+        except ResourceLimitError:
+            return False
+        return True
+    fails, passing = 0, 1
+    while not passes(passing):
+        fails, passing = passing, 2 * passing
+    while passing - fails > 1:
+        mid = (fails + passing) // 2
+        if passes(mid):
+            passing = mid
+        else:
+            fails = mid
+    return passing
+
+
+def completion_corpus():
+    """300 seeded (rows, f): 1-3 rows over 2-4 columns, each entry from -2..3
+    or 0..3 by a coin flip, so rows mix signs; a quarter of the matrices
+    gain a zero column and a quarter a repeated one."""
+    rng = random.Random(20261022)
+    for _ in range(300):
+        r, n = rng.randint(1, 3), rng.randint(2, 4)
+        rows = [[rng.randint(-2, 3) if rng.random() < 0.5 else rng.randint(0, 3) for _ in range(n)]
+                for _ in range(r)]
+        cols = [list(c) for c in zip(*rows)]
+        if rng.random() < 0.25:
+            cols.insert(rng.randrange(n + 1), [0] * r)
+        if rng.random() < 0.25:
+            cols.insert(rng.randrange(n + 1), list(rng.choice(cols)))
+        yield [list(row) for row in zip(*cols)], tuple(rng.randint(-3, 3) for _ in range(r))
+
+
+class TestCompletionCorpus:
+    def test_seeded_corpus(self):
+        # the Graver basis, the fiber of f with it passed in, and the least
+        # passing max_nodes and max_basis of each search, pinned by one
+        # digest: the order in which a sum is reduced moves none of them
+        rows_out = []
+        for rows, f in completion_corpus():
+            a = IntMatrix.from_rows(rows)
+            graver = graver_basis(a)
+            fiber = minimal_inhomogeneous_solutions(a, f, graver=graver)
+            counts = [least_passing(run, name)
+                      for run in (lambda lim: graver_basis(a, lim),
+                                  lambda lim: minimal_inhomogeneous_solutions(a, f, lim, graver))
+                      for name in ("max_nodes", "max_basis")]
+            rows_out.append((rows, f, graver, fiber, *counts))
+        digest = hashlib.sha256(repr(rows_out).encode()).hexdigest()
+        assert digest == "d34dc2b1ffb11d890310502a7e9a0bdbefab19fdb19fa4c9868c0cc37ae3d5e4"
 
 
 class TestHomogenizationCrossCheck:

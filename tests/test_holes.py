@@ -184,6 +184,18 @@ class TestNonIntegerPoints:
             self.ENTRY_POINTS[entry](example_problem, (x, 1))
 
 
+def box_fundamental_holes(rows):
+    """The sorted fundamental holes of a full-row-rank A with a grading, by
+    the box: the holes h with no hole h - a for a nonzero column a.  Such
+    an h lies in the half-open zonotope of the distinct columns, so its
+    grading is below top, and every h - a has a smaller one."""
+    grading = brute_grading(rows)
+    columns = {c for c in zip(*rows) if any(c)}
+    top = sum(vec_dot(grading, c) for c in columns)
+    holes = set(brute_holes(rows, grading, top))
+    return sorted(h for h in holes if not any(vec_sub(h, a) in holes for a in columns))
+
+
 class TestFundamentalHoles:
     def test_example_matrix(self, example_problem):
         fund = fundamental_holes(example_problem)
@@ -249,6 +261,39 @@ class TestFundamentalHoles:
             if not any(g2 != g and numerical_member(a, b, g - g2) for g2 in gaps))
         fund = fundamental_holes(numerical_problem(a, b))
         assert fund.holes == expected
+
+    # the search tests z - g in the cone on facet values alone, F z >= F g,
+    # and drops the cone's equations; on a rank-deficient matrix, whose cone
+    # has one, and on two mixed-sign ones it must still match the box
+    @pytest.mark.parametrize("rows", [[[2, 2, 2, 1], [-2, 3, 1, 0]], [[1, 2, 2, 2], [0, 0, 1, -2]]],
+                             ids=["mxa", "mxc"])
+    def test_facet_values_match_box_oracle(self, rows):
+        fund = fundamental_holes(SemigroupProblem.build(IntMatrix.from_rows(rows)))
+        assert list(fund.holes) == box_fundamental_holes(rows)
+
+    @pytest.mark.parametrize("rows", [[[2, 2, 2, 1], [-2, 3, 1, 0]], [[1, 2, 2, 2], [0, 0, 1, -2]],
+                                      [[1, 1, 1, 1], [0, 2, 3, 4]]],
+                             ids=["mxa", "mxc", "example"])
+    def test_rank_deficient_facet_values(self, rows):
+        self._check_rank_deficient(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rank_deficient_match_box_oracle(self, data):
+        self._check_rank_deficient(data.draw(pointed_full_rank(2)))
+
+    @staticmethod
+    def _check_rank_deficient(rows):
+        # a third row r_0 + r_1 maps the semigroup and its saturation by
+        # z -> (z_0, z_1, z_0 + z_1), which keeps the lexicographic order
+        lifted = [*rows, [x + y for x, y in zip(*rows)]]
+        problem = SemigroupProblem.build(IntMatrix.from_rows(lifted))
+        assert problem.cone.equations
+        try:
+            fund = fundamental_holes(problem, Limits(max_nodes=20000))
+        except ResourceLimitError:
+            assume(False)
+        assert list(fund.holes) == [(x, y, x + y) for x, y in box_fundamental_holes(rows)]
 
 
 class TestHoleIdeal:

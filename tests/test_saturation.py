@@ -143,6 +143,27 @@ class TestSaturationPoints:
         assert result.points == ((3, 0), (3, 1), (4, -1), (4, 2), (4, 3))
         assert result.removed_by_filter == ((4, 1),)
 
+    def test_facet_test_leaves_the_search_its_cases(self, monkeypatch):
+        # the filter searches membership of s - t only when F s >= F t.  A
+        # seeded search over 2-row matrices (random.Random(44)) found this
+        # one: s = (5,-4) and t = (4,-4) pass that test, but s - t = (1,0)
+        # is a hole, so the search must still decide the pair, and s stays
+        rows = [[3, 3, 3, 1], [-2, 0, -2, -1]]
+        assert brute_in_cone(rows, (1, 0)) and brute_in_lattice(rows, (1, 0))
+        assert not conftest.brute_member(rows, (1, 0))
+        asked = []
+
+        def recording(problem, b, limits):
+            asked.append(b)
+            return dioph.semigroup_contains(problem, b, limits)
+
+        monkeypatch.setattr(saturation, "semigroup_contains", recording)
+        result = saturation_points(SemigroupProblem.build(IntMatrix.from_rows(rows)))
+        assert result.points == ((4, -4), (5, -4), (6, -4))
+        assert result.removed_by_filter == ()
+        # (1,0) and (2,0) pass the facet test; their negatives do not
+        assert sorted(asked) == [(1, 0), (1, 0), (2, 0)]
+
     def test_identity_normal(self):
         problem = SemigroupProblem.build(IntMatrix.from_rows([[1, 0], [0, 1]]))
         result = saturation_points(problem)
